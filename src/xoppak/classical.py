@@ -18,8 +18,6 @@ from .exact import (
     ParameterError,
     Poly,
     RatFunc,
-    as_int,
-    binom_poly,
     gen_binomial,
     is_integer,
     pochhammer,
@@ -45,8 +43,14 @@ class MeixnerParams:
         self.a = a
         self.c = c
 
-    def inverted(self) -> "MeixnerParams":
-        return MeixnerParams(1 / self.a, self.c)
+    @classmethod
+    def formal(cls, a, c) -> "MeixnerParams":
+        """Unvalidated (a, c) for formal substitutions: the Krawtchouk case
+        c = -N + 1 and the reflected parameters of the Omega invariance."""
+        p = object.__new__(cls)
+        p.a = rat(a)
+        p.c = rat(c)
+        return p
 
     def __eq__(self, other):
         if isinstance(other, MeixnerParams):

@@ -78,6 +78,11 @@ def format_rational(q) -> str:
     return str(Rational(q))
 
 
+def poly_strings(p) -> list:
+    """Serialize a polynomial as its coefficients, lowest degree first."""
+    return [format_rational(c) for c in p.coeffs]
+
+
 def is_integer(q) -> bool:
     return Rational(q).denominator == 1
 
@@ -403,13 +408,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a / a.leading
 
 
-def squarefree_part(p: Poly) -> Poly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return p // g
-
-
 def binom_poly(p: Poly, j: int) -> Poly:
     """Generalized binomial C(p(x), j) with a polynomial top."""
     if j < 0:
@@ -428,35 +426,6 @@ def pochhammer_poly(p: Poly, j: int) -> Poly:
     for i in range(j):
         out = out * (p + i)
     return out
-
-
-class PolyMatrix:
-    """Rectangular matrix of polynomials, row-major."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(e if isinstance(e, Poly) else Poly.constant(e) for e in entries)
-        if len(entries) != rows * cols:
-            raise ParameterError("entry count does not match matrix shape")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, rowlists):
-        rowlists = [list(r) for r in rowlists]
-        rows = len(rowlists)
-        cols = len(rowlists[0]) if rowlists else 0
-        if any(len(r) != cols for r in rowlists):
-            raise ParameterError("ragged rows")
-        return cls(rows, cols, [e for r in rowlists for e in r])
-
-    def entry(self, i: int, j: int) -> Poly:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int):
-        return list(self.entries[i * self.cols : (i + 1) * self.cols])
 
 
 # -- fraction-free determinant ------------------------------------------------
@@ -518,16 +487,10 @@ def _idiv_exact(a, b):
 
 def poly_det(matrix) -> Poly:
     """Determinant of a square matrix of Poly entries, exactly."""
-    if isinstance(matrix, PolyMatrix):
-        if matrix.rows != matrix.cols:
-            raise ParameterError("determinant of a non-square matrix")
-        rows = [matrix.row(i) for i in range(matrix.rows)]
-    else:
-        rows = [[e if isinstance(e, Poly) else Poly.constant(e) for e in r] for r in matrix]
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ParameterError("determinant of a non-square matrix")
+    rows = [[e if isinstance(e, Poly) else Poly.constant(e) for e in r] for r in matrix]
     n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ParameterError("determinant of a non-square matrix")
     if n == 0:
         return Poly.one()
 
@@ -574,6 +537,20 @@ def poly_det(matrix) -> Poly:
         prev = piv
     det = Poly(M[n - 1][n - 1])
     return det * (scale if sign > 0 else -scale)
+
+
+def top_row_minors(rows) -> list:
+    """Signed top-row minors of a k x (k+1) block of polynomial rows.
+
+    Entry j is (-1)^j times the determinant of the block without column j,
+    so a determinant with a top row t prepended to the block expands as
+    sum_j t[j] * minors[j].
+    """
+    minors = []
+    for j in range(len(rows) + 1):
+        minor = poly_det([r[:j] + r[j + 1 :] for r in rows])
+        minors.append(-minor if j % 2 else minor)
+    return minors
 
 
 def rational_det(rows):
@@ -626,10 +603,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_poly(cls, p: Poly):
-        return cls(p)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -637,11 +610,6 @@ class RatFunc:
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    def as_poly(self) -> Poly:
-        if not self.is_polynomial:
-            raise DomainError("rational function is not a polynomial")
-        return self.num
 
     def __add__(self, other):
         other = _coerce_ratfunc(other)

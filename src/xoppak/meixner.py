@@ -33,11 +33,21 @@ from .exact import (
     pochhammer_poly,
     rational_det,
     root_bound,
+    top_row_minors,
 )
 from .factored import FactoredScalar
 from .numerics import certified_sum, collapse, to_mpf
 from .operators import DifferenceOperator
-from .pairs import FiniteSet, PairSpec, hat_c, involute, is_admissible, vandermonde
+from .pairs import PairSpec, hat_c, involute, is_admissible, vandermonde
+
+# the command line flags of the parameters (a, c)
+PARAMS = ("a", "c")
+# the checks `xoppak verify` runs on this kind, in their default order
+CHECKS = ("eigen", "duality", "darboux", "altrep", "norms", "orthogonality", "admissible")
+# the parameter whose value decides admissibility, and its offset
+ADMISSIBILITY = ("c", 0)
+# the operator's variety and the sign of its eigenvalue n in `xoppak construct`
+OPERATOR_PAYLOAD = ("difference", 1)
 
 
 def _rsign(q) -> int:
@@ -48,20 +58,41 @@ def _rsign(q) -> int:
     return 0
 
 
+def _shifts(base: Poly, cols: int):
+    return [base.shift(j) for j in range(cols)]
+
+
+def block_rows(params, F1, F2, cols: int):
+    """Rows of the F-block, one per element of F1 then F2, columns j < cols.
+
+    The parameters go unvalidated, so formal ones work too: the invariance
+    needs the block at reflected parameters.
+    """
+    a, c = params.a, params.c
+    rows = [_shifts(meixner_raw(f, a, c), cols) for f in F1]
+    inv_a = 1 / a
+    for f in F2:
+        base = meixner_raw(f, inv_a, c)
+        rows.append([base.shift(j) * rat_pow(a, -j) for j in range(cols)])
+    return rows
+
+
 class MeixnerExcFamily:
     """An exceptional Meixner family for one parameter set and one pair.
 
     Construction evaluates the k+1 top-row minors of the defining
-    determinant once; every member of the family is then a short signed
+    determinant once; every member of the family is then a short
     combination of shifted classical polynomials against those minors, and
-    the last two minors are exactly the Casorati determinants Omega and
-    Lambda.
+    the last two minors are, up to sign, the Casorati determinants Omega
+    (columns 0..k-1 of the block) and Lambda (columns 0..k-2 and k).
     """
 
     def __init__(self, params: MeixnerParams, pair: PairSpec):
         self.params = params
         self.pair = pair
-        self._minors = self._top_row_minors()
+        k = pair.k
+        self._minors = top_row_minors(block_rows(params, pair.F1, pair.F2, k + 1))
+        self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
         self._dual_cache = {}
 
@@ -69,63 +100,26 @@ class MeixnerExcFamily:
         return f"MeixnerExcFamily({self.params!r}, {self.pair!r})"
 
     @property
-    def idx(self):
-        if self.pair.is_trivial:
-            return None
-        return self.pair.index_data()
-
-    # -- defining determinant ------------------------------------------------
-
-    def _block_rows(self):
-        """Rows of the F-block: one per element of F1 then F2, columns j=0..k."""
-        a, c = self.params.a, self.params.c
-        k = self.pair.k
-        rows = []
-        for f in self.pair.F1:
-            base = meixner_raw(f, a, c)
-            rows.append([base.shift(j) for j in range(k + 1)])
-        inv_a = 1 / a
-        for f in self.pair.F2:
-            base = meixner_raw(f, inv_a, c)
-            rows.append([base.shift(j) * rat_pow(a, -j) for j in range(k + 1)])
-        return rows
-
-    def _top_row_minors(self):
-        k = self.pair.k
-        rows = self._block_rows()
-        minors = []
-        for j in range(k + 1):
-            sub = [r[:j] + r[j + 1 :] for r in rows]
-            minors.append(poly_det(sub))
-        return minors
-
-    @property
-    def omega(self) -> Poly:
-        """Casorati determinant Omega (columns 0..k-1 of the block)."""
-        return self._minors[-1]
-
-    @property
     def lam(self) -> Poly:
-        """Casorati determinant Lambda (columns 0..k-2 and k of the block)."""
+        """Casorati determinant Lambda."""
         if self.pair.is_trivial:
             return Poly.one()
-        return self._minors[-2]
+        minor = self._minors[-2]
+        return minor if self.pair.k % 2 else -minor
 
-    def m(self, n: int) -> Poly:
+    def member(self, n: int) -> Poly:
         """Family member of degree n; the zero polynomial off the index set."""
         if n < 0:
             raise DomainError(f"family members need a nonnegative degree, got {n}")
         got = self._members.get(n)
         if got is None:
             a, c = self.params.a, self.params.c
-            u = self.pair.u
-            total = Poly.zero()
-            for j, minor in enumerate(self._minors):
-                top = meixner_raw(n - u, a, c).shift(j)
-                piece = top * minor
-                total = total + (piece if j % 2 == 0 else -piece)
-            got = self._members[n] = total
+            top = _shifts(meixner_raw(n - self.pair.u, a, c), len(self._minors))
+            terms = (t * minor for t, minor in zip(top, self._minors))
+            got = self._members[n] = sum(terms, Poly.zero())
         return got
+
+    m = member  # the benchmark traces the members under this name
 
     def m_alt(self, n: int) -> Poly:
         """Same determinant after the column-combination rewriting."""
@@ -227,31 +221,9 @@ def family(f1, f2, a, c) -> MeixnerExcFamily:
     return MeixnerExcFamily(MeixnerParams(a, c), PairSpec(f1, f2))
 
 
-# -- the contract surface ----------------------------------------------------
-
-
-def m_exc(n: int, fam: MeixnerExcFamily) -> Poly:
-    return fam.m(n)
-
-
-def m_exc_alt(n: int, fam: MeixnerExcFamily) -> Poly:
-    return fam.m_alt(n)
-
-
-def omega_poly(fam: MeixnerExcFamily) -> Poly:
-    return fam.omega
-
-
-def lambda_poly(fam: MeixnerExcFamily) -> Poly:
-    return fam.lam
-
-
-def phi_psi(n: int, fam: MeixnerExcFamily):
-    return fam.phi(n), fam.psi(n)
-
-
-def q_dual(n: int, fam: MeixnerExcFamily) -> Poly:
-    return fam.q(n)
+def reported_polys(fam: MeixnerExcFamily) -> dict:
+    """The polynomials besides the members that `xoppak construct` reports."""
+    return {"omega": fam.omega, "lambda": fam.lam}
 
 
 def leading_coeff_law(n: int, fam: MeixnerExcFamily):
@@ -294,7 +266,7 @@ def lowering_identity(fam: MeixnerExcFamily) -> bool:
     s, low_pair = fam.pair.down()
     low = MeixnerExcFamily(MeixnerParams(a, c + s), low_pair)
     scale = rat_pow((1 - a) / a, s * fam.pair.k2)
-    return fam.m(fam.pair.u) == low.omega * scale
+    return fam.member(fam.pair.u) == low.omega * scale
 
 
 class DualityConstants:
@@ -358,7 +330,7 @@ def duality_check(n: int, v: int, fam: MeixnerExcFamily) -> bool:
     consts = DualityConstants(fam)
     combo = consts.kappa * consts.xi(n) * consts.zeta(v)
     lhs = fam.q(n)(v)
-    rhs = combo.as_rational() * fam.m(v)(n)
+    rhs = combo.as_rational() * fam.member(v)(n)
     return lhs == rhs
 
 
@@ -415,7 +387,7 @@ def eigen_residual(n: int, fam: MeixnerExcFamily) -> Poly:
     Multiplying D(m_n) = n m_n through by (a-1) Omega(x) Omega(x+1) turns
     the statement into a polynomial identity, which is compared exactly.
     """
-    p = fam.m(n)
+    p = fam.member(n)
     a, c = fam.params.a, fam.params.c
     if fam.pair.is_trivial:
         diff = meixner_op(fam.params).apply(p) - RatFunc(p * rat(n))
@@ -529,13 +501,21 @@ def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol=None, abs_tol=N
     a, c = fam.params.a, fam.params.c
     k = fam.pair.k
     om = fam.omega
-    prod = fam.m(n) * fam.m(r)
+    prod = fam.member(n) * fam.member(r)
+    # the weight a^x (c+k)_x / x! at x = at, carried forward by its ratio
+    at, weight = 0, rat(1)
 
     def term(x):
+        nonlocal at, weight
+        if x < at:
+            at, weight = 0, rat(1)
+        while at < x:
+            weight *= a * (c + k + at) / (at + 1)
+            at += 1
         den = om(x) * om(x + 1)
         if den == 0:
             raise PoleError(f"weight undefined: Omega vanishes near x={x}")
-        return prod(x) * rat_pow(a, x) * pochhammer(c + k, x) / (math.factorial(x) * den)
+        return prod(x) * weight / den
 
     factors = [(Poly([1, 1]), c + k - 1), (prod, 1), (om, -2)]
     res = certified_sum(term, a, factors, rel_tol=rel_tol, abs_tol=abs_tol)
@@ -560,6 +540,31 @@ class NormCheck:
         )
 
 
+def inner_product_bound(fam: MeixnerExcFamily, n: int, r: int):
+    """Upper bound on |<member n, member r>|: the exact partial sum plus its
+    certified tail, collapsed to an mpf."""
+    res, carrier = inner_product(fam, n, r, abs_tol=rat(1, 10**30))
+    return abs(collapse(carrier)) * (abs(to_mpf(res.value)) + to_mpf(res.tail_bound))
+
+
+def norm_closed_form(r: int, fam: MeixnerExcFamily) -> FactoredScalar:
+    """Squared norm of member r in closed form.
+
+    The form holds for a positive weight only; refuses otherwise.
+    """
+    pair = fam.pair
+    a, c = fam.params.a, fam.params.c
+    if not (0 < a < 1) or not is_admissible(c, pair):
+        raise AdmissibilityRefusal(
+            f"norm identity needs a positive weight; (a={a}, c={c}, {pair!r}) "
+            f"is not admissible"
+        )
+    rho_mass, _ = measures(fam)
+    u, k, k1 = pair.u, pair.k, pair.k1
+    closed = FactoredScalar(powers=[(a, k1 - 2 * k), (1 - a, -(c + 2 * r - 2 * u - k))])
+    return closed * rho_mass(r)
+
+
 def norm_identity(r: int, fam: MeixnerExcFamily, rel_tol=None) -> NormCheck:
     """Verify the squared norm of member r against its closed form.
 
@@ -567,22 +572,13 @@ def norm_identity(r: int, fam: MeixnerExcFamily, rel_tol=None) -> NormCheck:
     otherwise, since the summation identity presumes admissibility.
     """
     pair = fam.pair
-    a, c = fam.params.a, fam.params.c
     if not pair.sigma_contains(r):
         raise DomainError(f"degree {r} is outside the index set of {pair!r}")
-    if not (0 < a < 1) or not is_admissible(c, pair):
-        raise AdmissibilityRefusal(
-            f"norm identity needs a positive weight; (a={a}, c={c}, {pair!r}) "
-            f"is not admissible"
-        )
+    rhs = collapse(norm_closed_form(r, fam))
     rel = rat(rel_tol) if rel_tol is not None else rat(1, 10**10)
     res, carrier = inner_product(fam, r, r, rel_tol=rel / 4)
     lhs = collapse(carrier) * to_mpf(res.value)
     tail = abs(collapse(carrier)) * to_mpf(res.tail_bound)
-    rho_mass, _ = measures(fam)
-    u, k, k1 = pair.u, pair.k, pair.k1
-    closed = FactoredScalar(powers=[(a, k1 - 2 * k), (1 - a, -(c + 2 * r - 2 * u - k))])
-    rhs = collapse(closed * rho_mass(r))
     err = abs(lhs - rhs)
     ok = err <= to_mpf(rel) * abs(rhs) + tail
     return NormCheck(r, lhs, rhs, err / abs(rhs), tail, ok)
@@ -642,8 +638,8 @@ def darboux_intertwining(fam: MeixnerExcFamily, n: int) -> bool:
     f, _ = fam.pair.remove_f2_max()
     shift = n - f + fam.pair.k2 - 1
     if shift < 0:
-        return fam.m(n).is_zero
-    return A.apply(low.m(shift)) == RatFunc(fam.m(n))
+        return fam.member(n).is_zero
+    return A.apply(low.member(shift)) == RatFunc(fam.member(n))
 
 
 # -- alternative representation and invariance -------------------------------
@@ -654,17 +650,21 @@ def _reflected_entry(base: Poly, j: int) -> Poly:
 
 
 class AltRepReport:
-    """Outcome of the involuted-pair determinant comparison."""
+    """Outcome of the involuted-pair determinant comparison.
 
-    def __init__(self, n, poly, beta, matches, discrepancy):
+    constant is the fitted factor from the involuted determinant to the
+    member, None when that determinant vanishes.
+    """
+
+    def __init__(self, n, poly, constant, matches, discrepancy):
         self.n = n
         self.poly = poly
-        self.beta = beta
+        self.constant = constant
         self.matches = matches
         self.discrepancy = discrepancy
 
     def __repr__(self):
-        return f"AltRepReport(n={self.n}, beta={self.beta}, matches={self.matches})"
+        return f"AltRepReport(n={self.n}, constant={self.constant}, matches={self.matches})"
 
 
 def alt_representation(n: int, fam: MeixnerExcFamily) -> AltRepReport:
@@ -704,32 +704,16 @@ def alt_representation(n: int, fam: MeixnerExcFamily) -> AltRepReport:
     for g in G2:
         base = meixner_raw(g, inv_a, 2 - ctil)
         rows.append([_reflected_entry(base, j) for j in range(m_ord + 1)])
-    det = poly_det(rows)
-    target = fam.m(n)
+    return fitted_representation(n, poly_det(rows), fam.member(n))
+
+
+def fitted_representation(n: int, det: Poly, target: Poly) -> AltRepReport:
+    """Compare target with det scaled to the same leading coefficient."""
     if det.is_zero:
         return AltRepReport(n, det, None, target.is_zero, -target)
-    beta = target.leading / det.leading
-    fitted = det * beta
-    return AltRepReport(n, det, beta, fitted == target, fitted - target)
-
-
-def omega_raw(f1, f2, a, c) -> Poly:
-    """Omega for a pair at unvalidated parameters (the invariance needs
-    reflected parameters that the public constructor would reject)."""
-    F1 = f1 if isinstance(f1, FiniteSet) else FiniteSet(f1)
-    F2 = f2 if isinstance(f2, FiniteSet) else FiniteSet(f2)
-    a = rat(a)
-    c = rat(c)
-    k = F1.card + F2.card
-    inv_a = 1 / a
-    rows = []
-    for f in F1:
-        base = meixner_raw(f, a, c)
-        rows.append([base.shift(j) for j in range(k)])
-    for f in F2:
-        base = meixner_raw(f, inv_a, c)
-        rows.append([base.shift(j) * rat_pow(a, -j) for j in range(k)])
-    return poly_det(rows)
+    constant = target.leading / det.leading
+    fitted = det * constant
+    return AltRepReport(n, det, constant, fitted == target, fitted - target)
 
 
 class InvarianceReport:
@@ -772,5 +756,6 @@ def invariance_conjecture(fam: MeixnerExcFamily) -> InvarianceReport:
     scale = _pair_unit(a, pair.k1, pair.k2) / _pair_unit(a, G1.card, G2.card)
     if (pair.u + pair.k1) % 2:
         scale = -scale
-    rhs = omega_raw(G1, G2, a, c_ref).reflect() * scale
+    reflected = block_rows(MeixnerParams.formal(a, c_ref), G1, G2, G1.card + G2.card)
+    rhs = poly_det(reflected).reflect() * scale
     return InvarianceReport(pair, (G1, G2), lhs == rhs, lhs, rhs)

@@ -7,7 +7,6 @@ positive.  Everything here is exact integer/rational combinatorics.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .exact import (
@@ -144,14 +143,6 @@ def charlier_admissible(F: FiniteSet) -> bool:
     return all(b % 2 == 0 for b in F.blocks())
 
 
-@dataclass(frozen=True)
-class PairIndexData:
-    u: int
-    v: int
-    s: int
-    sigma_skip: FiniteSet
-
-
 class PairSpec:
     """Ordered pair of finite sets, at least one nonempty.
 
@@ -218,18 +209,11 @@ class PairSpec:
     def s(self) -> int:
         return s_number(self.F1)
 
-    @property
-    def sigma_skip(self) -> FiniteSet:
-        u = self.u
-        return FiniteSet(u + f for f in self.F1)
-
-    def index_data(self) -> PairIndexData:
-        return PairIndexData(u=self.u, v=self.v, s=self.s, sigma_skip=self.sigma_skip)
-
     def sigma_contains(self, n: int) -> bool:
         return n >= self.u and (n - self.u) not in self.F1
 
     def sigma_first(self, count: int):
+        """First `count` admissible degrees (the index set has gaps at u + F1)."""
         out = []
         n = self.u
         while len(out) < count:
@@ -254,19 +238,6 @@ class PairSpec:
         if not self.F1.elems and not rest.elems:
             return f, PairSpec.trivial()
         return f, PairSpec(self.F1, rest)
-
-
-def u_of(pair: PairSpec) -> int:
-    return pair.u
-
-
-def sigma_of(pair: PairSpec, count: int):
-    """First `count` admissible degrees (the index set has gaps at u + F1)."""
-    return pair.sigma_first(count)
-
-
-def s_and_down(pair: PairSpec) -> tuple[int, PairSpec]:
-    return pair.down()
 
 
 def hat_c(c) -> int:

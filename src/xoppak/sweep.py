@@ -13,12 +13,32 @@ from multiprocessing import Pool
 from . import laguerre as _lag
 from . import meixner as _mex
 from .classical import LaguerreParams, MeixnerParams
-from .exact import DomainError, ParameterError, format_rational, rat
+from .exact import DomainError, ParameterError, poly_strings, rat
 from .pairs import PairSpec, enumerate_pairs
 
 
-def _poly_strings(p):
-    return [format_rational(c) for c in p.coeffs]
+def _meixner(pair, a, c, alpha):
+    return _mex.MeixnerExcFamily(MeixnerParams(a, c), pair)
+
+
+def _krawtchouk(pair, a, c, alpha):
+    return _mex.MeixnerExcFamily(MeixnerParams.formal(-rat(a), c), pair)
+
+
+def _laguerre(pair, a, c, alpha):
+    return _lag.LaguerreExcFamily(LaguerreParams(alpha), pair)
+
+
+# --kind -> (family module, family from the pair and the values of --a, --c and
+# --alpha, formal).  The values may be strings: the parameter classes convert
+# them.  krawtchouk is the meixner family at the formal parameters
+# (-a, c = -N + 1), which the check suite and the admissibility test do not
+# cover.
+KINDS = {
+    "meixner": (_mex, _meixner, False),
+    "laguerre": (_lag, _laguerre, False),
+    "krawtchouk": (_mex, _krawtchouk, True),
+}
 
 
 def _cell_id(kind, check, pair: PairSpec):
@@ -36,26 +56,20 @@ def run_cell(spec: tuple) -> dict:
     check, kind, f1, f2, a, c, alpha = spec
     pair = PairSpec(f1, f2)
     out = _cell_id(kind, check, pair)
+    mod, build, _ = KINDS[kind]
     try:
-        if kind == "meixner":
-            fam = _mex.MeixnerExcFamily(MeixnerParams(rat(a), rat(c)), pair)
-            if check == "invariance":
-                rep = _mex.invariance_conjecture(fam)
-            else:
-                rep = _mex.alt_representation(pair.v, fam)
+        fam = build(pair, a, c, alpha)
+        if check == "invariance":
+            rep = mod.invariance_conjecture(fam)
         else:
-            fam = _lag.LaguerreExcFamily(LaguerreParams(rat(alpha)), pair)
-            if check == "invariance":
-                rep = _lag.invariance_conjecture(fam)
-            else:
-                rep = _lag.alt_representation(pair.v, fam)
+            rep = mod.alt_representation(pair.v, fam)
     except (DomainError, ParameterError) as exc:
         out["ok"] = None
         out["skipped"] = str(exc)
         return out
     out["ok"] = bool(rep.matches)
     if not rep.matches:
-        out["discrepancy"] = _poly_strings(rep.discrepancy)
+        out["discrepancy"] = poly_strings(rep.discrepancy)
         if check == "altrep":
             out["n"] = pair.v
     return out

@@ -69,7 +69,7 @@ def test_criterion_01_eigenfunction_suite():
     # visible once by applying each operator directly
     mfam = mex_fam((1,), (2,), rat(1, 2), rat(3))
     n = mfam.pair.sigma_first(2)[1]
-    assert mex.operator(mfam).apply(mfam.m(n)) == rat(n) * mfam.m(n)
+    assert mex.operator(mfam).apply(mfam.member(n)) == rat(n) * mfam.member(n)
     lfam = lag_fam((1,), (2,), rat(1, 2))
     assert lag.operator(lfam).apply(lfam.member(n)) == rat(-n) * lfam.member(n)
     verdict(
@@ -262,13 +262,13 @@ def test_criterion_08_norms():
                 continue
             fam = lag_fam(f1, f2, alpha)
             for r in pair.sigma_first(2):
-                chk = lag.norm_formula(r, fam, rel_tol=lag_tol)
+                chk = lag.norm_identity(r, fam, rel_tol=lag_tol)
                 lag_count += 1
                 if not chk.ok:
                     bad.append(("laguerre", f1, f2, str(alpha), r))
     # the closed-form value of the lowest squared norm in one family
     fam = lag_fam((1,), (), rat(-3, 2))
-    chk0 = lag.norm_formula(0, fam, rel_tol=lag_tol)
+    chk0 = lag.norm_identity(0, fam, rel_tol=lag_tol)
     two_sqrt_pi = 2 * mp.sqrt(mp.pi)
     value_ok = chk0.ok and mp.almosteq(chk0.rhs, two_sqrt_pi, rel_eps=mp.mpf("1e-12"))
     if not value_ok:

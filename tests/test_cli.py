@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from xoppak import cli
+from xoppak import cli, laguerre, meixner
 from xoppak.classical import LaguerreParams
 from xoppak.exact import InternalInconsistencyError, Poly, rat
 from xoppak.laguerre import LaguerreExcFamily
@@ -165,6 +165,13 @@ def test_integer_alpha_at_most_minus_one_exits_2(capsys):
     assert code == 2
 
 
+def test_jobs_flag_only_on_sweep():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
+                  "--jobs", "2"])
+    assert exc.value.code == 2
+
+
 def test_verify_krawtchouk_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--kind", "krawtchouk", "--F1", "1",
                        "--a", "1/3", "--c", "-4")
@@ -229,20 +236,71 @@ def test_verify_refusals_do_not_fail(capsys):
         assert r["detail"]["reason"]
 
 
-def test_verify_full_admissible_laguerre(capsys):
-    code, doc = run_json(
-        capsys, "verify", "--kind", "laguerre", "--F1", "1",
-        "--alpha", "-3/2",
-    )
+@pytest.mark.parametrize(
+    "flags, refused",
+    [
+        (["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], {"darboux"}),
+        (["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"], set()),
+    ],
+    ids=["laguerre", "meixner"],
+)
+def test_verify_full_admissible(capsys, flags, refused):
+    # F2 empty refuses darboux; every other check passes
+    code, doc = run_json(capsys, "verify", *flags)
     assert code == 0
     statuses = {r["check"]: r["status"] for r in doc["checks"]}
-    assert statuses["eigen"] == "pass"
-    assert statuses["norms"] == "pass"
-    assert statuses["orthogonality"] == "pass"
-    assert statuses["nonvanish"] == "pass"
-    assert statuses["limit"] == "pass"
-    assert statuses["admissible"] == "pass"
-    assert statuses["darboux"] == "refused"
+    assert list(statuses) == list(cli.KINDS[flags[1]][0].CHECKS)
+    for check, status in statuses.items():
+        assert status == ("refused" if check in refused else "pass"), check
+
+
+def test_verify_limit_scales_with_the_member_values(capsys):
+    # the deviations halve from 15.8 to 0.22 while the member values reach
+    # 76.9: within the default 1/100 of that scale, not of 1
+    flags = ["verify", "--kind", "laguerre", "--F1", "1,2", "--F2", "3",
+             "--alpha", "1/2", "--checks", "limit"]
+    code, doc = run_json(capsys, *flags)
+    assert code == 0
+    assert doc["checks"][0]["status"] == "pass"
+    assert doc["checks"][0]["detail"]["decreasing"]
+    code, doc = run_json(capsys, *flags, "--rel-tol", "1/1000000")
+    assert code == 4
+    assert doc["checks"][0]["status"] == "fail"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"],
+        ["--kind", "laguerre", "--F2", "1", "--alpha", "1/2"],
+    ],
+    ids=["meixner", "laguerre"],
+)
+def test_orthogonality_takes_norms_from_the_closed_form(capsys, monkeypatch, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orthogonality check recomputed a norm")
+
+    for mod in (meixner, laguerre):
+        monkeypatch.setattr(mod, "norm_identity", refuse)
+    monkeypatch.setattr(laguerre, "norm_formula", refuse)
+    code, doc = run_json(capsys, "verify", *flags, "--checks", "orthogonality")
+    assert code == 0
+    assert doc["checks"][0]["status"] == "pass"
+
+
+def test_orthogonality_refuses_a_outside_the_unit_interval(capsys):
+    # c = 3 is admissible for the pair, but the weight needs 0 < a < 1
+    code, doc = run_json(
+        capsys, "verify", "--kind", "meixner", "--F1", "1,2", "--F2", "1",
+        "--a", "3/2", "--c", "3", "--checks", "orthogonality",
+    )
+    assert code == 0
+    row = doc["checks"][0]
+    assert row["status"] == "refused"
+    assert row["detail"]["reason"] == (
+        "norm identity needs a positive weight; (a=3/2, c=3, PairSpec([1, 2], [1])) "
+        "is not admissible"
+    )
 
 
 def test_verify_darboux_with_f2(capsys):

@@ -9,7 +9,6 @@ from xoppak.exact import (
     NEG_INF,
     ParameterError,
     Poly,
-    PolyMatrix,
     RatFunc,
     binom_poly,
     cauchy_root_bound,
@@ -23,6 +22,7 @@ from xoppak.exact import (
     rat,
     rational_det,
     sturm_nonneg_roots,
+    top_row_minors,
 )
 
 X = Poly.x()
@@ -256,13 +256,22 @@ def test_poly_det_row_swap_needed():
     assert poly_det(rows) == _cofactor_det(rows)
 
 
-def test_poly_matrix_type():
-    m = PolyMatrix.from_rows([[X, Poly.one()], [Poly.one(), X]])
-    assert m.rows == m.cols == 2
-    assert m.entry(0, 1) == Poly.one()
-    assert poly_det(m) == X**2 - 1
+def test_poly_det_rejects_non_square():
+    assert poly_det([[X, Poly.one()], [Poly.one(), X]]) == X**2 - 1
     with pytest.raises(ParameterError):
-        poly_det(PolyMatrix(1, 2, [X, X]))
+        poly_det([[X, X]])
+    with pytest.raises(ParameterError):
+        poly_det([[X, X], [X]])
+
+
+def test_top_row_minors_expand_the_determinant():
+    rows = [[X, X + 1, Poly.one()], [Poly.one(), X * X, X - 2]]
+    top = [X - 1, Poly.constant(3), X]
+    minors = top_row_minors(rows)
+    assert minors[0] == poly_det([r[1:] for r in rows])
+    assert minors[1] == -poly_det([[r[0], r[2]] for r in rows])
+    assert sum((t * m for t, m in zip(top, minors)), Poly.zero()) == poly_det([top] + rows)
+    assert top_row_minors([]) == [Poly.one()]
 
 
 def test_rational_det():

@@ -15,7 +15,6 @@ from xoppak.exact import (
 )
 from xoppak.laguerre import (
     LaguerreExcFamily,
-    L_exc,
     alt_representation,
     darboux_identities,
     darboux_intertwining,
@@ -30,8 +29,7 @@ from xoppak.laguerre import (
     membership_test,
     nonvanishing,
     norm_closed_form,
-    norm_formula,
-    omega_alpha,
+    norm_identity,
     omega_at_zero,
     omega_f2_variant,
     operator,
@@ -69,21 +67,21 @@ def test_two_by_two_determinant_value():
     # derivative -1 and L0 = 1, so the determinant is the constant -1
     for alpha in (rat(1, 2), rat(-3, 2), rat(7, 3)):
         fam = family([1], [], alpha)
-        assert L_exc(0, fam) == Poly([rat(-1)])
+        assert fam.member(0) == Poly([rat(-1)])
 
 
 def test_skipped_degree_gives_zero():
     fam = family([1], [], rat(1, 2))
-    assert L_exc(1, fam).is_zero
+    assert fam.member(1).is_zero
     fam = family([2], [1], rat(1, 3))
     for n in range(12):
-        assert L_exc(n, fam).is_zero == (not fam.pair.sigma_contains(n))
+        assert fam.member(n).is_zero == (not fam.pair.sigma_contains(n))
 
 
 def test_negative_degree_rejected():
     fam = family([1], [], rat(1, 2))
     with pytest.raises(DomainError):
-        L_exc(-1, fam)
+        fam.member(-1)
 
 
 def test_integer_alpha_below_zero_rejected():
@@ -100,7 +98,7 @@ def test_degree_and_leading_coefficient_law():
             fam = family(f1, f2, alpha)
             u = fam.pair.u
             for n in range(u, u + 7):
-                p = L_exc(n, fam)
+                p = fam.member(n)
                 if fam.pair.sigma_contains(n):
                     assert p.degree == n
                     assert p.leading == leading_coeff_law(n, fam)
@@ -119,7 +117,7 @@ def test_single_f2_lc_examples():
     # leading coefficients of alternating nature
     fam = family([], [1], rat(1, 2))
     for n in (1, 2, 3):
-        assert L_exc(n, fam).leading == leading_coeff_law(n, fam)
+        assert fam.member(n).leading == leading_coeff_law(n, fam)
 
 
 # -- Omega ---------------------------------------------------------------------
@@ -127,19 +125,19 @@ def test_single_f2_lc_examples():
 def test_omega_single_f1_closed_form():
     for alpha in ALPHAS:
         fam = family([1], [], alpha)
-        assert omega_alpha(fam) == Poly([alpha + 1, rat(-1)])
+        assert fam.omega == Poly([alpha + 1, rat(-1)])
 
 
 def test_omega_degree_is_u_plus_k1():
     for f1, f2 in SMALL_PAIRS:
         fam = family(f1, f2, rat(1, 3))
-        assert omega_alpha(fam).degree == fam.pair.u + fam.pair.k1
+        assert fam.omega.degree == fam.pair.u + fam.pair.k1
 
 
 def test_omega_f2_variant_agrees():
     for f2 in ([1], [2], [1, 2], [1, 3], [2, 4], [1, 2, 4]):
         fam = family([], f2, rat(1, 3))
-        assert omega_f2_variant(fam) == omega_alpha(fam)
+        assert omega_f2_variant(fam) == fam.omega
 
 
 def test_omega_f2_variant_needs_empty_f1():
@@ -169,14 +167,14 @@ def test_omega_at_zero_matches_determinant():
     for f1, f2 in SMALL_PAIRS:
         for alpha in ALPHAS:
             fam = family(f1, f2, alpha)
-            assert omega_at_zero(fam) == omega_alpha(fam)(rat(0))
+            assert omega_at_zero(fam) == fam.omega(rat(0))
 
 
 def test_omega_at_zero_dual_path_examples():
     fam = family([1], [1], rat(1, 2))
-    assert omega_at_zero(fam) == omega_alpha(fam)(rat(0))
+    assert omega_at_zero(fam) == fam.omega(rat(0))
     fam = family([], [2], rat(-1, 2))
-    assert omega_at_zero(fam) == omega_alpha(fam)(rat(0))
+    assert omega_at_zero(fam) == fam.omega(rat(0))
     assert omega_at_zero(fam) == rat(3, 8)
 
 
@@ -193,7 +191,7 @@ def test_operator_shape():
     op = operator(fam)
     assert op.a2 is not None
     assert op.a2.num == Poly.x() and op.a2.den == Poly.one()
-    om = omega_alpha(fam)
+    om = fam.omega
     for coeff in (op.a1, op.a0):
         # denominator divides Omega: Omega mod den is zero up to scale
         q, r = divmod(om * coeff.den.leading, coeff.den * om.leading)
@@ -236,7 +234,7 @@ def test_trivial_pair_matches_classical_operator():
 def test_operator_apply_matches_eigenvalue():
     fam = family([], [1, 2], rat(-1, 2))
     n = fam.pair.u + 1
-    p = L_exc(n, fam)
+    p = fam.member(n)
     img = operator(fam).apply(p)
     assert img.den == Poly.one()
     assert img.num == rat(-n) * p
@@ -304,35 +302,35 @@ def test_norm_concrete_value_two_sqrt_pi():
     fam = family([1], [], rat(-3, 2))
     closed = collapse(norm_closed_form(0, fam))
     assert mp.almosteq(closed, 2 * mp.sqrt(mp.pi))
-    check = norm_formula(0, fam)
+    check = norm_identity(0, fam)
     assert check.ok
     assert check.rel_err < 1e-8
 
 
 def test_norm_further_examples():
     fam = family([1], [], rat(-3, 2))
-    assert norm_formula(2, fam).ok
+    assert norm_identity(2, fam).ok
     fam = family([], [1], rat(1, 2))
-    assert norm_formula(1, fam).ok
+    assert norm_identity(1, fam).ok
 
 
 def test_norm_refuses_non_admissible():
     with pytest.raises(AdmissibilityRefusal):
-        norm_formula(0, family([1], [], rat(-7, 2)))
+        norm_identity(0, family([1], [], rat(-7, 2)))
     with pytest.raises(AdmissibilityRefusal):
-        norm_formula(0, family([1], [], rat(1, 2)))
+        norm_identity(0, family([1], [], rat(1, 2)))
 
 
 def test_norm_rejects_gap_degree():
     fam = family([1], [], rat(-3, 2))
     with pytest.raises(DomainError):
-        norm_formula(1, fam)
+        norm_identity(1, fam)
 
 
 def test_orthogonality_normalized():
     fam = family([1], [], rat(-3, 2))
     degrees = [n for n in range(0, 6) if fam.pair.sigma_contains(n)][:4]
-    norms = {n: norm_formula(n, fam).rhs for n in degrees}
+    norms = {n: norm_identity(n, fam).rhs for n in degrees}
     for i, n in enumerate(degrees):
         for r in degrees[i + 1 :]:
             res = inner_product(fam, n, r)
@@ -386,14 +384,14 @@ def test_membership_accepts_members():
         u = fam.pair.u
         for n in range(u, u + 5):
             if fam.pair.sigma_contains(n):
-                assert membership_test(L_exc(n, fam), fam)
+                assert membership_test(fam.member(n), fam)
 
 
 def test_membership_accepts_omega_squared_multiples():
     cubic = Poly([rat(1), rat(-2, 3), rat(0), rat(5)])
     for f1, f2 in ([1], []), ([], [1, 3]), ([1, 2], [1]):
         fam = family(f1, f2, rat(1, 3))
-        om = omega_alpha(fam)
+        om = fam.omega
         assert membership_test(om * om * cubic, fam)
 
 
@@ -492,6 +490,8 @@ def test_limit_constant_member_exact():
     fam = family([1], [], rat(-3, 2))
     report = limit_from_meixner(0, fam)
     assert all(d == 0 for d in report.member_dev)
+    # the member is the constant -1, so its values have size 1
+    assert report.scale == 1
 
 
 def test_limit_single_f2():
@@ -499,6 +499,7 @@ def test_limit_single_f2():
     report = limit_from_meixner(2, fam)
     assert report.decreasing
     assert report.final_dev < rat(1, 100)
+    assert report.scale == max(abs(fam.member(2)(x)) for x in report.xs)
 
 
 def test_limit_mixed_pair():
@@ -527,7 +528,7 @@ def test_limit_rejects_gap_degree_and_bad_a():
 def test_property_degree_or_zero(pair, alpha, offset):
     fam = family(pair[0], pair[1], alpha)
     n = fam.pair.u + offset
-    p = L_exc(n, fam)
+    p = fam.member(n)
     if fam.pair.sigma_contains(n):
         assert p.degree == n
         assert p.leading == leading_coeff_law(n, fam)

@@ -1,10 +1,22 @@
 """Tests for exceptional Meixner families and everything attached to them."""
 
+import math
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xoppak.exact import AdmissibilityRefusal, DomainError, PoleError, Poly, RatFunc, rat
+from xoppak import meixner
+from xoppak.exact import (
+    AdmissibilityRefusal,
+    DomainError,
+    PoleError,
+    Poly,
+    RatFunc,
+    pochhammer,
+    rat,
+    rat_pow,
+)
 from xoppak.factored import FactoredScalar
 from xoppak.meixner import (
     DualityConstants,
@@ -19,23 +31,17 @@ from xoppak.meixner import (
     inner_product,
     invariance_conjecture,
     lambda_from_psi,
-    lambda_poly,
     leading_coeff_law,
     lowering_identity,
-    m_exc,
-    m_exc_alt,
     measures,
     norm_identity,
     omega_from_phi,
     omega_leading_law,
-    omega_poly,
     operator,
-    phi_psi,
     phi_sign_relation,
     positivity_by_signs,
-    q_dual,
 )
-from xoppak.numerics import collapse, to_mpf
+from xoppak.numerics import certified_sum, collapse, to_mpf
 from xoppak.pairs import PairSpec, enumerate_pairs, is_admissible
 
 
@@ -57,19 +63,19 @@ SMALL_PAIRS = [
 def test_first_member_is_one_for_single_f1():
     for a, c in ((rat(1, 2), rat(3)), (rat(2, 3), rat(5, 2)), (rat(1, 3), rat(-1, 2))):
         fam = family([1], [], a, c)
-        assert m_exc(0, fam) == Poly.one()
+        assert fam.member(0) == Poly.one()
 
 
 def test_skipped_degree_gives_zero():
     fam = family([1], [], rat(1, 2), rat(3))
     assert not fam.pair.sigma_contains(1)
-    assert m_exc(1, fam).is_zero
+    assert fam.member(1).is_zero
 
 
 def test_leading_coefficient_law_by_hand():
     # 1x1 determinant: m_1 at (1/a, c) carries lc 1/((1/a - 1) 1!) scaled by a
     fam = family([], [1], rat(1, 2), rat(3))
-    assert m_exc(1, fam) == Poly([8, 1])
+    assert fam.member(1) == Poly([8, 1])
     assert leading_coeff_law(1, fam) == rat(1)
 
 
@@ -85,7 +91,7 @@ def test_degree_and_leading_law_sweep():
         for a, c in params:
             fam = family(f1, f2, a, c)
             for n in fam.pair.sigma_first(4):
-                p = m_exc(n, fam)
+                p = fam.member(n)
                 assert p.degree == n, (f1, f2, a, c, n)
                 assert p.leading == leading_coeff_law(n, fam), (f1, f2, a, c, n)
 
@@ -98,19 +104,19 @@ def test_two_determinant_paths_agree():
             fam = family(f1, f2, a, c)
             u = fam.pair.u
             for n in range(u + 5):
-                assert m_exc(n, fam) == m_exc_alt(n, fam), (f1, f2, a, c, n)
+                assert fam.member(n) == fam.m_alt(n), (f1, f2, a, c, n)
             assert fam.omega == fam.omega_alt(), (f1, f2, a, c)
 
 
 def test_omega_single_f1():
     for a, c in ((rat(1, 2), rat(3)), (rat(1, 3), rat(-1, 2))):
         fam = family([1], [], a, c)
-        assert omega_poly(fam) == Poly([-a * c / (1 - a), 1])
+        assert fam.omega == Poly([-a * c / (1 - a), 1])
 
 
 def test_omega_product_paper_value():
     fam = family([1], [], rat(1, 2), rat(-7, 2))
-    om = omega_poly(fam)
+    om = fam.omega
     for n in range(21):
         assert om(n) * om(n + 1) == rat((2 * n + 7) * (2 * n + 9), 4)
 
@@ -118,8 +124,8 @@ def test_omega_product_paper_value():
 def test_omega_lambda_degrees():
     fam = family([1, 2], [1], rat(1, 2), rat(3))
     assert fam.pair.u == 1
-    assert omega_poly(fam).degree == fam.pair.u + fam.pair.k1 == 3
-    assert lambda_poly(fam).degree == fam.pair.u + fam.pair.k1
+    assert fam.omega.degree == fam.pair.u + fam.pair.k1 == 3
+    assert fam.lam.degree == fam.pair.u + fam.pair.k1
 
 
 def test_omega_leading_law():
@@ -169,7 +175,7 @@ def test_operator_application_matches_cleared_identity():
     fam = family([], [2], rat(1, 2), rat(3))
     op = operator(fam)
     n = fam.pair.sigma_first(3)[2]
-    p = m_exc(n, fam)
+    p = fam.member(n)
     applied = op.apply(p) - RatFunc(p * rat(n))
     assert applied.is_zero
     assert eigen_residual(n, fam).is_zero
@@ -188,14 +194,14 @@ def test_phi_nonzero_for_admissible_samples():
         pair = PairSpec(f1, f2)
         assert is_admissible(c, pair)
         fam = family(f1, f2, rat(1, 2), c)
-        phis = [phi_psi(n, fam)[0] for n in range(6)]
+        phis = [fam.phi(n) for n in range(6)]
         assert all(p != 0 for p in phis), (f1, f2, c)
 
 
 def test_q_dual_division_is_exact():
     fam = family([], [1], rat(1, 2), rat(3))
     for n in range(5):
-        q = q_dual(n, fam)
+        q = fam.q(n)
         if fam.phi(n) != 0:
             assert q.degree == n
 
@@ -205,7 +211,7 @@ def test_q_dual_degree_across_families():
         fam = family(f1, f2, rat(1, 3), rat(5, 2))
         for n in range(4):
             if fam.phi(n) != 0:
-                assert q_dual(n, fam).degree == n
+                assert fam.q(n).degree == n
 
 
 def test_duality_constants_reduce_to_rationals():
@@ -335,6 +341,37 @@ def test_norm_identity_refuses_signed_measures():
         norm_identity(0, family([1], [], rat(-1, 2), rat(-1, 2)))
 
 
+def test_inner_product_terms_match_the_direct_weight(monkeypatch):
+    # the summation carries the weight a^x (c+k)_x / x! forward by its ratio;
+    # every term and the sum equal those of the weight built afresh at each x
+    fam = family([1, 2], [1], rat(4, 5), rat(3))
+    a, c, k = fam.params.a, fam.params.c, fam.pair.k
+    calls = []
+
+    def spy(term, *args, **kwargs):
+        calls.append((term, args, kwargs))
+        return certified_sum(term, *args, **kwargs)
+
+    monkeypatch.setattr(meixner, "certified_sum", spy)
+    n = fam.pair.u
+    res, _ = inner_product(fam, n, n, rel_tol=rat(1, 10**12))
+    prod = fam.member(n) ** 2
+    om = fam.omega
+
+    def direct(x):
+        weight = rat_pow(a, x) * pochhammer(c + k, x) / math.factorial(x)
+        return prod(x) * weight / (om(x) * om(x + 1))
+
+    (term, args, kwargs), = calls
+    assert all(direct(x) > 0 for x in range(res.terms))
+    assert [term(x) for x in range(res.terms)] == [direct(x) for x in range(res.terms)]
+    assert term(5) == direct(5)
+    ref = certified_sum(direct, *args, **kwargs)
+    assert (res.value, res.tail_bound, res.terms, res.cutoff) == (
+        ref.value, ref.tail_bound, ref.terms, ref.cutoff,
+    )
+
+
 def test_orthogonality_normalized():
     fam = family([1], [], rat(1, 2), rat(-1, 2))
     sig = fam.pair.sigma_first(5)
@@ -442,7 +479,7 @@ def test_member_degree_property(idx, an, ad, cn):
     f1, f2 = SMALL_PAIRS[idx]
     fam = family(f1, f2, rat(an, ad), rat(cn, 2))
     n = fam.pair.sigma_first(3)[2]
-    p = m_exc(n, fam)
+    p = fam.member(n)
     assert p.degree == n
     assert p.leading == leading_coeff_law(n, fam)
 

@@ -13,10 +13,7 @@ from xoppak.pairs import (
     involute,
     is_admissible,
     lowered,
-    s_and_down,
     s_number,
-    sigma_of,
-    u_of,
     vandermonde,
 )
 
@@ -60,26 +57,25 @@ def test_empty_set_sentinels():
 
 
 def test_u_of_examples():
-    assert u_of(P([1, 2], [])) == 0
-    assert u_of(P([], [1])) == 1
-    assert u_of(P([1], [])) == 0
+    assert P([1, 2], []).u == 0
+    assert P([], [1]).u == 1
+    assert P([1], []).u == 0
     # max of F2 alone sets u for singletons
-    assert u_of(P([], [2])) == 2
-    assert u_of(P([1, 2], [1, 3])) == 3
+    assert P([], [2]).u == 2
+    assert P([1, 2], [1, 3]).u == 3
 
 
 def test_sigma_of_examples():
-    assert sigma_of(P([1], []), 4) == [0, 2, 3, 4]
-    assert sigma_of(P([1, 2], []), 3) == [0, 3, 4]
+    assert P([1], []).sigma_first(4) == [0, 2, 3, 4]
+    assert P([1, 2], []).sigma_first(3) == [0, 3, 4]
     # u for ([], {2}) is 2 by the index formula; nothing is removed
-    assert sigma_of(P([], [2]), 3) == [2, 3, 4]
+    assert P([], [2]).sigma_first(3) == [2, 3, 4]
 
 
 def test_v_is_u_plus_max_plus_one():
     for pair in enumerate_pairs(4, 3):
         assert pair.v == pair.u + pair.F1.max_elem + 1
-        data = pair.index_data()
-        assert data.u == pair.u and data.v == pair.v and data.s == pair.s
+        assert pair.s == s_number(pair.F1)
         for n in range(pair.u, pair.u + 6):
             assert pair.sigma_contains(n) == ((n - pair.u) not in pair.F1)
 
@@ -122,9 +118,9 @@ def test_s_and_down_examples():
     assert s_number(FiniteSet([2, 3, 8])) == 1
     assert lowered(FiniteSet([2, 3, 8])) == FiniteSet([1, 2, 7])
 
-    s, low = s_and_down(P([1, 2], []))
+    s, low = P([1, 2], []).down()
     assert s == 3 and low.is_trivial
-    s, low = s_and_down(P([1, 3], [2]))
+    s, low = P([1, 3], [2]).down()
     assert s == 2 and low == P([1], [2])
 
 
@@ -231,7 +227,7 @@ def test_ladm_properties():
                 # (1) admissible forces c + k > 0
                 assert c + pair.k > 0, (c, pair)
                 # (4) admissibility descends along lowering
-                s, low = s_and_down(pair)
+                s, low = pair.down()
                 assert is_admissible(c + s, low), (c, pair)
             if c > 0:
                 # (2) for positive c only the first set matters, Charlier-style
