@@ -9,15 +9,19 @@ counting of nonnegative real roots via Sturm chains.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
+# gmpy2 is an optional accelerator; the polynomial kernel converts every
+# numerator and denominator with int(), so both backends compute the same
+# integers and give the same results
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # without the gmpy2 extra
     from fractions import Fraction as Rational
 
 try:
     from gmpy2 import iroot as _iroot
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # without the gmpy2 extra
 
     def _iroot(n, i):
         n = int(n)
@@ -154,28 +158,160 @@ def gamma_sign(q) -> int:
     return -1 if rat_ceil(-q) % 2 else 1
 
 
+# -- integer polynomial kernel ------------------------------------------------
+#
+# An integer polynomial is a sequence of Python ints, lowest degree first.
+# Poly keeps its coefficients as one of these over a common denominator, and
+# poly_det eliminates on them directly, so every product, shift, division and
+# gcd below runs on integers.
+#
+# CPython keeps freed tuples of up to 20 items on per-size free lists, and
+# one that new tuples do not drain grows with every round of work.  Tuples
+# sized by resizing (built from a generator) bypass the lists when made, and
+# CPython 3.11 never reuses a freed 20-item tuple, such as the argument tuple
+# of math.gcd(den, *nums) with 19 numerators.  So the kernel builds tuples
+# from lists and folds gcds and lcms over coefficients with reduce.
+
+
+def _trim(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _bias(n: int, width: int) -> int:
+    # sum of 2^(8*width - 1) * 2^(8*width*i) for i < n: the offset that makes
+    # every slot of a packed polynomial with |coefficients| < 2^(8*width - 1)
+    # nonnegative
+    return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * n, "little")
+
+
+def _pack(a, width: int) -> int:
+    """a(2^(8*width)) for |coefficients of a| < 2^(8*width - 1)."""
+    half = 1 << (8 * width - 1)
+    packed = b"".join([(c + half).to_bytes(width, "little") for c in a])
+    return int.from_bytes(packed, "little") - _bias(len(a), width)
+
+
+def _unpack(value: int, n: int, width: int) -> list:
+    """The n coefficients of the polynomial that _pack(., width) maps to value."""
+    half = 1 << (8 * width - 1)
+    buf = (value + _bias(n, width)).to_bytes(n * width, "little")
+    return [int.from_bytes(buf[i : i + width], "little") - half for i in range(0, n * width, width)]
+
+
+def _zmul(a, b) -> list:
+    """Product of integer polynomials by Kronecker substitution.
+
+    Both factors are evaluated at 2^(8*width), with a slot wide enough for
+    every product coefficient and its sign, the two integers are multiplied
+    once, and the product's slots are read back as signed digits.
+    """
+    if not a or not b:
+        return []
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    width = (bits + min(len(a), len(b)).bit_length() + 8) // 8
+    packed = _pack(a, width)
+    product = packed * packed if a is b else packed * _pack(b, width)
+    return _unpack(product, len(a) + len(b) - 1, width)
+
+
+def _zadd(a, b) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + list(a[len(b) :])
+
+
+def _zdivmod(a, b):
+    """Pseudo-division: (q, r, s) with s*a == q*b + r and deg r < deg b.
+
+    s > 0 is the product of the factors that the steps needed to keep the
+    quotient integral; it is 1 when the leading coefficient of b divides
+    every step, as in an exact division by a monic or Bareiss divisor.
+    """
+    db, lead = len(b) - 1, b[-1]
+    r = list(a)
+    if len(r) <= db:
+        return [], _trim(r), 1
+    q = [0] * (len(r) - db)
+    s = 1
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        lo = i - db
+        t, m = divmod(c, lead)
+        if m:
+            # scale the remainder and the quotient so far by the least
+            # factor that makes this step integral
+            g = math.gcd(c, lead)
+            f, t = abs(lead) // g, (c if lead > 0 else -c) // g
+            s *= f
+            q = [x * f for x in q]
+            r[:lo] = [x * f for x in r[:lo]]
+            r[lo:i] = [x * f - t * y for x, y in zip(r[lo:i], b)]
+        else:
+            r[lo:i] = [x - t * y for x, y in zip(r[lo:i], b)]
+        q[lo] = t
+        r[i] = 0
+    return q, _trim(r[:db]), s
+
+
+def _ztaylor(a, j: int) -> list:
+    """a(x + j) for an integer polynomial a and an integer j."""
+    cs = list(a)
+    n = len(cs) - 1
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            cs[k] += j * cs[k + 1]
+    return cs
+
+
+def _content(a, start: int = 0) -> int:
+    """gcd of start and the entries of a."""
+    return reduce(math.gcd, a, start)
+
+
+def _primitive(a) -> list:
+    """a divided by its content, with a positive leading coefficient."""
+    if not a:
+        return []
+    g = _content(a)
+    if a[-1] < 0:
+        g = -g
+    return [c // g for c in a] if g != 1 else list(a)
+
+
 class Poly:
     """Dense univariate polynomial with rational coefficients.
 
-    Coefficients are stored lowest degree first with no trailing zeros; the
-    zero polynomial has an empty coefficient tuple and degree -inf.
+    Stored as integer numerators, lowest degree first, over one positive
+    denominator, in lowest terms: no trailing zero numerators, and the gcd of
+    the numerators and the denominator is 1.  Two equal polynomials therefore
+    have equal fields.  The zero polynomial has no numerators, denominator 1
+    and degree -inf.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs=()):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = reduce(math.lcm, [int(c.denominator) for c in cs], 1)
+        nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
+        self._nums, self._den = _lowest(nums, den)
 
     @classmethod
-    def _raw(cls, cs):
-        # internal: cs already a list of Rationals, possibly untrimmed
-        while cs and cs[-1] == 0:
-            cs.pop()
+    def _make(cls, nums: list, den: int):
+        # internal: integer numerators over den > 0, in any terms
         p = object.__new__(cls)
-        p.coeffs = tuple(cs)
+        p._nums, p._den = _lowest(nums, den)
+        return p
+
+    @classmethod
+    def _from_lowest(cls, nums: tuple, den: int):
+        # internal: nums and den already in lowest terms
+        p = object.__new__(cls)
+        p._nums, p._den = nums, den
         return p
 
     @classmethod
@@ -199,76 +335,85 @@ class Poly:
         return cls([0] * k + [c])
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Rationals, lowest degree first."""
+        den = self._den
+        return tuple([Rational(c, den) for c in self._nums])
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._nums
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._nums) - 1 if self._nums else NEG_INF
 
     @property
     def leading(self):
-        if not self.coeffs:
+        if not self._nums:
             raise DomainError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Rational(self._nums[-1], self._den)
 
     def coeff(self, k: int):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else rat(0)
+        return Rational(self._nums[k], self._den) if 0 <= k < len(self._nums) else rat(0)
 
     def __call__(self, v):
         v = rat(v)
-        out = rat(0)
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
+        if not self._nums:
+            return rat(0)
+        p, q = int(v.numerator), int(v.denominator)
+        # sum_i a_i p^i q^(n-i) by Horner, over den * q^n
+        acc, qpow = 0, 1
+        for c in reversed(self._nums):
+            acc = acc * p + c * qpow
+            qpow *= q
+        return Rational(acc, self._den * (qpow // q))
+
+    def _linear(self, other, sign: int):
+        # self + sign * other
+        a, b = self._nums, other._nums
+        den = self._den
+        if den != other._den:
+            g = math.gcd(den, other._den)
+            fa, fb = other._den // g, den // g
+            a, b, den = [c * fa for c in a], [c * fb for c in b], den * fa
+        return Poly._make(_zadd(a, b if sign > 0 else [-c for c in b]), den)
 
     def __add__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return Poly._raw(cs)
+        return self._linear(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._raw([-c for c in self.coeffs])
+        return Poly._from_lowest(tuple([-c for c in self._nums]), self._den)
 
     def __sub__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        return self._linear(other, -1)
 
     def __rsub__(self, other):
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other._linear(self, -1)
+
+    def _scaled(self, p: int, q: int):
+        # self * p/q for integers p and q > 0
+        return Poly._make([c * p for c in self._nums] if p else [], self._den * q)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            a, b = self.coeffs, other.coeffs
-            if not a or not b:
-                return Poly.zero()
-            cs = [rat(0)] * (len(a) + len(b) - 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j, bj in enumerate(b):
-                        cs[i + j] += ai * bj
-            return Poly._raw(cs)
+            return Poly._make(_zmul(self._nums, other._nums), self._den * other._den)
         try:
             c = rat(other)
         except (ParameterError, ValueError, TypeError):
             return NotImplemented
-        if c == 0:
-            return Poly.zero()
-        return Poly._raw([a * c for a in self.coeffs])
+        return self._scaled(int(c.numerator), int(c.denominator))
 
     __rmul__ = __mul__
 
@@ -276,7 +421,8 @@ class Poly:
         c = rat(scalar)
         if c == 0:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return Poly._raw([a / c for a in self.coeffs])
+        p, q = int(c.numerator), int(c.denominator)
+        return self._scaled(-q, -p) if p < 0 else self._scaled(q, p)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -292,34 +438,40 @@ class Poly:
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self._nums == other._nums and self._den == other._den
         try:
             c = rat(other)
         except (ParameterError, ValueError, TypeError):
             return NotImplemented
-        return self.coeffs == (() if c == 0 else (c,))
+        if c == 0:
+            return not self._nums
+        return self._nums == (int(c.numerator),) and self._den == int(c.denominator)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant hashes like the scalar it equals
+        if len(self._nums) <= 1:
+            return hash(self.coeff(0))
+        return hash((self._nums, self._den))
 
     def derivative(self):
-        return Poly._raw([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._make([i * c for i, c in enumerate(self._nums)][1:], self._den)
 
     def shift(self, j):
         """Return p(x + j)."""
         j = rat(j)
-        if j == 0 or not self.coeffs:
+        if j == 0 or not self._nums:
             return self
-        n = len(self.coeffs)
-        jpow = [rat(1)]
-        for _ in range(n - 1):
-            jpow.append(jpow[-1] * j)
-        cs = [rat(0)] * n
-        for t, ct in enumerate(self.coeffs):
-            if ct:
-                for i in range(t + 1):
-                    cs[i] += ct * math.comb(t, i) * jpow[t - i]
-        return Poly._raw(cs)
+        r, s = int(j.numerator), int(j.denominator)
+        if s == 1:
+            # a shift by an integer keeps the content and the leading term
+            return Poly._from_lowest(tuple(_ztaylor(self._nums, r)), self._den)
+        # self(x + r/s) = g(s*x + r) / s^n with g(y) = s^n self(y/s) in Z[y]
+        n = len(self._nums) - 1
+        spow = [1]
+        for _ in range(n):
+            spow.append(spow[-1] * s)
+        g = _ztaylor([c * spow[n - i] for i, c in enumerate(self._nums)], r)
+        return Poly._make([c * spow[i] for i, c in enumerate(g)], self._den * spow[n])
 
     def compose(self, inner: "Poly"):
         """Return p(inner(x))."""
@@ -330,27 +482,18 @@ class Poly:
 
     def reflect(self):
         """Return p(-x)."""
-        return Poly._raw([-c if i % 2 else c for i, c in enumerate(self.coeffs)])
+        nums = tuple([-c if i % 2 else c for i, c in enumerate(self._nums)])
+        return Poly._from_lowest(nums, self._den)
 
     def __divmod__(self, other: "Poly"):
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lb = other.leading
-        if len(rem) - 1 < db:
-            return Poly.zero(), self
-        q = [rat(0)] * (len(rem) - db)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c:
-                qc = c / lb
-                q[i - db] = qc
-                for t, bt in enumerate(other.coeffs):
-                    rem[i - db + t] -= qc * bt
-        return Poly._raw(q), Poly._raw(rem[:db])
+        # s*a = q*b + r on the numerators, so self = (q*b_den/(s*a_den)) * other + r/(s*a_den)
+        q, r, s = _zdivmod(self._nums, other._nums)
+        den = s * self._den
+        return Poly._make([c * other._den for c in q], den), Poly._make(r, den)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -368,11 +511,12 @@ class Poly:
         return f"Poly([{', '.join(format_rational(c) for c in self.coeffs)}])"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._nums:
             return "0"
+        cs = self.coeffs
         parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
+        for i in range(len(cs) - 1, -1, -1):
+            c = cs[i]
             if c == 0:
                 continue
             mag = format_rational(c if c > 0 else -c)
@@ -388,6 +532,19 @@ class Poly:
         return " ".join(parts)
 
 
+def _lowest(nums: list, den: int):
+    """(numerators, denominator) of nums/den in lowest terms, for den > 0."""
+    _trim(nums)
+    if not nums:
+        return (), 1
+    if den != 1:
+        g = _content(nums, den)
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return tuple(nums), den
+
+
 def _coerce_poly(v):
     if isinstance(v, Poly):
         return v
@@ -398,14 +555,20 @@ def _coerce_poly(v):
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd of two polynomials (zero if both are zero)."""
-    while not b.is_zero:
-        a, b = b, a % b
-        if not b.is_zero:
-            b = b / b.leading
-    if a.is_zero:
-        return a
-    return a / a.leading
+    """Monic gcd of two polynomials (zero if both are zero).
+
+    Runs the primitive remainder sequence on the integer numerators: each
+    pseudo-remainder is divided by its content, so the sequence stays in
+    Z[x] without the coefficient growth of the plain Euclidean one.
+    """
+    u, v = _primitive(a._nums), _primitive(b._nums)
+    if len(u) < len(v):
+        u, v = v, u
+    while v:
+        u, v = v, _primitive(_zdivmod(u, v)[1])
+    if not u:
+        return Poly.zero()
+    return Poly._from_lowest(tuple(u), u[-1])
 
 
 def binom_poly(p: Poly, j: int) -> Poly:
@@ -428,65 +591,19 @@ def pochhammer_poly(p: Poly, j: int) -> Poly:
     return out
 
 
-# -- fraction-free determinant ------------------------------------------------
-#
-# Rows are scaled to integer coefficient lists (clearing denominators and
-# stripping content), then eliminated with Bareiss' fraction-free scheme, in
-# which every division is exact in Z[x].  The rational row scales multiply
-# back onto the result.
-
-
-def _imul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _isub(a, b):
-    n = max(len(a), len(b))
-    out = [0] * n
-    out[: len(a)] = a
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _idiv_exact(a, b):
-    if not b:
-        raise ZeroDivisionError("integer polynomial division by zero")
-    rem = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    if len(rem) - 1 < db:
-        if any(rem):
-            raise InternalInconsistencyError("non-exact division in determinant")
-        return []
-    q = [0] * (len(rem) - db)
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            qc, r = divmod(c, lb)
-            if r:
-                raise InternalInconsistencyError("non-exact division in determinant")
-            q[i - db] = qc
-            for t, bt in enumerate(b):
-                rem[i - db + t] -= qc * bt
-    if any(rem[:db]):
-        raise InternalInconsistencyError("non-exact division in determinant")
-    while q and not q[-1]:
-        q.pop()
-    return q
-
-
 def poly_det(matrix) -> Poly:
-    """Determinant of a square matrix of Poly entries, exactly."""
+    """Determinant of a square matrix of Poly entries, exactly.
+
+    Each row is brought to integer numerators over one denominator, with
+    its content taken out.  Every entry is then evaluated at x = 2^(8*width)
+    (the Kronecker substitution of the product), with 2^(8*width - 1) above
+    the product of the rows' 1-norms, which bounds every coefficient of
+    every minor.  Evaluation is a ring map Z[x] -> Z that is one-to-one on
+    polynomials within that bound, so Bareiss' fraction-free elimination
+    runs on plain integers: each pivot is zero exactly when its minor is,
+    each division is exact, and the determinant's coefficients are read
+    back from its value.  The rational row scales multiply back at the end.
+    """
     rows = [[e if isinstance(e, Poly) else Poly.constant(e) for e in r] for r in matrix]
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -495,28 +612,25 @@ def poly_det(matrix) -> Poly:
         return Poly.one()
 
     scale = rat(1)
+    bound, degree = 1, 0
     M = []
     for row in rows:
-        den = 1
-        for p in row:
-            for c in p.coeffs:
-                den = math.lcm(den, int(c.denominator))
-        ints = []
-        g = 0
-        for p in row:
-            lst = [int(c.numerator) * (den // int(c.denominator)) for c in p.coeffs]
-            ints.append(lst)
-            for v in lst:
-                g = math.gcd(g, v)
+        den = reduce(math.lcm, [p._den for p in row], 1)
+        ints = [[c * (den // p._den) for c in p._nums] for p in row]
+        g = _content([_content(lst) for lst in ints])
         if g == 0:
             return Poly.zero()
         if g > 1:
-            ints = [[v // g for v in lst] for lst in ints]
+            ints = [[c // g for c in lst] for lst in ints]
         scale *= rat(g, den)
+        bound *= sum(sum(map(abs, lst)) for lst in ints)
+        degree += max(map(len, ints)) - 1
         M.append(ints)
+    width = (bound.bit_length() + 8) // 8
+    M = [[_pack(lst, width) for lst in ints] for ints in M]
 
     sign = 1
-    prev = [1]
+    prev = 1
     for k in range(n - 1):
         if not M[k][k]:
             for i in range(k + 1, n):
@@ -526,16 +640,16 @@ def poly_det(matrix) -> Poly:
                     break
             else:
                 return Poly.zero()
-        piv = M[k][k]
+        piv, row_k = M[k][k], M[k]
         for i in range(k + 1, n):
             row_i = M[i]
             mik = row_i[k]
             for j in range(k + 1, n):
-                num = _isub(_imul(piv, row_i[j]), _imul(mik, M[k][j]))
-                row_i[j] = _idiv_exact(num, prev) if prev != [1] else num
-            row_i[k] = []
+                row_i[j], rem = divmod(piv * row_i[j] - mik * row_k[j], prev)
+                if rem:
+                    raise InternalInconsistencyError("non-exact division in determinant")
         prev = piv
-    det = Poly(M[n - 1][n - 1])
+    det = Poly._make(_unpack(M[n - 1][n - 1], degree + 1, width), 1)
     return det * (scale if sign > 0 else -scale)
 
 
@@ -665,6 +779,9 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a polynomial hashes like the Poly, and so a constant like the scalar, it equals
+        if self.is_polynomial:
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def shift(self, j):
@@ -770,7 +887,7 @@ def root_bound(p: Poly):
     d = p.degree
     fuji = 0
     for i in range(1, d + 1):
-        a = abs_rat(p.coeffs[d - i])
+        a = abs_rat(p.coeff(d - i))
         if a == 0:
             continue
         fuji = max(fuji, _nth_root_upper(a / lc, i))

@@ -11,6 +11,7 @@ from math import comb
 
 from .exact import (
     DomainError,
+    InternalInconsistencyError,
     ParameterError,
     is_integer,
     pochhammer,
@@ -198,7 +199,10 @@ class PairSpec:
     @property
     def u(self) -> int:
         val = self.F1.total + self.F2.total - comb(self.k1 + 1, 2) - comb(self.k2, 2)
-        assert val >= 0, f"degree offset must be nonnegative, got {val} for {self!r}"
+        if val < 0:
+            raise InternalInconsistencyError(
+                f"degree offset must be nonnegative, got {val} for {self!r}"
+            )
         return val
 
     @property
@@ -259,7 +263,7 @@ def admissibility_witnesses(c, pair: PairSpec):
 
     The quotient prod_{F1}(x-f) prod_{F2}(x+c+f) / (x+c)_hat has constant
     sign behaviour beyond a finite bound, so a finite scan decides; factor
-    positivity just past the bound is asserted as a sanity check.
+    positivity just past the bound is checked as well.
     """
     c = rat(c)
     h = hat_c(c)
@@ -275,9 +279,12 @@ def admissibility_witnesses(c, pair: PairSpec):
         if val < 0:
             witnesses.append(x)
     xb = bound + 1
-    assert all(xb - f > 0 for f in pair.F1)
-    assert all(xb + c + f > 0 for f in pair.F2)
-    assert pochhammer(xb + c, h) > 0
+    if not (
+        all(xb - f > 0 for f in pair.F1)
+        and all(xb + c + f > 0 for f in pair.F2)
+        and pochhammer(xb + c, h) > 0
+    ):
+        raise InternalInconsistencyError(f"factors not positive past the scan bound {bound}")
     return witnesses
 
 
