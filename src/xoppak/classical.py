@@ -133,21 +133,19 @@ def meixner_op(p: MeixnerParams) -> DifferenceOperator:
     """Second-order difference operator with meixner(n) as eigenvector for eigenvalue n."""
     x = Poly.x()
     d = p.a - 1
-    return DifferenceOperator.three_point(
-        hm1=RatFunc(x / d),
-        h0=RatFunc(-((1 + p.a) * x + p.a * p.c) / d),
-        h1=RatFunc(p.a * (x + p.c) / d),
+    return DifferenceOperator(
+        {
+            -1: RatFunc(x / d),
+            0: RatFunc(-((1 + p.a) * x + p.a * p.c) / d),
+            1: RatFunc(p.a * (x + p.c) / d),
+        }
     )
 
 
 def laguerre_op(p: LaguerreParams) -> DifferentialOperator:
     """-x d2 - (alpha+1-x) d, with laguerre(n) as eigenvector for eigenvalue n."""
     x = Poly.x()
-    return DifferentialOperator.second_order(
-        a2=RatFunc(-x),
-        a1=RatFunc(x - (p.alpha + 1)),
-        a0=RatFunc(Poly.zero()),
-    )
+    return DifferentialOperator({2: RatFunc(-x), 1: RatFunc(x - (p.alpha + 1))})
 
 
 def check_identities(n: int, m: int, p: MeixnerParams, x0) -> dict:

@@ -113,8 +113,31 @@ def _parse_n(text):
         raise UsageError(f"--n expects an integer or lo..hi, got {text!r}")
 
 
+def _refuse_dead_flags(args, kind):
+    """A parameter flag the kind has no parameter for is an error, not ignored."""
+    names = KINDS[kind][0].PARAMS
+    for name in ("a", "c", "alpha"):
+        if getattr(args, name) is not None and name not in names:
+            takes = " and ".join(f"--{n}" for n in names)
+            raise UsageError(f"--{name} does not apply to {kind} families, which take {takes}")
+
+
+def _sweep_params(args, kind):
+    """The parsed values of the kind's parameter flags, None without any."""
+    names = KINDS[kind][0].PARAMS
+    given = [getattr(args, name) is not None for name in names]
+    if not any(given):
+        return None
+    if not all(given):
+        takes = " and ".join(f"--{n}" for n in names)
+        missing = ", ".join(f"--{n}" for n, g in zip(names, given) if not g)
+        raise UsageError(f"the {kind} cells of a sweep take {takes}; {missing} is missing")
+    return tuple(_parse_rational(getattr(args, name), f"--{name}") for name in names)
+
+
 def _job_from_args(args) -> JobSpec:
     kind = args.kind
+    _refuse_dead_flags(args, kind)
     f1 = _parse_set(args.F1, "--F1")
     f2 = _parse_set(args.F2, "--F2")
     a = _parse_rational(args.a, "--a") if args.a is not None else None
@@ -500,7 +523,6 @@ def _add_family_flags(sub, with_checks=False):
     sub.add_argument("--a", default=None, help="rational like 1/2")
     sub.add_argument("--c", default=None, help="rational like 3 or -7/2")
     sub.add_argument("--alpha", default=None, help="rational like -3/2")
-    sub.add_argument("--n", default=None, help="single degree or range lo..hi")
     if with_checks:
         sub.add_argument("--checks", default=None, help="comma list of check names")
         sub.add_argument("--rel-tol", dest="rel_tol", default=None)
@@ -515,9 +537,12 @@ def build_parser() -> argparse.ArgumentParser:
         "verify, sweep, admissible.",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-    _add_family_flags(subs.add_parser("construct"))
-    _add_family_flags(subs.add_parser("verify"), with_checks=True)
+    construct, verify = subs.add_parser("construct"), subs.add_parser("verify")
+    _add_family_flags(construct)
+    _add_family_flags(verify, with_checks=True)
     _add_family_flags(subs.add_parser("admissible"))
+    for sub in (construct, verify):
+        sub.add_argument("--n", default=None, help="single degree or range lo..hi")
     sw = subs.add_parser("sweep")
     sw.add_argument("max_elem", type=int)
     sw.add_argument("max_card", type=int)
@@ -564,15 +589,10 @@ def main(argv=None) -> int:
         elif args.verb == "admissible":
             payload = cmd_admissible(_job_from_args(args))
         else:
-            mex_params = None
-            if args.a is not None and args.c is not None:
-                mex_params = (
-                    _parse_rational(args.a, "--a"),
-                    _parse_rational(args.c, "--c"),
-                )
-            lag_params = None
-            if args.alpha is not None:
-                lag_params = _parse_rational(args.alpha, "--alpha")
+            mex_params = _sweep_params(args, "meixner")
+            lag_params = _sweep_params(args, "laguerre")
+            if lag_params is not None:
+                (lag_params,) = lag_params
             if mex_params is None and lag_params is None:
                 raise UsageError("sweep needs --a/--c, --alpha, or both")
             payload = cmd_sweep(

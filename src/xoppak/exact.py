@@ -68,15 +68,6 @@ def rat(value, den=None):
     return Rational(value)
 
 
-def parse_rational(text: str):
-    """Parse 'p/q' or 'p' (optionally signed) into a Rational."""
-    cleaned = "".join(str(text).split())
-    try:
-        return Rational(cleaned)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
-        raise ParameterError(f"not a rational: {text!r}") from exc
-
-
 def format_rational(q) -> str:
     """Serialize a Rational as 'p/q' or 'p' (exact, never a float)."""
     return str(Rational(q))
@@ -98,13 +89,9 @@ def as_int(q) -> int:
     return int(q.numerator)
 
 
-def rat_floor(q) -> int:
-    q = Rational(q)
-    return int(q.numerator) // int(q.denominator)
-
-
 def rat_ceil(q) -> int:
-    return -rat_floor(-Rational(q))
+    q = Rational(q)
+    return -(-int(q.numerator) // int(q.denominator))
 
 
 def rat_pow(q, e: int):
@@ -571,16 +558,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return Poly._from_lowest(tuple(u), u[-1])
 
 
-def binom_poly(p: Poly, j: int) -> Poly:
-    """Generalized binomial C(p(x), j) with a polynomial top."""
-    if j < 0:
-        return Poly.zero()
-    out = Poly.one()
-    for i in range(j):
-        out = out * (p - i)
-    return out / math.factorial(j)
-
-
 def pochhammer_poly(p: Poly, j: int) -> Poly:
     """Rising factorial (p(x))_j with a polynomial argument, j >= 0."""
     if j < 0:
@@ -851,17 +828,12 @@ def sturm_nonneg_roots(p: Poly) -> int:
     return count + _sign_variations(at_zero) - _sign_variations(at_inf)
 
 
-def abs_rat(q):
-    q = rat(q)
-    return q if q >= 0 else -q
-
-
 def cauchy_root_bound(p: Poly):
     """Rational B with all complex roots of p inside |z| <= B."""
     if p.is_zero or p.degree <= 0:
         return rat(1)
-    lc = abs_rat(p.leading)
-    m = max(abs_rat(c) for c in p.coeffs[:-1])
+    lc = abs(p.leading)
+    m = max(abs(c) for c in p.coeffs[:-1])
     return rat(1) + m / lc
 
 
@@ -883,11 +855,11 @@ def root_bound(p: Poly):
     """
     if p.is_zero or p.degree <= 0:
         return rat(1)
-    lc = abs_rat(p.leading)
+    lc = abs(p.leading)
     d = p.degree
     fuji = 0
     for i in range(1, d + 1):
-        a = abs_rat(p.coeff(d - i))
+        a = abs(p.coeff(d - i))
         if a == 0:
             continue
         fuji = max(fuji, _nth_root_upper(a / lc, i))

@@ -29,7 +29,6 @@ from .exact import (
     PoleError,
     Poly,
     RatFunc,
-    abs_rat,
     gen_binomial,
     is_integer,
     pochhammer,
@@ -40,7 +39,13 @@ from .exact import (
     top_row_minors,
 )
 from .factored import FactoredScalar
-from .meixner import InvarianceReport, MeixnerExcFamily, NormCheck, fitted_representation
+from .meixner import (
+    AltRepReport,
+    InvarianceReport,
+    MeixnerExcFamily,
+    NormCheck,
+    fitted_representation,
+)
 from .numerics import collapse, laguerre_type_integral
 from .operators import DifferentialOperator
 from .pairs import PairSpec, involute, is_admissible, vandermonde
@@ -103,10 +108,6 @@ class LaguerreExcFamily:
     def __repr__(self):
         return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
 
-    @property
-    def alpha(self):
-        return self.params.alpha
-
     def member(self, n: int) -> Poly:
         """Family member of degree n; the zero polynomial off the index set."""
         if n < 0:
@@ -118,10 +119,6 @@ class LaguerreExcFamily:
             terms = (t * minor for t, minor in zip(top, self._minors))
             got = self._members[n] = sum(terms, Poly.zero())
         return got
-
-
-def family(f1, f2, alpha) -> LaguerreExcFamily:
-    return LaguerreExcFamily(LaguerreParams(alpha), PairSpec(f1, f2))
 
 
 def reported_polys(fam: LaguerreExcFamily) -> dict:
@@ -210,11 +207,7 @@ def operator(fam: LaguerreExcFamily) -> DifferentialOperator:
     """x d2 + h1 d + h0 with member(n) as eigenvector for eigenvalue -n."""
     om = fam.omega
     n1, n0 = _operator_numerators(fam)
-    return DifferentialOperator.second_order(
-        a2=RatFunc(Poly.x()),
-        a1=RatFunc(n1, om),
-        a0=RatFunc(n0, om),
-    )
+    return DifferentialOperator({2: RatFunc(Poly.x()), 1: RatFunc(n1, om), 0: RatFunc(n0, om)})
 
 
 def eigen_residual(n: int, fam: LaguerreExcFamily) -> Poly:
@@ -520,14 +513,14 @@ def limit_from_meixner(n: int, fam: LaguerreExcFamily, a_sequence=None) -> Limit
         worst_m = worst_o = worst_o1 = rat(0)
         for i, x in enumerate(xs):
             xa = x / (1 - a)
-            worst_m = max(worst_m, abs_rat(scale_m * p(xa) - target_m[i]))
-            worst_o = max(worst_o, abs_rat(scale_o * pom(xa) - target_o[i]))
+            worst_m = max(worst_m, abs(scale_m * p(xa) - target_m[i]))
+            worst_o = max(worst_o, abs(scale_o * pom(xa) - target_o[i]))
             diff = pom(xa + 1) - pom(xa)
             worst_o1 = max(
-                worst_o1, abs_rat(scale_o / (1 - a) * diff - target_o1[i])
+                worst_o1, abs(scale_o / (1 - a) * diff - target_o1[i])
             )
         member_dev.append(worst_m)
         omega_dev.append(worst_o)
         omega_prime_dev.append(worst_o1)
-    scale = max(abs_rat(t) for t in target_m)
+    scale = max(abs(t) for t in target_m)
     return LimitReport(n, a_sequence, xs, member_dev, omega_dev, omega_prime_dev, scale)

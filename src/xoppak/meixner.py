@@ -121,38 +121,30 @@ class MeixnerExcFamily:
 
     m = member  # the benchmark traces the members under this name
 
+    def _alt_rows(self, tops, cols: int):
+        """Block rows after the column-combination rewriting, columns j < cols.
+
+        One row per f in tops, then in F1 (a member's top row is the one of
+        f = n - u), then one per f in F2.
+        """
+        a, c = self.params.a, self.params.c
+        ratio = (1 - a) / a
+        rows = [
+            [meixner_raw(f - j, a, c + j) for j in range(cols)] for f in (*tops, *self.pair.F1)
+        ]
+        for f in self.pair.F2:
+            rows.append([meixner_raw(f, 1 / a, c + j) * rat_pow(ratio, j) for j in range(cols)])
+        return rows
+
     def m_alt(self, n: int) -> Poly:
         """Same determinant after the column-combination rewriting."""
         if n < 0:
             raise DomainError(f"family members need a nonnegative degree, got {n}")
-        a, c = self.params.a, self.params.c
-        u, k = self.pair.u, self.pair.k
-        inv_a = 1 / a
-        ratio = (1 - a) / a
-        top = [meixner_raw(n - u - j, a, c + j) for j in range(k + 1)]
-        rows = [top]
-        for f in self.pair.F1:
-            rows.append([meixner_raw(f - j, a, c + j) for j in range(k + 1)])
-        for f in self.pair.F2:
-            rows.append(
-                [meixner_raw(f, inv_a, c + j) * rat_pow(ratio, j) for j in range(k + 1)]
-            )
-        return poly_det(rows)
+        return poly_det(self._alt_rows((n - self.pair.u,), self.pair.k + 1))
 
     def omega_alt(self) -> Poly:
         """Omega after the same column-combination rewriting."""
-        a, c = self.params.a, self.params.c
-        k = self.pair.k
-        inv_a = 1 / a
-        ratio = (1 - a) / a
-        rows = []
-        for f in self.pair.F1:
-            rows.append([meixner_raw(f - j, a, c + j) for j in range(k)])
-        for f in self.pair.F2:
-            rows.append(
-                [meixner_raw(f, inv_a, c + j) * rat_pow(ratio, j) for j in range(k)]
-            )
-        return poly_det(rows)
+        return poly_det(self._alt_rows((), self.pair.k))
 
     # -- dual family ---------------------------------------------------------
 
@@ -217,10 +209,6 @@ class MeixnerExcFamily:
         return total.exact_div(divisor)
 
 
-def family(f1, f2, a, c) -> MeixnerExcFamily:
-    return MeixnerExcFamily(MeixnerParams(a, c), PairSpec(f1, f2))
-
-
 def reported_polys(fam: MeixnerExcFamily) -> dict:
     """The polynomials besides the members that `xoppak construct` reports."""
     return {"omega": fam.omega, "lambda": fam.lam}
@@ -248,10 +236,7 @@ def leading_coeff_law(n: int, fam: MeixnerExcFamily):
 def omega_leading_law(fam: MeixnerExcFamily):
     """Closed form for the leading coefficient of Omega."""
     pair = fam.pair
-    a = fam.params.a
-    k1, k2, k = pair.k1, pair.k2, pair.k
-    num = vandermonde(pair.F1) * vandermonde(pair.F2)
-    num *= rat_pow(a, comb(k2, 2) - k2 * (k - 1)) * rat_pow(1 - a, k1 * k2)
+    num = vandermonde(pair.F1) * vandermonde(pair.F2) * _pair_unit(fam.params.a, pair.k1, pair.k2)
     den = rat(1)
     for f in pair.F1:
         den *= math.factorial(f)
@@ -359,26 +344,31 @@ def lambda_from_psi(n: int, fam: MeixnerExcFamily):
 # -- second order operator ---------------------------------------------------
 
 
-def operator(fam: MeixnerExcFamily) -> DifferenceOperator:
-    """The three point difference operator with the family as eigenfunctions.
+def _operator_numerators(fam: MeixnerExcFamily):
+    """Numerators of the coefficients of the shifts -1, 0 and 1 over one
+    denominator (a-1) Omega(x) Omega(x+1), and that denominator.
 
-    For the degenerate empty pair the formula below does not specialize to
-    the classical operator (the middle coefficient keeps a constant offset),
-    so that case returns the classical operator directly.
+    For the degenerate empty pair the formula does not specialize to the
+    classical operator (the middle coefficient keeps a constant offset), so
+    the callers use the classical operator there.
     """
-    if fam.pair.is_trivial:
-        return meixner_op(fam.params)
     a, c = fam.params.a, fam.params.c
     u, k = fam.pair.u, fam.pair.k
     om, om1 = fam.omega, fam.omega.shift(1)
     lm = fam.lam
     x = Poly.x()
-    hm1 = RatFunc(x * om1, om * (a - 1))
-    h1 = RatFunc((x + (c + k)) * om * a, om1 * (a - 1))
-    base = RatFunc((x + k) * (-(1 + a)) - a * c + (a - 1) * u, Poly.constant(a - 1))
-    g = RatFunc((x + (c + k - 1)) * lm * a, om * (a - 1))
-    h0 = base + g.shift(1) - g
-    return DifferenceOperator.three_point(hm1, h0, h1)
+    mid = ((x + k) * (-(1 + a)) - a * c + (a - 1) * u) * om * om1
+    mid = mid + (x + (c + k)) * lm.shift(1) * om * a - (x + (c + k - 1)) * lm * om1 * a
+    nums = {-1: x * om1 * om1, 0: mid, 1: (x + (c + k)) * om * om * a}
+    return nums, om * om1 * (a - 1)
+
+
+def operator(fam: MeixnerExcFamily) -> DifferenceOperator:
+    """The three point difference operator with the family as eigenfunctions."""
+    if fam.pair.is_trivial:
+        return meixner_op(fam.params)
+    nums, den = _operator_numerators(fam)
+    return DifferenceOperator({j: RatFunc(num, den) for j, num in nums.items()})
 
 
 def eigen_residual(n: int, fam: MeixnerExcFamily) -> Poly:
@@ -388,21 +378,11 @@ def eigen_residual(n: int, fam: MeixnerExcFamily) -> Poly:
     the statement into a polynomial identity, which is compared exactly.
     """
     p = fam.member(n)
-    a, c = fam.params.a, fam.params.c
     if fam.pair.is_trivial:
         diff = meixner_op(fam.params).apply(p) - RatFunc(p * rat(n))
         return diff.num if not diff.is_zero else Poly.zero()
-    u, k = fam.pair.u, fam.pair.k
-    om, om1 = fam.omega, fam.omega.shift(1)
-    lm, lm1 = fam.lam, fam.lam.shift(1)
-    x = Poly.x()
-    mid = ((x + k) * (-(1 + a)) - a * c + (a - 1) * u) * om * om1
-    mid = mid + (x + (c + k)) * lm1 * om * a - (x + (c + k - 1)) * lm * om1 * a
-    res = x * om1 * om1 * p.shift(-1)
-    res = res + mid * p
-    res = res + (x + (c + k)) * om * om * p.shift(1) * a
-    res = res - om * om1 * p * (rat(n) * (a - 1))
-    return res
+    nums, den = _operator_numerators(fam)
+    return nums[-1] * p.shift(-1) + nums[0] * p + nums[1] * p.shift(1) - den * p * rat(n)
 
 
 # -- measures, admissibility, norms -----------------------------------------

@@ -16,7 +16,7 @@ import os
 
 import mpmath as mp
 
-from .exact import Poly, PoleError, abs_rat, is_integer, rat, rat_ceil, rat_pow, root_bound
+from .exact import Poly, PoleError, is_integer, rat, rat_ceil, rat_pow, root_bound
 from .factored import FactoredScalar
 
 _DEFAULT_DPS = 50
@@ -93,14 +93,14 @@ def ratio_cutoff(scale, factors):
     where it drops to r = (1+|scale|)/2 is found by doubling and bisection.
     """
     scale = rat(scale)
-    s_abs = abs_rat(scale)
+    s_abs = abs(scale)
     if s_abs >= 1:
         raise ValueError(f"ratio limit {scale} is not inside (-1, 1)")
     r = (1 + s_abs) / 2
     parts = []
     max_b = rat(0)
     for poly, shift in factors:
-        shift = abs_rat(shift)
+        shift = abs(rat(shift))
         if poly.degree <= 0 or shift == 0:
             continue
         b = root_bound(poly)
@@ -134,15 +134,14 @@ def certified_sum(
     term,
     scale,
     factors,
-    start: int = 0,
     rel_tol=None,
     abs_tol=None,
     max_terms: int = 200000,
 ) -> SumResult:
-    """Sum term(x) for x = start, start+1, ... with a certified tail bound.
+    """Sum term(x) for x = 0, 1, 2, ... with a certified tail bound.
 
     The caller guarantees the exact recurrence
-    term(x+1) = scale * prod_i P_i(x + s_i)/P_i(x) * term(x) for x >= start,
+    term(x+1) = scale * prod_i P_i(x + s_i)/P_i(x) * term(x) for x >= 0,
     passing factors as (P_i, s_i) pairs.  Terms must be exact rationals; the
     partial sum is exact and only the tail is bounded.  Stops once the bound
     meets rel_tol (vs the running sum) or abs_tol.
@@ -150,26 +149,20 @@ def certified_sum(
     if rel_tol is None and abs_tol is None:
         raise ValueError("need rel_tol or abs_tol")
     cutoff, r = ratio_cutoff(scale, factors)
-    cutoff = max(cutoff, start)
     gfac = r / (1 - r)
     total = rat(0)
-    x = start
-    count = 0
-    while True:
+    for x in range(max_terms):
         t = rat(term(x))
         total += t
-        count += 1
         if x >= cutoff:
             if t == 0:
-                return SumResult(total, rat(0), count, cutoff)
-            bound = abs_rat(t) * gfac
+                return SumResult(total, rat(0), x + 1, cutoff)
+            bound = abs(t) * gfac
             if abs_tol is not None and bound <= rat(abs_tol) / 2:
-                return SumResult(total, bound, count, cutoff)
-            if rel_tol is not None and total != 0 and bound <= rat(rel_tol) * abs_rat(total) / 2:
-                return SumResult(total, bound, count, cutoff)
-        x += 1
-        if count >= max_terms:
-            raise ValueError(f"tolerance not reached after {max_terms} terms")
+                return SumResult(total, bound, x + 1, cutoff)
+            if rel_tol is not None and total != 0 and bound <= rat(rel_tol) * abs(total) / 2:
+                return SumResult(total, bound, x + 1, cutoff)
+    raise ValueError(f"tolerance not reached after {max_terms} terms")
 
 
 class QuadResult:
@@ -208,7 +201,7 @@ def laguerre_type_integral(numerator: Poly, denominator: Poly, exponent) -> Quad
     upper_rat = max(x0, 60 + 4 * max(rat(0), s_exp))
     upper = to_mpf(upper_rat)
     sandwich = rat_pow(rat(3, 2), dn) * rat_pow(rat(2), dd)
-    lead_ratio = sandwich * abs_rat(numerator.leading / denominator.leading)
+    lead_ratio = sandwich * abs(numerator.leading / denominator.leading)
 
     num_c = [to_mpf(c) for c in numerator.coeffs]
     den_c = [to_mpf(c) for c in denominator.coeffs]

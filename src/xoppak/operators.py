@@ -75,10 +75,6 @@ class _OperatorBase:
     def __neg__(self):
         return self * -1
 
-    @classmethod
-    def identity(cls):
-        return cls({0: RatFunc(Poly.one())})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -86,22 +82,6 @@ class _OperatorBase:
 
 class DifferenceOperator(_OperatorBase):
     """sum_j a_j(x) Sh_j with (Sh_j f)(x) = f(x+j)."""
-
-    @classmethod
-    def three_point(cls, hm1, h0, h1) -> "DifferenceOperator":
-        return cls({-1: hm1, 0: h0, 1: h1})
-
-    @property
-    def hm1(self) -> RatFunc:
-        return self.coeff(-1)
-
-    @property
-    def h0(self) -> RatFunc:
-        return self.coeff(0)
-
-    @property
-    def h1(self) -> RatFunc:
-        return self.coeff(1)
 
     def apply(self, p) -> RatFunc:
         out = RatFunc(Poly.zero())
@@ -127,22 +107,6 @@ class DifferenceOperator(_OperatorBase):
 
 class DifferentialOperator(_OperatorBase):
     """sum_i a_i(x) d^i/dx^i."""
-
-    @classmethod
-    def second_order(cls, a2, a1, a0) -> "DifferentialOperator":
-        return cls({2: a2, 1: a1, 0: a0})
-
-    @property
-    def a2(self) -> RatFunc:
-        return self.coeff(2)
-
-    @property
-    def a1(self) -> RatFunc:
-        return self.coeff(1)
-
-    @property
-    def a0(self) -> RatFunc:
-        return self.coeff(0)
 
     def apply(self, p) -> RatFunc:
         if isinstance(p, Poly):

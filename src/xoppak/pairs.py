@@ -34,16 +34,6 @@ class FiniteSet:
             raise ParameterError(f"set elements must be positive: {elems}")
         self.elems = elems
 
-    @classmethod
-    def parse(cls, text: str) -> "FiniteSet":
-        text = text.strip()
-        if not text:
-            return cls(())
-        try:
-            return cls(int(t) for t in text.split(","))
-        except ValueError as exc:
-            raise ParameterError(f"not a finite set: {text!r}") from exc
-
     def __iter__(self):
         return iter(self.elems)
 
@@ -75,10 +65,6 @@ class FiniteSet:
     def max_elem(self) -> int:
         """Largest element, -1 for the empty set."""
         return self.elems[-1] if self.elems else -1
-
-    @property
-    def min_elem(self) -> int:
-        return self.elems[0] if self.elems else -1
 
     @property
     def total(self) -> int:

@@ -144,6 +144,20 @@ def test_bad_rational_exits_2(capsys):
     code, _, err = run(capsys, "construct", "--kind", "laguerre", "--F1", "1",
                        "--alpha", "x/y")
     assert code == 2
+    for text in ("", "x", "1/0", "1//2", "1/2/3"):
+        code, _, err = run(capsys, "construct", "--kind", "meixner", "--F1", "1",
+                           "--a", text, "--c", "3")
+        assert code == 2, text
+        assert "--a" in err
+
+
+def test_flag_values_parse(capsys):
+    # sets in any order and spacing, rationals in decimal notation too
+    code, doc = run_json(capsys, "admissible", "--kind", "laguerre", "--F1", "2, 5,1",
+                         "--F2", "  ", "--alpha", "1.5")
+    assert code == 0
+    assert doc["f1"] == [1, 2, 5] and doc["f2"] == []
+    assert doc["alpha"] == "3/2"
 
 
 def test_bad_set_exits_2(capsys):
@@ -163,6 +177,33 @@ def test_integer_alpha_at_most_minus_one_exits_2(capsys):
     code, _, err = run(capsys, "construct", "--kind", "laguerre", "--F1", "1",
                        "--alpha", "-2", "--n", "0")
     assert code == 2
+
+
+def test_admissible_refuses_a_flag_of_the_other_kind(capsys):
+    code, out, err = run(capsys, "admissible", "--kind", "laguerre", "--F1", "1",
+                         "--alpha", "-3/2", "--a", "9")
+    assert code == 2 and out == ""
+    assert "--a does not apply" in err
+
+
+def test_construct_refuses_a_flag_of_the_other_kind(capsys):
+    code, out, err = run(capsys, "construct", "--kind", "meixner", "--F1", "1",
+                         "--a", "1/2", "--c", "3", "--alpha", "7")
+    assert code == 2 and out == ""
+    assert "--alpha does not apply" in err
+
+
+def test_admissible_has_no_degree_flag():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["admissible", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
+                  "--n", "3"])
+    assert exc.value.code == 2
+
+
+def test_sweep_refuses_half_of_the_meixner_parameters(capsys):
+    code, out, err = run(capsys, "sweep", "2", "1", "--a", "1/2", "--alpha", "1/2")
+    assert code == 2 and out == ""
+    assert "--a and --c" in err and "--c is missing" in err
 
 
 def test_jobs_flag_only_on_sweep():

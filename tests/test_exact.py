@@ -10,12 +10,9 @@ from xoppak.exact import (
     ParameterError,
     Poly,
     RatFunc,
-    binom_poly,
     cauchy_root_bound,
-    format_rational,
     gamma_sign,
     gen_binomial,
-    parse_rational,
     pochhammer,
     poly_det,
     poly_gcd,
@@ -37,20 +34,6 @@ def small_polys(max_deg=3):
 
 
 # -- rationals ----------------------------------------------------------------
-
-
-def test_parse_and_format_round_trip():
-    for text in ["0", "5", "-3", "1/2", "-7/3", " 22 / 7 "]:
-        q = parse_rational(text)
-        assert parse_rational(format_rational(q)) == q
-
-
-def test_parse_rejects_garbage():
-    for text in ["", "x", "1/0", "1//2", "1/2/3"]:
-        with pytest.raises(ParameterError):
-            parse_rational(text)
-    # decimal strings are exact and accepted
-    assert parse_rational("1.5") == rat(3, 2)
 
 
 def test_rat_rejects_floats():
@@ -83,14 +66,6 @@ def test_gen_binomial_values():
     for n in range(6):
         for j in range(6):
             assert gen_binomial(n, j) == math.comb(n, j)
-
-
-def test_binom_poly_matches_scalar():
-    assert binom_poly(X, 1) == X
-    for j in range(4):
-        p = binom_poly(X, j)
-        for v in range(-3, 6):
-            assert p(v) == gen_binomial(v, j)
 
 
 def test_gamma_sign():

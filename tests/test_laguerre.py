@@ -20,7 +20,6 @@ from xoppak.laguerre import (
     darboux_intertwining,
     darboux_pair,
     eigen_residual,
-    family,
     inner_product,
     invariance_conjecture,
     leading_coeff_law,
@@ -54,6 +53,10 @@ SMALL_PAIRS = [
 ]
 
 ALPHAS = [rat(1, 2), rat(-1, 2), rat(1, 3), rat(5, 2), rat(-3, 2)]
+
+
+def family(f1, f2, alpha):
+    return LaguerreExcFamily(LaguerreParams(alpha), PairSpec(f1, f2))
 
 
 def trivial_family(alpha):
@@ -189,10 +192,10 @@ def test_omega_at_zero_nonzero_off_negative_integers():
 def test_operator_shape():
     fam = family([1], [2], rat(1, 3))
     op = operator(fam)
-    assert op.a2 is not None
-    assert op.a2.num == Poly.x() and op.a2.den == Poly.one()
+    assert op.coeff(2) is not None
+    assert op.coeff(2).num == Poly.x() and op.coeff(2).den == Poly.one()
     om = fam.omega
-    for coeff in (op.a1, op.a0):
+    for coeff in (op.coeff(1), op.coeff(0)):
         # denominator divides Omega: Omega mod den is zero up to scale
         q, r = divmod(om * coeff.den.leading, coeff.den * om.leading)
         assert (om * (coeff.den(rat(17)) / om(rat(17)))) == coeff.den or r.is_zero

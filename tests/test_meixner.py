@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xoppak import meixner
+from xoppak.classical import MeixnerParams
 from xoppak.exact import (
     AdmissibilityRefusal,
     DomainError,
@@ -27,7 +28,6 @@ from xoppak.meixner import (
     darboux_pair,
     duality_check,
     eigen_residual,
-    family,
     inner_product,
     invariance_conjecture,
     lambda_from_psi,
@@ -58,6 +58,10 @@ SMALL_PAIRS = [
     ([1, 3], [2]),
     ([1, 2], [1]),
 ]
+
+
+def family(f1, f2, a, c):
+    return MeixnerExcFamily(MeixnerParams(a, c), PairSpec(f1, f2))
 
 
 def test_first_member_is_one_for_single_f1():
@@ -142,14 +146,14 @@ def test_lowering_identity():
 
 def test_operator_h_minus_one_vanishes_at_zero():
     op = operator(family([1], [2], rat(1, 2), rat(3)))
-    assert op.hm1(0) == 0
+    assert op.coeff(-1)(0) == 0
 
 
 def test_operator_denominators_divide_omega():
     fam = family([1, 2], [1], rat(1, 3), rat(5, 2))
     om = fam.omega
-    assert (om / om.leading) % operator(fam).hm1.den == Poly.zero()
-    assert (om.shift(1) / om.leading) % operator(fam).h1.den == Poly.zero()
+    assert (om / om.leading) % operator(fam).coeff(-1).den == Poly.zero()
+    assert (om.shift(1) / om.leading) % operator(fam).coeff(1).den == Poly.zero()
 
 
 def test_eigen_identity_examples():

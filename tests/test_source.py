@@ -1,5 +1,9 @@
 """Checks on the package source itself."""
 import ast
+import importlib
+import inspect
+import pkgutil
+import typing
 from pathlib import Path
 
 import xoppak
@@ -15,3 +19,29 @@ def test_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_type_hints_resolve():
+    # with postponed annotations a misspelt or unimported name only fails
+    # when something asks for the hints, so resolve every one here
+    checked, failed = 0, []
+    for info in pkgutil.iter_modules(xoppak.__path__):
+        if info.name == "__main__":  # importing it runs the command line tool
+            continue
+        module = importlib.import_module(f"xoppak.{info.name}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = list(vars(obj).values()) if isinstance(obj, type) else [obj]
+            for fn in members:
+                fn = getattr(fn, "fget", fn)  # a property's getter
+                fn = getattr(fn, "__func__", fn)  # a classmethod's function
+                if not inspect.isfunction(fn):
+                    continue
+                checked += 1
+                try:
+                    typing.get_type_hints(fn)
+                except NameError as exc:
+                    failed.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
+    assert checked > 100
+    assert not failed, failed
