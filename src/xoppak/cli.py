@@ -151,6 +151,9 @@ def _job_from_args(args) -> JobSpec:
     rel_tol = None
     if getattr(args, "rel_tol", None) is not None:
         rel_tol = _parse_rational(args.rel_tol, "--rel-tol")
+        if rel_tol <= 0:
+            # the sums and the quadrature would never reach a tolerance of 0
+            raise UsageError(f"--rel-tol must be positive, got {format_rational(rel_tol)}")
     return JobSpec(
         kind=kind,
         f1=f1,

@@ -104,6 +104,7 @@ class LaguerreExcFamily:
         self._minors = top_row_minors(block_rows(params, pair.F1, pair.F2, k + 1))
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
+        self._op_nums = None  # _operator_numerators, once needed
 
     def __repr__(self):
         return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
@@ -190,7 +191,10 @@ def omega_at_zero(fam: LaguerreExcFamily):
 
 
 def _operator_numerators(fam: LaguerreExcFamily):
-    """Numerators over Omega of the first and zeroth order coefficients."""
+    """Numerators over Omega of the first and zeroth order coefficients,
+    computed once per family."""
+    if fam._op_nums is not None:
+        return fam._op_nums
     alpha = fam.params.alpha
     pair = fam.pair
     om = fam.omega
@@ -200,7 +204,8 @@ def _operator_numerators(fam: LaguerreExcFamily):
     k = pair.k
     n1 = Poly([alpha + k + 1, -1]) * om - 2 * x * om1
     n0 = rat(-(pair.k1 + pair.u)) * om + Poly([-alpha - k, 1]) * om1 + x * om2
-    return n1, n0
+    fam._op_nums = n1, n0
+    return fam._op_nums
 
 
 def operator(fam: LaguerreExcFamily) -> DifferentialOperator:

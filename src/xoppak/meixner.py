@@ -95,6 +95,7 @@ class MeixnerExcFamily:
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
         self._dual_cache = {}
+        self._op_nums = None  # _operator_numerators, once needed
 
     def __repr__(self):
         return f"MeixnerExcFamily({self.params!r}, {self.pair!r})"
@@ -350,8 +351,11 @@ def _operator_numerators(fam: MeixnerExcFamily):
 
     For the degenerate empty pair the formula does not specialize to the
     classical operator (the middle coefficient keeps a constant offset), so
-    the callers use the classical operator there.
+    the callers use the classical operator there.  Computed once per family,
+    as every residual of the family reads them.
     """
+    if fam._op_nums is not None:
+        return fam._op_nums
     a, c = fam.params.a, fam.params.c
     u, k = fam.pair.u, fam.pair.k
     om, om1 = fam.omega, fam.omega.shift(1)
@@ -360,7 +364,8 @@ def _operator_numerators(fam: MeixnerExcFamily):
     mid = ((x + k) * (-(1 + a)) - a * c + (a - 1) * u) * om * om1
     mid = mid + (x + (c + k)) * lm.shift(1) * om * a - (x + (c + k - 1)) * lm * om1 * a
     nums = {-1: x * om1 * om1, 0: mid, 1: (x + (c + k)) * om * om * a}
-    return nums, om * om1 * (a - 1)
+    fam._op_nums = nums, om * om1 * (a - 1)
+    return fam._op_nums
 
 
 def operator(fam: MeixnerExcFamily) -> DifferenceOperator:

@@ -8,8 +8,6 @@ cell order is fixed by the pair enumeration.
 """
 from __future__ import annotations
 
-from multiprocessing import Pool
-
 from . import laguerre as _lag
 from . import meixner as _mex
 from .classical import LaguerreParams, MeixnerParams
@@ -99,6 +97,9 @@ def run_sweep(max_elem, max_card, mex_params=None, lag_params=None, jobs=1) -> d
     """
     specs = sweep_specs(max_elem, max_card, mex_params, lag_params)
     if jobs and jobs > 1 and len(specs) > 1:
+        # imported here, as it costs every other command time and memory
+        from multiprocessing import Pool
+
         with Pool(processes=jobs) as pool:
             cells = pool.map(run_cell, specs)
     else:

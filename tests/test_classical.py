@@ -1,11 +1,14 @@
 """Tests for the classical Meixner and Laguerre families."""
 
 import math
+from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
-from xoppak.exact import ParameterError, Poly, RatFunc, pochhammer, rat, rat_pow
+from xoppak import classical
+from xoppak.exact import ParameterError, PoleError, Poly, RatFunc, pochhammer, rat, rat_pow
 from xoppak.classical import (
     LaguerreParams,
     MeixnerParams,
@@ -188,3 +191,119 @@ def test_krawtchouk():
         krawtchouk(1, rat(1, 2), 0)
     with pytest.raises(ParameterError):
         krawtchouk(1, 0, 4)
+
+
+# -- the basis against its explicit definitions -------------------------------
+#
+# The basis is built by recurrences; these oracles expand the explicit sums on
+# Fraction coefficient lists, lowest degree first, without the Poly kernel.
+
+
+def _mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def _falling_binomials(top, n):
+    """C(top, j) for j = 0..n, where top is the polynomial [t0, t1]."""
+    out = [[Fraction(1)]]
+    for j in range(1, n + 1):
+        factor = [(top[0] - (j - 1)) / j, top[1] / j]
+        out.append(_mul(out[-1], factor))
+    return out
+
+
+def meixner_oracle(n, a, c):
+    """a^n/(1-a)^n sum_j a^(-j) C(x, j) C(-x-c, n-j)."""
+    a, c = Fraction(a), Fraction(c)
+    bx = _falling_binomials([Fraction(0), Fraction(1)], n)
+    by = _falling_binomials([-c, Fraction(-1)], n)
+    total = [Fraction(0)] * (n + 1)
+    for j in range(n + 1):
+        for i, v in enumerate(_mul(bx[j], by[n - j])):
+            total[i] += v / a**j
+    scale = (a / (1 - a)) ** n
+    return Poly([scale * v for v in total])
+
+
+def laguerre_oracle(n, alpha):
+    """Coefficient j is (-1)^j C(n + alpha, n - j) / j!."""
+    alpha = Fraction(alpha)
+    coeffs = []
+    for j in range(n + 1):
+        binom = Fraction(1)
+        for i in range(n - j):
+            binom *= (n + alpha - i) / (i + 1)
+        coeffs.append((-1) ** j * binom / math.factorial(j))
+    return Poly(coeffs)
+
+
+def assert_integer_fields(p):
+    assert all(type(v) is int for v in p._nums) and type(p._den) is int
+
+
+@given(st.integers(0, 30), rationals().filter(lambda a: a not in (0, 1)), rationals())
+@settings(max_examples=30, deadline=None)
+def test_meixner_matches_the_explicit_sum(n, a, c):
+    # c is formal here: nonpositive integers included
+    got = meixner_raw(n, a, c)
+    assert got == meixner_oracle(n, a, c)
+    assert_integer_fields(got)
+
+
+@given(st.integers(0, 30), rationals(1, 9, 5), st.integers(1, 12))
+@settings(max_examples=20, deadline=None)
+def test_krawtchouk_matches_the_explicit_sum(n, a, big_n):
+    got = krawtchouk(n, a, big_n)
+    assert got == meixner_oracle(n, -a, -big_n + 1)
+    assert_integer_fields(got)
+
+
+@given(st.integers(0, 30), rationals(6, 40, 5), rationals(1, 9, 4))
+@settings(max_examples=20, deadline=None)
+def test_meixner_beyond_a_one_matches_the_explicit_sum(n, a, c):
+    # a >= 6/5
+    got = meixner(n, MeixnerParams(a, c))
+    assert got == meixner_oracle(n, a, c)
+    assert_integer_fields(got)
+
+
+def test_meixner_degrees_in_any_order():
+    a, c = rat(2, 3), rat(5, 2)
+    classical._meixner_cached.cache_clear()
+    descending = [meixner_raw(n, a, c) for n in range(30, -1, -1)]
+    classical._meixner_cached.cache_clear()
+    ascending = [meixner_raw(n, a, c) for n in range(31)]
+    assert descending[::-1] == ascending
+    assert ascending[30] == meixner_oracle(30, a, c)
+
+
+@given(st.integers(0, 30), rationals())
+@settings(max_examples=30, deadline=None)
+def test_laguerre_matches_the_explicit_coefficients(n, alpha):
+    got = laguerre(n, alpha)
+    assert got == laguerre_oracle(n, alpha)
+    assert_integer_fields(got)
+
+
+def test_laguerre_matches_sympy():
+    x = sympy.Symbol("x")
+    for n, alpha in ((0, rat(1, 2)), (3, rat(-3, 2)), (7, rat(0)), (9, rat(-5)), (12, rat(7, 3))):
+        expected = sympy.Poly(sympy.assoc_laguerre(n, sympy.Rational(str(alpha)), x), x)
+        coeffs = [Fraction(int(v.p), int(v.q)) for v in reversed(expected.all_coeffs())]
+        assert laguerre(n, alpha) == Poly(coeffs)
+
+
+def test_meixner_parameter_poles():
+    # a = 0 leaves only the constant; a = 1 has no polynomial at any degree
+    assert meixner_raw(0, 0, 3) == Poly.one()
+    assert meixner_raw(-1, 0, 3) == Poly.zero()
+    for n in range(1, 5):
+        with pytest.raises(PoleError):
+            meixner_raw(n, 0, 3)
+    for n in range(5):
+        with pytest.raises(ZeroDivisionError):
+            meixner_raw(n, 1, rat(5, 2))

@@ -151,6 +151,15 @@ def test_bad_rational_exits_2(capsys):
         assert "--a" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1"])
+def test_nonpositive_rel_tol_exits_2(capsys, tol):
+    # a tolerance no finite sum can reach used to run without end
+    code, out, err = run(capsys, "verify", "--kind", "meixner", "--F1", "1,2", "--F2", "1",
+                         "--a", "1/2", "--c", "3", "--checks", "norms", "--rel-tol", tol)
+    assert code == 2 and out == ""
+    assert "--rel-tol must be positive" in err
+
+
 def test_flag_values_parse(capsys):
     # sets in any order and spacing, rationals in decimal notation too
     code, doc = run_json(capsys, "admissible", "--kind", "laguerre", "--F1", "2, 5,1",

@@ -34,8 +34,8 @@ from xoppak.laguerre import (
     operator,
     weight,
 )
-from xoppak.numerics import collapse, to_mpf
-from xoppak.pairs import FiniteSet, PairSpec, enumerate_pairs, involute, is_admissible
+from xoppak.numerics import collapse
+from xoppak.pairs import PairSpec, involute, is_admissible
 
 
 SMALL_PAIRS = [

@@ -42,7 +42,7 @@ from xoppak.meixner import (
     positivity_by_signs,
 )
 from xoppak.numerics import certified_sum, collapse, to_mpf
-from xoppak.pairs import PairSpec, enumerate_pairs, is_admissible
+from xoppak.pairs import PairSpec, is_admissible
 
 
 SMALL_PAIRS = [

@@ -9,6 +9,7 @@ from pathlib import Path
 import xoppak
 
 PACKAGE = Path(xoppak.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 
 def test_no_assert_statements():
@@ -45,3 +46,38 @@ def test_type_hints_resolve():
                     failed.append(f"{module.__name__}.{fn.__qualname__}: {exc}")
     assert checked > 100
     assert not failed, failed
+
+
+def _unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # a name may be used only inside a quoted annotation
+    annotations = [node.returns for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    annotations += [node.annotation for node in ast.walk(tree)
+                    if isinstance(node, (ast.arg, ast.AnnAssign))]
+    for ann in filter(None, annotations):
+        for node in ast.walk(ann):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports in order to re-export
+    paths = sorted(PACKAGE.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+    found = []
+    for path in paths:
+        if path.name != "__init__.py":
+            found += _unused_imports(path)
+    assert len(paths) > 20
+    assert not found, f"unused imports: {found}"

@@ -1,4 +1,10 @@
 """Sweep layer: enumeration, cell execution, aggregation."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import xoppak
 from xoppak.exact import rat
 from xoppak.sweep import run_cell, run_sweep, sweep_specs
 
@@ -56,6 +62,18 @@ def test_sweep_parallel_matches_serial():
     serial = run_sweep(2, 2, mex_params=MEX, lag_params=LAG, jobs=1)
     parallel = run_sweep(2, 2, mex_params=MEX, lag_params=LAG, jobs=2)
     assert serial["cells"] == parallel["cells"]
+
+
+def test_command_line_loads_no_process_pool():
+    # only `sweep --jobs` above 1 needs multiprocessing, so a fresh import of
+    # the command line tool must not pay for loading it
+    src = str(Path(xoppak.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, xoppak.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_run_cell_invariance_pass():
