@@ -58,7 +58,12 @@ class AdmissibilityRefusal(Exception):
 
 
 def rat(value, den=None):
-    """Build a Rational; floats are rejected to keep everything exact."""
+    """Build a Rational; floats are rejected to keep everything exact.
+
+    A Rational comes back as it is: the type is immutable.
+    """
+    if den is None and type(value) is Rational:
+        return value
     if isinstance(value, float) or isinstance(den, float):
         raise ParameterError("refusing to build a rational from a float")
     if den is not None:

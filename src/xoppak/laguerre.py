@@ -105,6 +105,7 @@ class LaguerreExcFamily:
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
         self._op_nums = None  # _operator_numerators, once needed
+        self._gram = None  # inner_product's table, once needed
 
     def __repr__(self):
         return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
@@ -251,22 +252,46 @@ def nonvanishing(fam: LaguerreExcFamily) -> bool:
     return sturm_nonneg_roots(fam.omega) == 0
 
 
+# the degrees whose inner products the norms and orthogonality checks of
+# `xoppak verify` use: the first ones of sigma
+GRAM_DEGREES = 4
+
+
 def inner_product(fam: LaguerreExcFamily, n: int, r: int):
-    """Tail-bounded quadrature of the weighted product of members n and r."""
-    om = fam.omega
-    if sturm_nonneg_roots(om) != 0:
-        raise PoleError("weight undefined: Omega vanishes on [0, inf)")
-    prod = fam.member(n) * fam.member(r)
-    return laguerre_type_integral(prod, om * om, fam.params.alpha + fam.pair.k)
+    """Tail-bounded quadrature of the weighted product of members n and r.
+
+    Read from the family's table, which one shared quadrature builds on
+    first need over every pair among the first GRAM_DEGREES degrees of
+    sigma; a pair outside it rebuilds the table over the union of the
+    degrees.
+    """
+    key = (min(n, r), max(n, r))
+    table = fam._gram
+    if table is None or key not in table:
+        om = fam.omega
+        if sturm_nonneg_roots(om) != 0:
+            raise PoleError("weight undefined: Omega vanishes on [0, inf)")
+        degrees = set(fam.pair.sigma_first(GRAM_DEGREES)).union(key)
+        if table is not None:
+            degrees.update(d for pair in table for d in pair)
+        degrees = sorted(degrees)
+        pairs = [(d, e) for i, d in enumerate(degrees) for e in degrees[i:]]
+        members = {d: fam.member(d) for d in degrees}
+        table = fam._gram = laguerre_type_integral(
+            members, om * om, fam.params.alpha + fam.pair.k, pairs
+        )
+    return table[key]
 
 
 def inner_product_bound(fam: LaguerreExcFamily, n: int, r: int):
-    """|<member n, member r>| plus the quadrature's tail bound, as an mpf.
+    """|<member n, member r>| plus the quadrature's tail bound and its error
+    estimate, as an mpf.
 
-    The error of the quadrature on [0, upper] itself is not bounded.
+    The tail is bounded; the error of the quadrature on [0, upper] is only
+    estimated, so the sum is not a certified bound.
     """
     res = inner_product(fam, n, r)
-    return abs(res.value) + res.tail_bound
+    return abs(res.value) + res.tail_bound + res.error
 
 
 def norm_closed_form(n: int, fam: LaguerreExcFamily) -> FactoredScalar:
@@ -294,7 +319,9 @@ def norm_identity(n: int, fam: LaguerreExcFamily, rel_tol=None) -> NormCheck:
     """Verify the squared norm of member n against its closed form.
 
     Only meaningful when the weight is a positive measure; refuses
-    otherwise, since the integral identity presumes admissibility.
+    otherwise, since the integral identity presumes admissibility.  The
+    check allows the relative tolerance, the certified tail bound and the
+    quadrature's error estimate.
     """
     pair = fam.pair
     if not pair.sigma_contains(n):
@@ -303,7 +330,7 @@ def norm_identity(n: int, fam: LaguerreExcFamily, rel_tol=None) -> NormCheck:
     rel = rat(rel_tol) if rel_tol is not None else rat(1, 10**8)
     res = inner_product(fam, n, n)
     err = abs(res.value - rhs)
-    ok = err <= float(rel) * abs(rhs) + res.tail_bound
+    ok = err <= float(rel) * abs(rhs) + res.tail_bound + res.error
     return NormCheck(n, res.value, rhs, err / abs(rhs), res.tail_bound, ok)
 
 

@@ -5,7 +5,9 @@ is the single place where factored scalars collapse to mpmath numbers and
 infinite sums or integrals are truncated.  Truncations are certified: the
 discrete summation bounds its tail by a geometric series whose ratio is
 established rigorously from root bounds of the factored term ratio, and the
-Laguerre integrals carry an incomplete-gamma tail bound.
+Laguerre integrals carry an incomplete-gamma tail bound.  The tanh-sinh
+quadrature of a Laguerre integral on the finite part is not certified: it
+carries mpmath's error estimate, not a bound.
 
 The working precision (decimal digits) is read from the XOPPAK_PRECISION
 environment variable at import time; the default is 50.
@@ -166,55 +168,143 @@ def certified_sum(
 
 
 class QuadResult:
-    """Numeric integral over [0, upper] plus a bound on the neglected tail."""
+    """Numeric integral over [0, upper], the quadrature's own error estimate,
+    and a certified bound on the neglected tail past upper.
 
-    __slots__ = ("value", "tail_bound", "upper")
+    error is mpmath's estimate for the last tanh-sinh level, summed over the
+    subintervals; it is not a bound.  converged says whether every
+    subinterval met mpmath's stopping rule before its degree cap.
+    """
 
-    def __init__(self, value, tail_bound, upper):
+    __slots__ = ("value", "tail_bound", "upper", "error", "converged")
+
+    def __init__(self, value, tail_bound, upper, error, converged):
         self.value = value
         self.tail_bound = tail_bound
         self.upper = upper
+        self.error = error
+        self.converged = converged
 
     def __repr__(self):
-        return f"QuadResult(value={self.value}, tail_bound={self.tail_bound}, upper={self.upper})"
+        return (
+            f"QuadResult(value={self.value}, tail_bound={self.tail_bound}, "
+            f"upper={self.upper}, error={self.error}, converged={self.converged})"
+        )
 
 
-def laguerre_type_integral(numerator: Poly, denominator: Poly, exponent) -> QuadResult:
-    """Integral of numerator(x)/denominator(x) * x^exponent * exp(-x) on (0, inf).
+def laguerre_type_integral(members, denominator: Poly, exponent, pairs) -> dict:
+    """Integrals of members[n] * members[r] / denominator * x^exponent * exp(-x)
+    on (0, inf) for every (n, r) in pairs, as {(n, r): QuadResult}.
 
-    The denominator must not vanish on [0, inf) and exponent must exceed -1.
-    Integrates numerically on [0, 1, upper] (splitting at 1 tames the
-    x^exponent endpoint singularity) and bounds the rest: past twice the root
-    bound B of either polynomial, |num| <= |lc_n| (3x/2)^dn and
+    members maps degrees to polynomials.  The denominator must be positive on
+    [0, inf) and exponent must exceed -1.  Each pair's tail is bounded from
+    its product P = members[n] * members[r]: past x0, twice the root bound
+    of either polynomial, |P| <= |lc_P| (3x/2)^dp and
     |den| >= |lc_d| (x/2)^dd, so the rational factor is within an explicit
-    constant of |lc ratio| x^(dn - dd) and the tail is controlled by an upper
-    incomplete gamma value.
+    constant of |lc ratio| x^(dp - dd) and the tail is controlled by an
+    upper incomplete gamma value.  The pair's own upper limit is at least
+    x0; every pair is integrated on [0, 1, U] (splitting at 1 tames the
+    x^exponent endpoint singularity) with U the largest of these limits, so
+    each tail bound holds at U, and can only shrink there.
+
+    One tanh-sinh pass serves every pair (see _tanh_sinh_gram), with
+    mp.quad's nodes, working precision and stopping rule for each pair.
+    The quadrature error is estimated, not bounded.
     """
     exponent = rat(exponent)
     if exponent <= -1:
         raise ValueError(f"x-exponent {exponent} is not integrable at 0")
-    dn, dd = numerator.degree, denominator.degree
-    if dn < 0:
-        return QuadResult(mp.mpf(0), mp.mpf(0), mp.mpf(1))
-    x0 = max(rat(2), 2 * root_bound(numerator), 2 * root_bound(denominator))
-    s_exp = exponent + (dn - dd) + 1
-    upper_rat = max(x0, 60 + 4 * max(rat(0), s_exp))
-    upper = to_mpf(upper_rat)
-    sandwich = rat_pow(rat(3, 2), dn) * rat_pow(rat(2), dd)
-    lead_ratio = sandwich * abs(numerator.leading / denominator.leading)
+    dd = denominator.degree
+    den_bound = 2 * root_bound(denominator)
+    tails = {}
+    for n, r in pairs:
+        prod = members[n] * members[r]
+        dp = prod.degree
+        if dp < 0:
+            continue
+        x0 = max(rat(2), 2 * root_bound(prod), den_bound)
+        s_exp = exponent + (dp - dd) + 1
+        sandwich = rat_pow(rat(3, 2), dp) * rat_pow(rat(2), dd)
+        lead_ratio = sandwich * abs(prod.leading / denominator.leading)
+        tails[n, r] = (max(x0, 60 + 4 * max(rat(0), s_exp)), s_exp, lead_ratio)
+    upper = to_mpf(max((u for u, _, _ in tails.values()), default=1))
+    gram = _tanh_sinh_gram(members, denominator, exponent, list(tails), upper)
+    zero = mp.mpf(0)
+    out = {}
+    for pair in pairs:
+        if pair not in tails:  # a zero member
+            out[pair] = QuadResult(zero, zero, upper, zero, True)
+            continue
+        _, s_exp, lead_ratio = tails[pair]
+        tail = to_mpf(lead_ratio) * mp.gammainc(to_mpf(s_exp), upper, mp.inf)
+        value, error, converged = gram[pair]
+        out[pair] = QuadResult(value, abs(tail), upper, error, converged)
+    return out
 
-    num_c = [to_mpf(c) for c in numerator.coeffs]
-    den_c = [to_mpf(c) for c in denominator.coeffs]
-    expo = to_mpf(exponent)
 
-    def integrand(t):
-        return (
-            mp.polyval(num_c[::-1], t)
-            / mp.polyval(den_c[::-1], t)
-            * mp.power(t, expo)
-            * mp.exp(-t)
-        )
+def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
+    """{(n, r): (value, error estimate, converged)} on [0, 1, upper].
 
-    value = mp.quad(integrand, [0, 1, upper])
-    tail = to_mpf(lead_ratio) * mp.gammainc(to_mpf(s_exp), upper, mp.inf)
-    return QuadResult(value, abs(tail), upper)
+    At node t with tanh-sinh weight w, the weight function
+    g(t) = t^exponent exp(-t) / denominator(t) is evaluated once and each
+    member once, giving the column v_n = sqrt(w g(t)) m_n(t); the level sum
+    of pair (n, r) is the dot product of v_n and v_r.  Node weight and g are
+    both positive, so the square root is real.  Each pair follows mp.quad's
+    rule on each subinterval: levels 1, 2, ... up to guess_degree(prec),
+    each level's sum reusing the previous one, stopping once
+    estimate_error falls to eps/8, all at 20 guard bits.
+    """
+    rule = mp.mp._tanh_sinh
+    prec = mp.mp.prec
+    epsilon = mp.mp.eps / 8
+    max_degree = rule.guess_degree(prec)
+    value = dict.fromkeys(pairs, mp.mpf(0))
+    error = dict.fromkeys(pairs, mp.mpf(0))
+    converged = dict.fromkeys(pairs, True)
+    with mp.workprec(prec + 20):
+        coeffs = {n: [to_mpf(c) for c in reversed(members[n].coeffs)]
+                  for n in {n for pair in pairs for n in pair}}
+        den_c = [to_mpf(c) for c in reversed(denominator.coeffs)]
+        expo = to_mpf(exponent)
+        for a, b in ((0, 1), (1, upper)):
+            levels = {pair: [] for pair in pairs}
+            err = dict.fromkeys(pairs, mp.mpf(0))
+            active = pairs
+            for degree in range(1, max_degree + 1):
+                if not active:
+                    break
+                nodes = rule.get_nodes(a, b, degree, prec)
+                sums = _level_sums(nodes, coeffs, den_c, expo, active)
+                h = mp.ldexp(1, -degree)
+                still = []
+                for pair in active:
+                    results = levels[pair]
+                    prev = results[-1] / (2 * h) if results else 0
+                    results.append(h * (prev + sums[pair]))
+                    if degree > 1:
+                        err[pair] = rule.estimate_error(results, prec, epsilon)
+                        if err[pair] <= epsilon:
+                            continue
+                    still.append(pair)
+                active = still
+            for pair in pairs:
+                value[pair] += levels[pair][-1]
+                error[pair] += err[pair]
+                converged[pair] = converged[pair] and err[pair] <= epsilon
+    return {pair: (+value[pair], +error[pair], converged[pair]) for pair in pairs}
+
+
+def _level_sums(nodes, coeffs, den_c, expo, pairs) -> dict:
+    """{(n, r): sum over the nodes of v_n v_r}; the columns die on return."""
+    scale = []
+    for t, w in nodes:
+        g = w * mp.power(t, expo) * mp.exp(-t) / mp.polyval(den_c, t)
+        if g <= 0:
+            raise ValueError(f"the denominator is not positive at x={t}")
+        scale.append(mp.sqrt(g))
+    cols = {}
+    for pair in pairs:
+        for n in pair:
+            if n not in cols:
+                cols[n] = [s * mp.polyval(coeffs[n], t) for s, (t, _) in zip(scale, nodes)]
+    return {(n, r): mp.fdot(cols[n], cols[r]) for n, r in pairs}

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from xoppak.exact import (
     ParameterError,
     Poly,
     RatFunc,
+    Rational,
     cauchy_root_bound,
     gamma_sign,
     gen_binomial,
@@ -39,6 +41,16 @@ def small_polys(max_deg=3):
 def test_rat_rejects_floats():
     with pytest.raises(ParameterError):
         rat(0.5)
+
+
+def test_rat_returns_a_rational_unchanged():
+    q = rat(3, 4)
+    assert type(q) is Rational
+    assert rat(q) is q
+    # anything else still converts to the backend's type
+    for value, want in ((Fraction(3, 4), q), (7, 7), ("3/4", q)):
+        got = rat(value)
+        assert type(got) is Rational and got == want
 
 
 def test_pochhammer_values():

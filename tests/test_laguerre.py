@@ -1,9 +1,13 @@
 """Tests for exceptional Laguerre families and everything attached to them."""
 
+import json
+
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xoppak import cli
+from xoppak import laguerre as lag
 from xoppak.classical import LaguerreParams, laguerre
 from xoppak.exact import (
     AdmissibilityRefusal,
@@ -345,6 +349,55 @@ def test_inner_product_refuses_vanishing_omega():
     fam = family([1], [], rat(1, 2))
     with pytest.raises(PoleError):
         inner_product(fam, 0, 0)
+
+
+def test_default_verify_makes_one_quadrature_per_family(monkeypatch, capsys):
+    calls = []
+    quad = lag.laguerre_type_integral
+
+    def counted(*args):
+        calls.append(args)
+        return quad(*args)
+
+    monkeypatch.setattr(lag, "laguerre_type_integral", counted)
+    for flags in (["--F2", "1", "--alpha", "1/2"], ["--F1", "1", "--alpha", "-3/2"]):
+        calls.clear()
+        assert cli.main(["verify", "--kind", "laguerre"] + flags) == 0
+        statuses = {row["check"]: row["status"] for row in json.loads(capsys.readouterr().out)["checks"]}
+        assert statuses["norms"] == statuses["orthogonality"] == "pass"
+        assert len(calls) == 1, flags
+
+
+def test_families_never_share_a_table():
+    a, b = family([1], [], rat(-3, 2)), family([1], [], rat(-3, 2))
+    c = family([1], [], rat(-7, 4))
+    assert a._gram is None
+    for fam in (a, b, c):
+        inner_product(fam, 0, 2)
+    assert a._gram is not b._gram and a._gram is not c._gram
+    assert a._gram[0, 0].value == b._gram[0, 0].value != c._gram[0, 0].value
+
+
+def test_inner_product_outside_the_table_rebuilds_over_the_union():
+    fam = family([], [1], rat(1, 2))
+    first = inner_product(fam, 2, 1)
+    degrees = fam.pair.sigma_first(4)
+    assert set(fam._gram) == {(n, r) for n in degrees for r in degrees if n <= r}
+    inner_product(fam, 7, 1)
+    assert set(fam._gram) == {(n, r) for n in degrees + [7] for r in degrees + [7] if n <= r}
+    # a larger member raises the shared upper limit, within the old tail bound
+    again = inner_product(fam, 1, 2)
+    assert again.upper > first.upper
+    assert abs(again.value - first.value) <= first.tail_bound
+
+
+def test_quadrature_reports_its_error_estimate():
+    # at alpha + k = -1/2 every tanh-sinh level is needed and the estimate
+    # stays above mpmath's target; at 3/2 the rule converges
+    res = inner_product(family([1], [], rat(-3, 2)), 0, 0)
+    assert not res.converged and 0 < res.error < 1e-20
+    res = inner_product(family([], [1], rat(1, 2)), 1, 1)
+    assert res.converged and res.error < mp.mp.eps
 
 
 # -- Darboux -------------------------------------------------------------------

@@ -4,11 +4,14 @@ import math
 
 import mpmath as mp
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from xoppak.exact import Poly, PoleError, pochhammer, rat
 from xoppak.factored import FactoredScalar
-from xoppak.classical import MeixnerParams, laguerre, meixner, meixner_norm
+from xoppak.classical import LaguerreParams, MeixnerParams, laguerre, meixner, meixner_norm
+from xoppak.laguerre import LaguerreExcFamily, nonvanishing
 from xoppak.numerics import (
+    QuadResult,
     certified_sum,
     collapse,
     gamma_rational,
@@ -16,6 +19,7 @@ from xoppak.numerics import (
     ratio_cutoff,
     to_mpf,
 )
+from xoppak.pairs import PairSpec
 
 
 def close(x, y, tol=None):
@@ -121,7 +125,7 @@ def test_classical_laguerre_norms_by_quadrature():
     for alpha in (rat(1, 2), rat(-1, 2), rat(2)):
         for n in range(5):
             ln = laguerre(n, alpha)
-            res = laguerre_type_integral(ln * ln, Poly.one(), alpha)
+            res = laguerre_type_integral({n: ln}, Poly.one(), alpha, [(n, n)])[n, n]
             want = gamma_rational(alpha + n + 1) / math.factorial(n)
             err = abs(res.value - want) + res.tail_bound
             assert err <= mp.mpf(10) ** -10 * want, (alpha, n)
@@ -129,11 +133,87 @@ def test_classical_laguerre_norms_by_quadrature():
 
 def test_classical_laguerre_orthogonality_by_quadrature():
     alpha = rat(1, 2)
-    res = laguerre_type_integral(laguerre(1, alpha) * laguerre(4, alpha), Poly.one(), alpha)
+    members = {1: laguerre(1, alpha), 4: laguerre(4, alpha)}
+    res = laguerre_type_integral(members, Poly.one(), alpha, [(1, 4)])[1, 4]
     norms = mp.sqrt(
         gamma_rational(alpha + 2) * gamma_rational(alpha + 5) / math.factorial(4)
     )
     assert (abs(res.value) + res.tail_bound) / norms < mp.mpf(10) ** -10
+
+
+def test_tanh_sinh_rule_keeps_what_the_shared_pass_uses():
+    # laguerre_type_integral drives mpmath's tanh-sinh rule level by level
+    rule = mp.mp._tanh_sinh
+    for name in ("get_nodes", "estimate_error", "guess_degree"):
+        assert callable(getattr(rule, name, None)), name
+
+
+def standalone_quad(prod: Poly, den: Poly, exponent, upper):
+    """mp.quad of prod / den * x^exponent * exp(-x) on [0, 1, upper]."""
+    num_c = [to_mpf(c) for c in reversed(prod.coeffs)]
+    den_c = [to_mpf(c) for c in reversed(den.coeffs)]
+    expo = to_mpf(exponent)
+    return mp.quad(
+        lambda t: mp.polyval(num_c, t) / mp.polyval(den_c, t) * mp.power(t, expo) * mp.exp(-t),
+        [0, 1, upper],
+    )
+
+
+# (F1, F2, alpha) of small families whose Omega keeps off [0, inf); the
+# exponent alpha + k of the weight is negative for the first and positive for
+# the second, which always run
+LAGUERRE_FAMILIES = [
+    ((1,), (), rat(-3, 2)),
+    ((), (1,), rat(1, 2)),
+    ((), (1,), rat(-1, 2)),
+    ((), (2,), rat(-1, 3)),
+    ((1,), (), rat(-7, 4)),
+    ((1, 2), (), rat(-9, 4)),
+    ((2,), (1,), rat(-5, 2)),
+    ((1, 2), (), rat(5, 2)),
+]
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(LAGUERRE_FAMILIES))
+@example(LAGUERRE_FAMILIES[0])
+@example(LAGUERRE_FAMILIES[1])
+def test_shared_pass_matches_standalone_quad(spec):
+    f1, f2, alpha = spec
+    fam = LaguerreExcFamily(LaguerreParams(alpha), PairSpec(f1, f2))
+    assert nonvanishing(fam)
+    n, r = fam.pair.sigma_first(2)
+    members = {n: fam.member(n), r: fam.member(r)}
+    den = fam.omega * fam.omega
+    exponent = alpha + fam.pair.k
+    got = laguerre_type_integral(members, den, exponent, [(n, n), (n, r), (r, r)])
+    upper = got[n, n].upper
+    want = {
+        pair: standalone_quad(members[pair[0]] * members[pair[1]], den, exponent, upper)
+        for pair in got
+    }
+    # relative to the Cauchy-Schwarz scale, as <m_n, m_r> itself is near 0
+    scale = mp.sqrt(want[n, n] * want[r, r])
+    for pair, res in got.items():
+        assert res.upper == upper
+        assert abs(res.value - want[pair]) <= mp.mpf(10) ** -40 * scale, (spec, pair)
+
+
+def test_shared_pass_takes_the_largest_upper_limit():
+    # the members' products have different degrees, so different limits of
+    # their own; every tail bound is taken at the shared, largest one
+    alpha = rat(1, 2)
+    members = {0: laguerre(0, alpha), 9: laguerre(9, alpha), 5: Poly.zero()}
+    got = laguerre_type_integral(members, Poly.one(), alpha, [(0, 0), (9, 9), (0, 5)])
+    assert got[0, 0].upper == got[9, 9].upper == got[0, 5].upper > 60
+    assert got[0, 0].tail_bound < mp.mpf(10) ** -30
+    zero = got[0, 5]
+    assert isinstance(zero, QuadResult)
+    assert zero.value == zero.tail_bound == zero.error == 0 and zero.converged
+    for n in (0, 9):
+        want = gamma_rational(alpha + n + 1) / math.factorial(n)
+        assert got[n, n].converged
+        assert abs(got[n, n].value - want) <= got[n, n].tail_bound + mp.mpf(10) ** -40 * want
 
 
 def test_tail_bound_shrinks_with_tolerance():
