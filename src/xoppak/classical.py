@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+import mpmath as mp
+
 from .exact import (
     ParameterError,
     PoleError,
@@ -27,7 +29,7 @@ from .exact import (
     rat,
     rat_pow,
 )
-from .factored import FactoredScalar
+from .numerics import gamma_rational, to_mpf
 from .operators import DifferenceOperator, DifferentialOperator
 
 
@@ -219,15 +221,12 @@ def check_identities(n: int, m: int, p: MeixnerParams, x0) -> dict:
     return report
 
 
-def meixner_norm(n: int, p: MeixnerParams) -> FactoredScalar:
-    """Squared norm a^n Gamma(n+c) / (n! (1-a)^(2n+c)) in factored form."""
+def meixner_norm(n: int, p: MeixnerParams) -> mp.mpf:
+    """Squared norm a^n Gamma(n+c) / (n! (1-a)^(2n+c)) as an mpf."""
     if n < 0:
         raise ParameterError("norms need a nonnegative degree")
-    return FactoredScalar(
-        rational=rat_pow(p.a, n) / math.factorial(n),
-        gammas=[(n + p.c, 1)],
-        powers=[(1 - p.a, -(2 * n + p.c))],
-    )
+    value = to_mpf(rat_pow(p.a, n) / math.factorial(n)) * gamma_rational(n + p.c)
+    return value * mp.power(to_mpf(1 - p.a), to_mpf(-(2 * n + p.c)))
 
 
 def krawtchouk(n: int, a, N: int) -> Poly:

@@ -26,7 +26,7 @@ from .exact import (
     poly_strings,
     rat,
 )
-from .numerics import collapse, to_mpf
+from .numerics import to_mpf
 from .pairs import PairSpec, admissibility_witnesses, is_admissible
 from .sweep import KINDS, run_sweep
 
@@ -311,7 +311,8 @@ def _check_norms(job, fam):
     try:
         for n in ns:
             chk = job.module.norm_identity(n, fam, rel_tol=job.rel_tol)
-            results.append({"n": n, "rel_err": float(chk.rel_err), "ok": chk.ok})
+            results.append({"n": n, "rel_err": float(chk.rel_err), "ok": chk.ok,
+                            "converged": chk.converged})
             if not chk.ok:
                 bad.append({"n": n, "rel_err": float(chk.rel_err)})
     except AdmissibilityRefusal as exc:
@@ -329,7 +330,7 @@ def _check_orthogonality(job, fam):
     bad = []
     worst = mp.mpf(0)
     try:
-        norms = {n: collapse(job.module.norm_closed_form(n, fam)) for n in ns}
+        norms = {n: job.module.norm_closed_form(n, fam) for n in ns}
         for i, n in enumerate(ns):
             for r in ns[i + 1 :]:
                 bound = job.module.inner_product_bound(fam, n, r)
@@ -498,14 +499,8 @@ def _verify_csv(payload) -> str:
 
 
 def _emit(payload, args, verb) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
-        if verb == "sweep":
-            text = _sweep_csv(payload)
-        elif verb == "verify":
-            text = _verify_csv(payload)
-        else:
-            raise UsageError(f"csv output is not defined for {verb}")
+    if getattr(args, "format", "json") == "csv":
+        text = _sweep_csv(payload) if verb == "sweep" else _verify_csv(payload)
     else:
         text = json.dumps(payload, indent=2) + "\n"
     out_path = getattr(args, "out", None)
@@ -519,6 +514,7 @@ def _emit(payload, args, verb) -> None:
 # -- argument plumbing -------------------------------------------------------
 
 def _add_family_flags(sub, with_checks=False):
+    """The family flags; only verify (with_checks) offers csv output."""
     sub.add_argument("--kind", required=True,
                      choices=["meixner", "laguerre", "krawtchouk"])
     sub.add_argument("--F1", default="", help="comma list of positive integers")
@@ -529,7 +525,8 @@ def _add_family_flags(sub, with_checks=False):
     if with_checks:
         sub.add_argument("--checks", default=None, help="comma list of check names")
         sub.add_argument("--rel-tol", dest="rel_tol", default=None)
-    sub.add_argument("--format", choices=["json", "csv"], default="json")
+    formats = ["json", "csv"] if with_checks else ["json"]
+    sub.add_argument("--format", choices=formats, default="json")
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 

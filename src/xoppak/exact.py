@@ -87,13 +87,6 @@ def is_integer(q) -> bool:
     return Rational(q).denominator == 1
 
 
-def as_int(q) -> int:
-    q = Rational(q)
-    if q.denominator != 1:
-        raise DomainError(f"{q} is not an integer")
-    return int(q.numerator)
-
-
 def rat_ceil(q) -> int:
     q = Rational(q)
     return -(-int(q.numerator) // int(q.denominator))

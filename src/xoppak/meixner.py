@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from math import comb
 
+import mpmath as mp
+
 from .classical import MeixnerParams, meixner_op, meixner_raw
 from .exact import (
     AdmissibilityRefusal,
@@ -35,8 +37,7 @@ from .exact import (
     root_bound,
     top_row_minors,
 )
-from .factored import FactoredScalar
-from .numerics import certified_sum, collapse, to_mpf
+from .numerics import certified_sum, gamma_rational, to_mpf
 from .operators import DifferenceOperator
 from .pairs import PairSpec, hat_c, involute, is_admissible, vandermonde
 
@@ -259,49 +260,40 @@ class DualityConstants:
     """The three exact scalars tying the dual family to the primal one.
 
     kappa depends only on the family, xi on the dual degree, zeta on the
-    primal degree.  Each is assembled from Gamma-quotient carriers; for
-    rational parameters the canonicalizer cancels every carrier, which is
-    the proof that the combined constant is rational.
+    primal degree.  The paper writes them with Gamma quotients at 1 + c;
+    each quotient Gamma(1+c+j)/Gamma(1+c) is the rising factorial
+    (1+c)_j, with j = -1 read as 1/c, so for rational parameters every
+    constant is a rational.
     """
 
     def __init__(self, fam: MeixnerExcFamily):
         self.fam = fam
         pair = fam.pair
         a, c = fam.params.a, fam.params.c
-        k1, k2 = pair.k1, pair.k2
         sum_f2 = pair.F2.total
-        e = k2 * (k1 + 1)
-        top = FactoredScalar(
-            rational=rat_pow(rat(-1), sum_f2),
-            powers=[(a, e + sum_f2), (a - 1, -e)],
-        )
-        for f in pair.F1:
-            top = top * math.factorial(f) / FactoredScalar.rising(1 + c, f - 1)
-        for f in pair.F2:
-            top = top * math.factorial(f) / FactoredScalar.rising(1 + c, f - 1)
+        e = pair.k2 * (pair.k1 + 1)
+        top = rat_pow(rat(-1), sum_f2) * rat_pow(a, e + sum_f2) * rat_pow(a - 1, -e)
+        for f in pair.F1.elems + pair.F2.elems:
+            top = top * math.factorial(f) / pochhammer(1 + c, f - 1)
         self.kappa = top
 
-    def xi(self, n: int) -> FactoredScalar:
+    def xi(self, n: int):
         pair = self.fam.pair
         a, c = self.fam.params.a, self.fam.params.c
-        k1, k = pair.k1, pair.k
-        out = FactoredScalar(powers=[(a, (k1 + 1) * n), (a - 1, -(k + 1) * n)])
+        k = pair.k
+        out = rat_pow(a, (pair.k1 + 1) * n) * rat_pow(a - 1, -(k + 1) * n)
         for i in range(k + 1):
-            out = out * FactoredScalar.rising(1 + c, n + i - 1)
-            out = out / math.factorial(n + i)
+            out = out * pochhammer(1 + c, n + i - 1) / math.factorial(n + i)
         return out
 
-    def zeta(self, v: int) -> FactoredScalar:
+    def zeta(self, v: int):
         pair = self.fam.pair
         a, c = self.fam.params.a, self.fam.params.c
         u = pair.u
         if not pair.sigma_contains(v):
             raise DomainError(f"degree {v} is outside the index set of {pair!r}")
-        out = FactoredScalar(
-            rational=math.factorial(v - u),
-            powers=[(a - 1, v), (a, -v)],
-        )
-        out = out / FactoredScalar.rising(1 + c, v - u - 1)
+        out = math.factorial(v - u) * rat_pow(a - 1, v) * rat_pow(a, -v)
+        out = out / pochhammer(1 + c, v - u - 1)
         for f in pair.F1:
             out = out / rat(v - f - u)
         for f in pair.F2:
@@ -316,7 +308,7 @@ def duality_check(n: int, v: int, fam: MeixnerExcFamily) -> bool:
     consts = DualityConstants(fam)
     combo = consts.kappa * consts.xi(n) * consts.zeta(v)
     lhs = fam.q(n)(v)
-    rhs = combo.as_rational() * fam.member(v)(n)
+    rhs = combo * fam.member(v)(n)
     return lhs == rhs
 
 
@@ -326,7 +318,7 @@ def omega_from_phi(n: int, fam: MeixnerExcFamily):
     a, c = fam.params.a, fam.params.c
     u, k = pair.u, pair.k
     consts = DualityConstants(fam)
-    kx = (consts.kappa * consts.xi(n)).as_rational()
+    kx = consts.kappa * consts.xi(n)
     scale = rat_pow(a / (a - 1), u + n + k) * pochhammer(1 + c, n + k - 1)
     return scale / (math.factorial(n + k) * kx) * fam.phi(n)
 
@@ -337,7 +329,7 @@ def lambda_from_psi(n: int, fam: MeixnerExcFamily):
     a, c = fam.params.a, fam.params.c
     u, k = pair.u, pair.k
     consts = DualityConstants(fam)
-    kx = (consts.kappa * consts.xi(n)).as_rational()
+    kx = consts.kappa * consts.xi(n)
     scale = rat_pow(a / (a - 1), u + n + k - 1) * pochhammer(1 + c, n + k - 2)
     return scale / (math.factorial(n + k - 1) * kx) * fam.psi(n)
 
@@ -406,7 +398,7 @@ def measures(fam: MeixnerExcFamily):
     u, k = pair.u, pair.k
     om = fam.omega
 
-    def rho_mass(x: int) -> FactoredScalar:
+    def rho_mass(x: int) -> mp.mpf:
         x = int(x)
         if x < u:
             raise DomainError(f"rho mass needs x >= {u}, got {x}")
@@ -415,13 +407,10 @@ def measures(fam: MeixnerExcFamily):
             pref *= x - f - u
         for f in pair.F2:
             pref *= x + c + f - u
-        return FactoredScalar(
-            rational=pref / math.factorial(x - u),
-            gammas=[(x + c - u, 1)],
-            powers=[(a, x - u)],
-        )
+        pref = pref * rat_pow(a, x - u) / math.factorial(x - u)
+        return to_mpf(pref) * gamma_rational(x + c - u)
 
-    def omega_mass(x: int) -> FactoredScalar:
+    def omega_mass(x: int) -> mp.mpf:
         x = int(x)
         if x < 0:
             raise DomainError(f"omega mass needs x >= 0, got {x}")
@@ -432,11 +421,7 @@ def measures(fam: MeixnerExcFamily):
                 f"weight undefined: Omega vanishes at x={where}; "
                 f"family non-orthogonalizable there"
             )
-        return FactoredScalar(
-            rational=1 / (math.factorial(x) * o0 * o1),
-            gammas=[(x + c + k, 1)],
-            powers=[(a, x)],
-        )
+        return to_mpf(rat_pow(a, x) / (math.factorial(x) * o0 * o1)) * gamma_rational(x + c + k)
 
     return rho_mass, omega_mass
 
@@ -481,7 +466,7 @@ def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol=None, abs_tol=N
     """Certified sum for the weighted inner product of members n and r.
 
     Returns (SumResult, carrier); the true value is the sum value times the
-    carrier Gamma(c + k).
+    carrier Gamma(c + k), an mpf.
     """
     a, c = fam.params.a, fam.params.c
     k = fam.pair.k
@@ -504,36 +489,41 @@ def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol=None, abs_tol=N
 
     factors = [(Poly([1, 1]), c + k - 1), (prod, 1), (om, -2)]
     res = certified_sum(term, a, factors, rel_tol=rel_tol, abs_tol=abs_tol)
-    return res, FactoredScalar.gamma(c + k)
+    return res, gamma_rational(c + k)
 
 
 class NormCheck:
-    """Record of one norm verification: measured vs closed form."""
+    """Record of one norm verification: measured vs closed form.
 
-    def __init__(self, r, lhs, rhs, rel_err, tail, ok):
+    converged says whether the numeric value met its own stopping rule: a
+    certified sum always does, a quadrature may stop at its degree cap.
+    """
+
+    def __init__(self, r, lhs, rhs, rel_err, tail, ok, converged):
         self.r = r
         self.lhs = lhs
         self.rhs = rhs
         self.rel_err = rel_err
         self.tail = tail
         self.ok = ok
+        self.converged = converged
 
     def __repr__(self):
         return (
             f"NormCheck(r={self.r}, lhs={self.lhs}, rhs={self.rhs}, "
-            f"rel_err={self.rel_err}, ok={self.ok})"
+            f"rel_err={self.rel_err}, ok={self.ok}, converged={self.converged})"
         )
 
 
 def inner_product_bound(fam: MeixnerExcFamily, n: int, r: int):
     """Upper bound on |<member n, member r>|: the exact partial sum plus its
-    certified tail, collapsed to an mpf."""
+    certified tail, as an mpf."""
     res, carrier = inner_product(fam, n, r, abs_tol=rat(1, 10**30))
-    return abs(collapse(carrier)) * (abs(to_mpf(res.value)) + to_mpf(res.tail_bound))
+    return abs(carrier) * (abs(to_mpf(res.value)) + to_mpf(res.tail_bound))
 
 
-def norm_closed_form(r: int, fam: MeixnerExcFamily) -> FactoredScalar:
-    """Squared norm of member r in closed form.
+def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
+    """Squared norm of member r in closed form, as an mpf.
 
     The form holds for a positive weight only; refuses otherwise.
     """
@@ -545,9 +535,9 @@ def norm_closed_form(r: int, fam: MeixnerExcFamily) -> FactoredScalar:
             f"is not admissible"
         )
     rho_mass, _ = measures(fam)
-    u, k, k1 = pair.u, pair.k, pair.k1
-    closed = FactoredScalar(powers=[(a, k1 - 2 * k), (1 - a, -(c + 2 * r - 2 * u - k))])
-    return closed * rho_mass(r)
+    u, k = pair.u, pair.k
+    closed = to_mpf(rat_pow(a, pair.k1 - 2 * k)) * rho_mass(r)
+    return closed * mp.power(to_mpf(1 - a), to_mpf(-(c + 2 * r - 2 * u - k)))
 
 
 def norm_identity(r: int, fam: MeixnerExcFamily, rel_tol=None) -> NormCheck:
@@ -559,14 +549,14 @@ def norm_identity(r: int, fam: MeixnerExcFamily, rel_tol=None) -> NormCheck:
     pair = fam.pair
     if not pair.sigma_contains(r):
         raise DomainError(f"degree {r} is outside the index set of {pair!r}")
-    rhs = collapse(norm_closed_form(r, fam))
+    rhs = norm_closed_form(r, fam)
     rel = rat(rel_tol) if rel_tol is not None else rat(1, 10**10)
     res, carrier = inner_product(fam, r, r, rel_tol=rel / 4)
-    lhs = collapse(carrier) * to_mpf(res.value)
-    tail = abs(collapse(carrier)) * to_mpf(res.tail_bound)
+    lhs = carrier * to_mpf(res.value)
+    tail = abs(carrier) * to_mpf(res.tail_bound)
     err = abs(lhs - rhs)
     ok = err <= to_mpf(rel) * abs(rhs) + tail
-    return NormCheck(r, lhs, rhs, err / abs(rhs), tail, ok)
+    return NormCheck(r, lhs, rhs, err / abs(rhs), tail, ok, True)
 
 
 # -- Darboux factorization ---------------------------------------------------

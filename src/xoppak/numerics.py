@@ -1,7 +1,7 @@
 """Arbitrary-precision evaluation and certified series summation.
 
 Exact identities elsewhere in the package never touch floats; this module
-is the single place where factored scalars collapse to mpmath numbers and
+is where rationals and Gamma values become mpmath numbers and where
 infinite sums or integrals are truncated.  Truncations are certified: the
 discrete summation bounds its tail by a geometric series whose ratio is
 established rigorously from root bounds of the factored term ratio, and the
@@ -9,31 +9,17 @@ Laguerre integrals carry an incomplete-gamma tail bound.  The tanh-sinh
 quadrature of a Laguerre integral on the finite part is not certified: it
 carries mpmath's error estimate, not a bound.
 
-The working precision (decimal digits) is read from the XOPPAK_PRECISION
-environment variable at import time; the default is 50.
+Every numeric value is computed at DPS decimal digits.
 """
 from __future__ import annotations
-
-import os
 
 import mpmath as mp
 
 from .exact import Poly, PoleError, is_integer, rat, rat_ceil, rat_pow, root_bound
-from .factored import FactoredScalar
 
-_DEFAULT_DPS = 50
-
-
-def _configure_precision():
-    raw = os.environ.get("XOPPAK_PRECISION", "")
-    try:
-        dps = int(raw) if raw else _DEFAULT_DPS
-    except ValueError:
-        dps = _DEFAULT_DPS
-    mp.mp.dps = max(dps, 15)
-
-
-_configure_precision()
+# the working precision in decimal digits
+DPS = 50
+mp.mp.dps = DPS
 
 
 def to_mpf(q) -> mp.mpf:
@@ -46,20 +32,6 @@ def gamma_rational(q) -> mp.mpf:
     if is_integer(q) and q <= 0:
         raise PoleError(f"gamma pole at {q}")
     return mp.gamma(to_mpf(q))
-
-
-def collapse(value) -> mp.mpf:
-    """Numeric value of a FactoredScalar (or plain rational)."""
-    if not isinstance(value, FactoredScalar):
-        return to_mpf(value)
-    out = to_mpf(value.rational)
-    for arg, e in value.gammas:
-        out *= gamma_rational(arg) ** e
-    for base, e in value.powers:
-        out *= mp.power(to_mpf(base), to_mpf(e))
-    if value.exp_arg != 0:
-        out *= mp.exp(to_mpf(value.exp_arg))
-    return out
 
 
 class SumResult:

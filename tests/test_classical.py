@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from xoppak.classical import (
     meixner_op,
     meixner_raw,
 )
+from xoppak.numerics import to_mpf
 
 
 def rationals(min_num=-9, max_num=9, max_den=5):
@@ -165,14 +167,19 @@ def test_reflection_symmetry_exact():
             assert lhs == rhs
 
 
+def agrees(value, exact):
+    """value is within 1e-40 of exact, relatively."""
+    return abs(value - to_mpf(exact)) <= mp.mpf(10) ** -40 * abs(to_mpf(exact))
+
+
 def test_meixner_norm_values():
     p = MeixnerParams(rat(1, 2), 3)
-    assert meixner_norm(1, p).as_rational() == 96
-    assert meixner_norm(0, p).as_rational() == rat(2) / rat_pow(rat(1, 2), 3)
+    assert agrees(meixner_norm(1, p), rat(96))
+    assert agrees(meixner_norm(0, p), rat(2) / rat_pow(rat(1, 2), 3))
     half = MeixnerParams(rat(1, 2), rat(1, 2))
     n0 = meixner_norm(0, half)
-    assert not n0.is_rational
-    assert n0.sign() == 1
+    assert mp.almosteq(n0, mp.sqrt(2 * mp.pi), rel_eps=mp.mpf(10) ** -40)
+    assert mp.sign(n0) == 1
 
 
 def test_meixner_norm_ratio():
@@ -180,7 +187,7 @@ def test_meixner_norm_ratio():
         for n in range(7):
             ratio = meixner_norm(n + 1, p) / meixner_norm(n, p)
             expected = p.a * (n + p.c) / ((n + 1) * (1 - p.a) ** 2)
-            assert ratio.as_rational() == expected
+            assert agrees(ratio, expected)
 
 
 def test_krawtchouk():

@@ -338,6 +338,26 @@ def test_orthogonality_takes_norms_from_the_closed_form(capsys, monkeypatch, fla
     assert doc["checks"][0]["status"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "flags, converged",
+    [
+        (["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], False),
+        (["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"], True),
+    ],
+    ids=["laguerre", "meixner"],
+)
+def test_norms_rows_report_convergence(capsys, flags, converged):
+    # at alpha + k = -1/2 the quadrature stops at its degree cap; the row says
+    # so and the verdict still rests on the tolerance; certified sums converge
+    code, doc = run_json(capsys, "verify", *flags, "--checks", "norms")
+    assert code == 0
+    row = doc["checks"][0]
+    assert row["status"] == "pass"
+    results = row["detail"]["results"]
+    assert len(results) == 2
+    assert all(res["converged"] is converged for res in results)
+
+
 def test_orthogonality_refuses_a_outside_the_unit_interval(capsys):
     # c = 3 is admissible for the pair, but the weight needs 0 < a < 1
     code, doc = run_json(
@@ -458,10 +478,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert doc["schema"] == "xoppak/1"
 
 
-def test_csv_undefined_for_construct(capsys):
-    code, _, err = run(capsys, "construct", "--kind", "laguerre", "--F1", "1",
-                       "--alpha", "-3/2", "--n", "0", "--format", "csv")
-    assert code == 2
+def test_csv_undefined_for_construct():
+    # csv is offered by verify and sweep only; argparse refuses it elsewhere
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["construct", "--kind", "laguerre", "--F1", "1",
+                  "--alpha", "-3/2", "--n", "0", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+def test_csv_undefined_for_admissible():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["admissible", "--kind", "laguerre", "--F1", "1",
+                  "--alpha", "-3/2", "--format", "csv"])
+    assert exc.value.code == 2
 
 
 def test_usage_error_without_verb():

@@ -38,7 +38,7 @@ from xoppak.laguerre import (
     operator,
     weight,
 )
-from xoppak.numerics import collapse
+from xoppak.numerics import to_mpf
 from xoppak.pairs import PairSpec, involute, is_admissible
 
 
@@ -254,8 +254,7 @@ def test_weight_values_and_poles():
     # Omega = -1/2 - x is negative on (0, inf); squared denominator positive
     for x in (rat(1, 2), rat(1), rat(10)):
         w = weight(fam, x)
-        assert w.rational > 0
-        assert collapse(w) > 0
+        assert w > 0
     with pytest.raises(DomainError):
         weight(fam, rat(-1))
     fam2 = family([1], [], rat(1, 2))
@@ -268,8 +267,8 @@ def test_weight_carrier_structure():
     fam = family([], [1], rat(1, 2))
     w = weight(fam, rat(2))
     alpha_k = rat(1, 2) + 1
-    assert dict(w.powers)[rat(2)] == alpha_k
-    assert w.exp_arg == rat(-2)
+    want = mp.power(2, to_mpf(alpha_k)) * mp.exp(-2) / to_mpf(fam.omega(rat(2))) ** 2
+    assert mp.almosteq(w, want, rel_eps=mp.mpf(10) ** -40)
 
 
 def test_nonvanishing_examples():
@@ -307,11 +306,35 @@ def test_single_f1_admissibility_window():
 
 def test_norm_concrete_value_two_sqrt_pi():
     fam = family([1], [], rat(-3, 2))
-    closed = collapse(norm_closed_form(0, fam))
+    closed = norm_closed_form(0, fam)
     assert mp.almosteq(closed, 2 * mp.sqrt(mp.pi))
     check = norm_identity(0, fam)
     assert check.ok
     assert check.rel_err < 1e-8
+
+
+@pytest.mark.parametrize("f1, f2, alpha", [
+    ([], [1], rat(1, 2)),
+    ([1], [], rat(-3, 2)),
+    ([1, 2], [3], rat(1, 2)),
+    ([2, 3], [], rat(4)),
+    ([], [2], rat(4)),
+])
+def test_norm_closed_form_matches_the_formula(f1, f2, alpha):
+    # pi(n-u) Gamma(n-u+alpha+1) / (n-u)!, every factor in mpmath at 60 digits
+    fam = family(f1, f2, alpha)
+    pair = fam.pair
+    for n in pair.sigma_first(3):
+        got = norm_closed_form(n, fam)
+        d = n - pair.u
+        with mp.workdps(60):
+            al = to_mpf(alpha)
+            want = mp.gamma(d + al + 1) / mp.factorial(d)
+            for f in pair.F1:
+                want *= d - f
+            for f in pair.F2:
+                want *= d + al + f + 1
+        assert abs(got - want) <= mp.mpf(10) ** -40 * abs(want), (n, got, want)
 
 
 def test_norm_further_examples():

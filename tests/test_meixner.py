@@ -14,11 +14,11 @@ from xoppak.exact import (
     PoleError,
     Poly,
     RatFunc,
+    Rational,
     pochhammer,
     rat,
     rat_pow,
 )
-from xoppak.factored import FactoredScalar
 from xoppak.meixner import (
     DualityConstants,
     MeixnerExcFamily,
@@ -34,6 +34,7 @@ from xoppak.meixner import (
     leading_coeff_law,
     lowering_identity,
     measures,
+    norm_closed_form,
     norm_identity,
     omega_from_phi,
     omega_leading_law,
@@ -41,7 +42,7 @@ from xoppak.meixner import (
     phi_sign_relation,
     positivity_by_signs,
 )
-from xoppak.numerics import certified_sum, collapse, to_mpf
+from xoppak.numerics import certified_sum, to_mpf
 from xoppak.pairs import PairSpec, is_admissible
 
 
@@ -222,7 +223,66 @@ def test_duality_constants_reduce_to_rationals():
     fam = family([1], [2], rat(1, 2), rat(5, 2))
     consts = DualityConstants(fam)
     combo = consts.kappa * consts.xi(2) * consts.zeta(fam.pair.sigma_first(1)[0])
-    assert combo.is_rational
+    assert type(combo) is Rational
+
+
+@pytest.mark.parametrize("c", [rat(3), rat(5, 2), rat(-1, 2), rat(7, 3)])
+def test_duality_constants_match_gamma_quotients(c):
+    # the paper's constants with every Gamma quotient left to mpmath at 60
+    # digits; n = 0 and v = u reach (1+c)_{-1} = Gamma(c)/Gamma(1+c)
+    fam = family([1, 3], [2], rat(1, 3), c)
+    consts = DualityConstants(fam)
+    pair = fam.pair
+    u, k = pair.u, pair.k
+    with mp.workdps(60):
+        a, cc = to_mpf(fam.params.a), to_mpf(c)
+        g1 = mp.gamma(1 + cc)
+        e = pair.k2 * (pair.k1 + 1)
+        kappa = (-1) ** pair.F2.total * a ** (e + pair.F2.total) * (a - 1) ** -e
+        for f in pair.F1.elems + pair.F2.elems:
+            kappa *= mp.factorial(f) * g1 / mp.gamma(cc + f)
+        cases = [(consts.kappa, kappa)]
+        for n in range(4):
+            xi = a ** ((pair.k1 + 1) * n) * (a - 1) ** (-(k + 1) * n)
+            for i in range(k + 1):
+                xi *= mp.gamma(cc + n + i) / (g1 * mp.factorial(n + i))
+            cases.append((consts.xi(n), xi))
+        for v in pair.sigma_first(4):
+            zeta = mp.factorial(v - u) * (a - 1) ** v * a**-v * g1 / mp.gamma(cc + v - u)
+            for f in pair.F1:
+                zeta /= v - f - u
+            for f in pair.F2:
+                zeta /= v + cc + f - u
+            cases.append((consts.zeta(v), zeta))
+        for got, want in cases:
+            assert type(got) is Rational
+            assert abs(to_mpf(got) - want) <= mp.mpf(10) ** -50 * abs(want)
+
+
+@pytest.mark.parametrize("f1, f2, a, c", [
+    ([1, 2], [1], rat(1, 2), rat(3)),
+    ([1, 2], [1], rat(4, 5), rat(3)),
+    ([1], [], rat(1, 2), rat(-1, 2)),
+    ([1, 2], [], rat(1, 3), rat(-3, 2)),
+    ([], [2], rat(2, 3), rat(7, 3)),
+    ([], [1, 2], rat(3, 4), rat(5, 2)),
+])
+def test_norm_closed_form_matches_the_formula(f1, f2, a, c):
+    # a^(k1-2k) (1-a)^-(c+2r-2u-k) rho(r), every factor in mpmath at 60 digits
+    fam = family(f1, f2, a, c)
+    pair = fam.pair
+    u, k = pair.u, pair.k
+    for r in pair.sigma_first(3):
+        got = norm_closed_form(r, fam)
+        with mp.workdps(60):
+            am, cm = to_mpf(a), to_mpf(c)
+            rho = am ** (r - u) * mp.gamma(r + cm - u) / mp.factorial(r - u)
+            for f in pair.F1:
+                rho *= r - f - u
+            for f in pair.F2:
+                rho *= r + cm + f - u
+            want = am ** (pair.k1 - 2 * k) * mp.power(1 - am, -(cm + 2 * r - 2 * u - k)) * rho
+        assert abs(got - want) <= mp.mpf(10) ** -40 * abs(want), (r, got, want)
 
 
 def test_duality_check_examples():
@@ -254,20 +314,21 @@ def test_rho_mass_at_u_closed_form():
             pref *= -f
         for f in fam.pair.F2:
             pref *= c + f
-        assert rho(fam.pair.u) == FactoredScalar(rational=pref, gammas=[(c, 1)])
+        want = to_mpf(pref) * mp.gamma(to_mpf(c))
+        assert abs(rho(fam.pair.u) - want) <= mp.mpf(10) ** -40 * abs(want)
 
 
 def test_omega_masses_positive_when_admissible():
     fam = family([1], [], rat(1, 2), rat(-1, 2))
     _, om_mass = measures(fam)
     for x in range(41):
-        assert om_mass(x).sign() > 0
+        assert mp.sign(om_mass(x)) > 0
 
 
 def test_signed_mass_when_not_admissible():
     fam = family([1], [], rat(1, 2), rat(-7, 2))
     rho, _ = measures(fam)
-    signs = {rho(x).sign() for x in range(fam.pair.u, fam.pair.u + 12)}
+    signs = {mp.sign(rho(x)) for x in range(fam.pair.u, fam.pair.u + 12)}
     assert -1 in signs and 1 in signs
 
 
@@ -318,7 +379,7 @@ def test_negative_a_weight_is_never_positive():
             found = False
             for x in range(2 * fam.omega.degree + 5):
                 try:
-                    if om_mass(x).sign() <= 0:
+                    if mp.sign(om_mass(x)) <= 0:
                         found = True
                         break
                 except PoleError:
@@ -382,13 +443,11 @@ def test_orthogonality_normalized():
     norms = {}
     for n in sig:
         res, car = inner_product(fam, n, n, rel_tol=rat(1, 10**12))
-        norms[n] = abs(collapse(car)) * to_mpf(res.value)
+        norms[n] = abs(car) * to_mpf(res.value)
     for i, n in enumerate(sig):
         for r in sig[i + 1 :]:
             res, car = inner_product(fam, n, r, abs_tol=rat(1, 10**14))
-            val = abs(collapse(car)) * abs(to_mpf(res.value)) + abs(collapse(car)) * to_mpf(
-                res.tail_bound
-            )
+            val = abs(car) * abs(to_mpf(res.value)) + abs(car) * to_mpf(res.tail_bound)
             assert val / mp.sqrt(norms[n] * norms[r]) < mp.mpf(10) ** -9, (n, r)
 
 

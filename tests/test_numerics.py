@@ -1,4 +1,4 @@
-"""Tests for numeric collapse and certified summation/integration."""
+"""Tests for numeric evaluation and certified summation/integration."""
 
 import math
 
@@ -7,13 +7,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from xoppak.exact import Poly, PoleError, pochhammer, rat
-from xoppak.factored import FactoredScalar
 from xoppak.classical import LaguerreParams, MeixnerParams, laguerre, meixner, meixner_norm
 from xoppak.laguerre import LaguerreExcFamily, nonvanishing
 from xoppak.numerics import (
     QuadResult,
     certified_sum,
-    collapse,
     gamma_rational,
     laguerre_type_integral,
     ratio_cutoff,
@@ -34,16 +32,6 @@ def test_gamma_rational_values():
     assert close(gamma_rational(rat(-1, 2)), -2 * mp.sqrt(mp.pi))
     with pytest.raises(PoleError):
         gamma_rational(-3)
-
-
-def test_collapse_factored_scalar():
-    v = FactoredScalar(rational=rat(3, 4), gammas=[(rat(1, 2), 2)])
-    assert close(collapse(v), rat(3, 4) * mp.pi)
-    w = FactoredScalar.power(rat(1, 2), rat(-3, 2))
-    assert close(collapse(w), 2 * mp.sqrt(2))
-    e = FactoredScalar.exp_factor(rat(-2))
-    assert close(collapse(e), mp.exp(-2))
-    assert close(collapse(rat(7, 3)), mp.mpf(7) / 3)
 
 
 def test_ratio_cutoff_certificate():
@@ -93,7 +81,7 @@ def meixner_inner(n, m, p, rel_tol=None, abs_tol=None):
 
     factors = [(Poly([1, 1]), c - 1), (prod, 1)]
     res = certified_sum(term, a, factors, rel_tol=rel_tol, abs_tol=abs_tol)
-    return res, FactoredScalar.gamma(c)
+    return res, gamma_rational(c)
 
 
 def test_classical_meixner_norms_by_summation():
@@ -101,23 +89,23 @@ def test_classical_meixner_norms_by_summation():
         p = MeixnerParams(a, c)
         for n in range(7):
             res, carrier = meixner_inner(n, n, p, rel_tol=rat(1, 10**14))
-            got = collapse(carrier) * to_mpf(res.value)
-            want = collapse(meixner_norm(n, p))
+            got = carrier * to_mpf(res.value)
+            want = meixner_norm(n, p)
             assert close(got, want, tol=mp.mpf(10) ** -12), (a, c, n)
 
 
 def test_classical_meixner_orthogonality_by_summation():
     p = MeixnerParams(rat(1, 2), rat(5, 2))
-    scale = collapse(meixner_norm(2, p)) * collapse(meixner_norm(3, p))
+    scale = meixner_norm(2, p) * meixner_norm(3, p)
     res, carrier = meixner_inner(2, 3, p, abs_tol=rat(1, 10**13))
-    got = collapse(carrier) * to_mpf(res.value)
+    got = carrier * to_mpf(res.value)
     assert abs(got) / mp.sqrt(scale) < mp.mpf(10) ** -11
 
 
 def test_first_meixner_moment_is_explicit():
     p = MeixnerParams(rat(1, 2), rat(3))
     res, carrier = meixner_inner(0, 0, p, rel_tol=rat(1, 10**14))
-    got = collapse(carrier) * to_mpf(res.value)
+    got = carrier * to_mpf(res.value)
     assert close(got, 16, tol=mp.mpf(10) ** -12)
 
 
