@@ -4,7 +4,7 @@ Members come from Casorati or Wronskian determinants over a pair of finite
 index sets, with exact rational arithmetic throughout.  Submodules:
 
 - exact: rationals, polynomials, rational functions, Sturm root counts
-- classical: Meixner and Laguerre bases and their operators
+- classical: Meixner and Laguerre bases and the Meixner operator
 - pairs: index pairs, the degree set sigma, admissibility
 - meixner, laguerre: the exceptional families and their identity checks
 - operators: difference and differential operator algebra

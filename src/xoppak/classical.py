@@ -17,20 +17,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import mpmath as mp
-
-from .exact import (
-    ParameterError,
-    PoleError,
-    Poly,
-    RatFunc,
-    is_integer,
-    pochhammer,
-    rat,
-    rat_pow,
-)
-from .numerics import gamma_rational, to_mpf
-from .operators import DifferenceOperator, DifferentialOperator
+from .exact import ParameterError, PoleError, Poly, RatFunc, is_integer, rat
+from .operators import DifferenceOperator
 
 
 class MeixnerParams:
@@ -171,62 +159,6 @@ def meixner_op(p: MeixnerParams) -> DifferenceOperator:
             1: RatFunc(p.a * (x + p.c) / d),
         }
     )
-
-
-def laguerre_op(p: LaguerreParams) -> DifferentialOperator:
-    """-x d2 - (alpha+1-x) d, with laguerre(n) as eigenvector for eigenvalue n."""
-    x = Poly.x()
-    return DifferentialOperator({2: RatFunc(-x), 1: RatFunc(x - (p.alpha + 1))})
-
-
-def check_identities(n: int, m: int, p: MeixnerParams, x0) -> dict:
-    """Exact shift/derivative/parameter-shift identities for both families.
-
-    Polynomial identities are checked coefficientwise and additionally
-    evaluated at x0; the degree-swap duality is a scalar identity at the
-    integer pair (n, m).  The Laguerre checks reuse alpha = c.
-    """
-    if n < 0 or m < 0:
-        raise ParameterError("identity checks need nonnegative degrees")
-    a, c = p.a, p.c
-    x0 = rat(x0)
-    inv = 1 / a
-    report = {}
-
-    lhs = meixner(n, p).shift(1) - meixner(n, p)
-    rhs = meixner_raw(n - 1, a, c + 1)
-    report["forward_difference"] = lhs == rhs and lhs(x0) == rhs(x0)
-
-    lhs = meixner_raw(n, inv, c).shift(1) - a * meixner_raw(n, inv, c)
-    rhs = (1 - a) * meixner_raw(n, inv, c + 1)
-    report["twisted_difference"] = lhs == rhs and lhs(x0) == rhs(x0)
-
-    lhs = meixner(n, p)
-    rhs = rat_pow(rat(-1), n) * meixner_raw(n, inv, c).compose(-Poly.x() - c)
-    report["reflection"] = lhs == rhs and lhs(x0) == rhs(x0)
-
-    lhs_s = rat_pow(a, m - n) * math.factorial(n) * pochhammer(1 + c, m - 1) * meixner(n, p)(m)
-    rhs_s = rat_pow(a - 1, m - n) * math.factorial(m) * pochhammer(1 + c, n - 1) * meixner(m, p)(n)
-    report["degree_point_swap"] = lhs_s == rhs_s
-
-    alpha = c
-    lhs = laguerre(n, alpha).derivative()
-    rhs = -laguerre(n - 1, alpha + 1)
-    report["derivative_shift"] = lhs == rhs and lhs(x0) == rhs(x0)
-
-    lhs = laguerre(n, alpha)
-    rhs = laguerre(n - 1, alpha) + laguerre(n, alpha - 1)
-    report["parameter_shift"] = lhs == rhs and lhs(x0) == rhs(x0)
-
-    return report
-
-
-def meixner_norm(n: int, p: MeixnerParams) -> mp.mpf:
-    """Squared norm a^n Gamma(n+c) / (n! (1-a)^(2n+c)) as an mpf."""
-    if n < 0:
-        raise ParameterError("norms need a nonnegative degree")
-    value = to_mpf(rat_pow(p.a, n) / math.factorial(n)) * gamma_rational(n + p.c)
-    return value * mp.power(to_mpf(1 - p.a), to_mpf(-(2 * n + p.c)))
 
 
 def krawtchouk(n: int, a, N: int) -> Poly:

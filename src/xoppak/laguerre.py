@@ -9,8 +9,7 @@ index set sigma, and all of them are eigenfunctions of a single second
 order differential operator with eigenvalue -n.  This module constructs
 the family and everything attached to it: the operator, the weight
 x^(alpha+k) exp(-x) / Omega^2 with its norms, differential Darboux
-factorizations stripping the largest element of F2, the divisibility
-criterion deciding membership in the spanned subspace, an alternative
+factorizations stripping the largest element of F2, an alternative
 determinantal representation through the involuted pair, the reflection
 invariance of Omega, and the scaling limit recovering each object from its
 difference-equation counterpart.  Identities are verified exactly over the
@@ -33,7 +32,6 @@ from .exact import (
     RatFunc,
     gen_binomial,
     is_integer,
-    pochhammer,
     poly_det,
     rat,
     rat_pow,
@@ -49,7 +47,7 @@ from .meixner import (
 )
 from .numerics import gamma_rational, laguerre_type_integral, to_mpf
 from .operators import DifferentialOperator
-from .pairs import PairSpec, involute, is_admissible, vandermonde
+from .pairs import PairSpec, involute, is_admissible
 
 # the command line flag of the parameter alpha
 PARAMS = ("alpha",)
@@ -127,66 +125,6 @@ class LaguerreExcFamily:
 def reported_polys(fam: LaguerreExcFamily) -> dict:
     """The polynomials besides the members that `xoppak construct` reports."""
     return {"omega": fam.omega}
-
-
-def leading_coeff_law(n: int, fam: LaguerreExcFamily):
-    """Closed form for the leading coefficient of the degree-n member."""
-    pair = fam.pair
-    if not pair.sigma_contains(n):
-        raise DomainError(f"degree {n} is outside the index set of {pair!r}")
-    u = pair.u
-    num = vandermonde(pair.F1) * vandermonde(pair.F2)
-    for f in pair.F1:
-        num *= f - n + u
-    den = rat(math.factorial(n - u))
-    for f in pair.F1:
-        den *= math.factorial(f)
-    for f in pair.F2:
-        den *= math.factorial(f)
-    if (n - u + pair.F1.total) % 2:
-        num = -num
-    return num / den
-
-
-def omega_f2_variant(fam: LaguerreExcFamily) -> Poly:
-    """Omega rewritten as a pure Wronskian of reflected rows; needs F1 empty."""
-    pair = fam.pair
-    if pair.F1.elems:
-        raise DomainError("the reflected Wronskian form needs F1 empty")
-    alpha = fam.params.alpha
-    return poly_det([_derivatives(laguerre(f, alpha).reflect(), pair.k) for f in pair.F2])
-
-
-def lowering_identity(fam: LaguerreExcFamily) -> bool:
-    """The first member equals a signed Omega of the lowered pair at shifted alpha."""
-    s, low_pair = fam.pair.down()
-    low = LaguerreExcFamily(LaguerreParams(fam.params.alpha + s), low_pair)
-    rhs = low.omega
-    if (comb(s, 2) + s * fam.pair.k1) % 2:
-        rhs = -rhs
-    return fam.member(fam.pair.u) == rhs
-
-
-def omega_at_zero(fam: LaguerreExcFamily):
-    """Closed-form product for Omega(0), a polynomial expression in alpha."""
-    alpha = fam.params.alpha
-    pair = fam.pair
-    total = rat(1)
-    for F, kj in ((pair.F1, pair.k1), (pair.F2, pair.k2)):
-        total *= vandermonde(F)
-        for i in range(1, kj + 1):
-            total *= pochhammer(alpha + i, kj - i + 1)
-        for f in F:
-            total *= pochhammer(alpha + kj + 1, f - kj)
-            total /= math.factorial(f)
-    for i in range(1, min(pair.k1, pair.k2) + 1):
-        total /= pochhammer(alpha + i, pair.k1 + pair.k2 - 2 * i + 1)
-    for f in pair.F1:
-        for g in pair.F2:
-            total *= alpha + f + g + 1
-    if comb(pair.k1, 2) % 2:
-        total = -total
-    return total
 
 
 # -- the second order differential operator ----------------------------------
@@ -282,14 +220,15 @@ def inner_product(fam: LaguerreExcFamily, n: int, r: int):
 
 
 def inner_product_bound(fam: LaguerreExcFamily, n: int, r: int):
-    """|<member n, member r>| plus the quadrature's tail bound and its error
-    estimate, as an mpf.
+    """(bound, converged): |<member n, member r>| plus the quadrature's tail
+    bound and its error estimate, as an mpf, and whether the quadrature met
+    its own stopping rule.
 
     The tail is bounded; the error of the quadrature on [0, upper] is only
     estimated, so the sum is not a certified bound.
     """
     res = inner_product(fam, n, r)
-    return abs(res.value) + res.tail_bound + res.error
+    return abs(res.value) + res.tail_bound + res.error, res.converged
 
 
 def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
@@ -393,27 +332,6 @@ def darboux_intertwining(fam: LaguerreExcFamily, n: int) -> bool:
     if shift < 0:
         return fam.member(n).is_zero
     return A.apply(low.member(shift)) == RatFunc(fam.member(n))
-
-
-# -- membership criterion ----------------------------------------------------
-
-
-def membership_test(p: Poly, fam: LaguerreExcFamily) -> bool:
-    """Whether p lies in the span of the family members.
-
-    The span is exactly the set of polynomials p for which the operator
-    image stays polynomial, which reduces to one divisibility by Omega.
-    """
-    alpha = fam.params.alpha
-    pair = fam.pair
-    om = fam.omega
-    if om.degree <= 0:
-        return True
-    om1 = om.derivative()
-    x = Poly.x()
-    expr = (-2 * x * p.derivative() + Poly([-alpha - pair.k, 1]) * p) * om1
-    expr = expr + x * p * om1.derivative()
-    return (expr % om).is_zero
 
 
 # -- alternative representation and invariance -------------------------------

@@ -39,7 +39,7 @@ from .exact import (
 )
 from .numerics import certified_sum, gamma_rational, to_mpf
 from .operators import DifferenceOperator
-from .pairs import PairSpec, hat_c, involute, is_admissible, vandermonde
+from .pairs import PairSpec, hat_c, involute, is_admissible
 
 # the command line flags of the parameters (a, c)
 PARAMS = ("a", "c")
@@ -123,31 +123,6 @@ class MeixnerExcFamily:
 
     m = member  # the benchmark traces the members under this name
 
-    def _alt_rows(self, tops, cols: int):
-        """Block rows after the column-combination rewriting, columns j < cols.
-
-        One row per f in tops, then in F1 (a member's top row is the one of
-        f = n - u), then one per f in F2.
-        """
-        a, c = self.params.a, self.params.c
-        ratio = (1 - a) / a
-        rows = [
-            [meixner_raw(f - j, a, c + j) for j in range(cols)] for f in (*tops, *self.pair.F1)
-        ]
-        for f in self.pair.F2:
-            rows.append([meixner_raw(f, 1 / a, c + j) * rat_pow(ratio, j) for j in range(cols)])
-        return rows
-
-    def m_alt(self, n: int) -> Poly:
-        """Same determinant after the column-combination rewriting."""
-        if n < 0:
-            raise DomainError(f"family members need a nonnegative degree, got {n}")
-        return poly_det(self._alt_rows((n - self.pair.u,), self.pair.k + 1))
-
-    def omega_alt(self) -> Poly:
-        """Omega after the same column-combination rewriting."""
-        return poly_det(self._alt_rows((), self.pair.k))
-
     # -- dual family ---------------------------------------------------------
 
     def _dual_minors(self, n: int):
@@ -179,13 +154,6 @@ class MeixnerExcFamily:
         sign = -1 if (n * self.pair.k2) % 2 else 1
         return sign * self._dual_minors(n)[-1]
 
-    def psi(self, n: int):
-        """Connection determinant Psi_n (columns 0..k-2 and k)."""
-        if self.pair.is_trivial:
-            return rat(1)
-        sign = -1 if (n * self.pair.k2) % 2 else 1
-        return sign * self._dual_minors(n)[-2]
-
     def q(self, n: int) -> Poly:
         """Dual family member: the dual determinant divided by its fixed roots.
 
@@ -214,46 +182,6 @@ class MeixnerExcFamily:
 def reported_polys(fam: MeixnerExcFamily) -> dict:
     """The polynomials besides the members that `xoppak construct` reports."""
     return {"omega": fam.omega, "lambda": fam.lam}
-
-
-def leading_coeff_law(n: int, fam: MeixnerExcFamily):
-    """Closed form for the leading coefficient of the degree-n member."""
-    pair = fam.pair
-    if not pair.sigma_contains(n):
-        raise DomainError(f"degree {n} is outside the index set of {pair!r}")
-    a = fam.params.a
-    k1, k2, u = pair.k1, pair.k2, pair.u
-    e = k2 * (k1 + 1)
-    num = rat_pow(rat(-1), e) * rat_pow(a - 1, e) * vandermonde(pair.F1) * vandermonde(pair.F2)
-    for f in pair.F1:
-        num *= f - n + u
-    den = rat_pow(a, k2 * k1 + comb(k2 + 1, 2)) * math.factorial(n - u)
-    for f in pair.F1:
-        den *= math.factorial(f)
-    for f in pair.F2:
-        den *= math.factorial(f)
-    return num / den
-
-
-def omega_leading_law(fam: MeixnerExcFamily):
-    """Closed form for the leading coefficient of Omega."""
-    pair = fam.pair
-    num = vandermonde(pair.F1) * vandermonde(pair.F2) * _pair_unit(fam.params.a, pair.k1, pair.k2)
-    den = rat(1)
-    for f in pair.F1:
-        den *= math.factorial(f)
-    for f in pair.F2:
-        den *= math.factorial(f)
-    return num / den
-
-
-def lowering_identity(fam: MeixnerExcFamily) -> bool:
-    """The first member equals a scaled Omega of the lowered pair at shifted c."""
-    a, c = fam.params.a, fam.params.c
-    s, low_pair = fam.pair.down()
-    low = MeixnerExcFamily(MeixnerParams(a, c + s), low_pair)
-    scale = rat_pow((1 - a) / a, s * fam.pair.k2)
-    return fam.member(fam.pair.u) == low.omega * scale
 
 
 class DualityConstants:
@@ -310,28 +238,6 @@ def duality_check(n: int, v: int, fam: MeixnerExcFamily) -> bool:
     lhs = fam.q(n)(v)
     rhs = combo * fam.member(v)(n)
     return lhs == rhs
-
-
-def omega_from_phi(n: int, fam: MeixnerExcFamily):
-    """Value of Omega at n predicted by the duality from Phi_n."""
-    pair = fam.pair
-    a, c = fam.params.a, fam.params.c
-    u, k = pair.u, pair.k
-    consts = DualityConstants(fam)
-    kx = consts.kappa * consts.xi(n)
-    scale = rat_pow(a / (a - 1), u + n + k) * pochhammer(1 + c, n + k - 1)
-    return scale / (math.factorial(n + k) * kx) * fam.phi(n)
-
-
-def lambda_from_psi(n: int, fam: MeixnerExcFamily):
-    """Value of Lambda at n predicted by the duality from Psi_n."""
-    pair = fam.pair
-    a, c = fam.params.a, fam.params.c
-    u, k = pair.u, pair.k
-    consts = DualityConstants(fam)
-    kx = consts.kappa * consts.xi(n)
-    scale = rat_pow(a / (a - 1), u + n + k - 1) * pochhammer(1 + c, n + k - 2)
-    return scale / (math.factorial(n + k - 1) * kx) * fam.psi(n)
 
 
 # -- second order operator ---------------------------------------------------
@@ -450,18 +356,6 @@ def positivity_by_signs(fam: MeixnerExcFamily) -> bool:
     return True
 
 
-def phi_sign_relation(n: int, fam: MeixnerExcFamily) -> bool:
-    """Sign relation tying consecutive Phi values to Omega values."""
-    pair = fam.pair
-    c = fam.params.c
-    k = pair.k
-    sign_k = -1 if k % 2 else 1
-    lhs = sign_k * gamma_sign(n + c) * _rsign(fam.phi(n) * fam.phi(n + 1))
-    om = fam.omega
-    rhs = gamma_sign(n + c + k) * _rsign(om(n) * om(n + 1))
-    return lhs == rhs
-
-
 def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol=None, abs_tol=None):
     """Certified sum for the weighted inner product of members n and r.
 
@@ -516,10 +410,11 @@ class NormCheck:
 
 
 def inner_product_bound(fam: MeixnerExcFamily, n: int, r: int):
-    """Upper bound on |<member n, member r>|: the exact partial sum plus its
-    certified tail, as an mpf."""
+    """(bound, converged): an upper bound on |<member n, member r>|, the exact
+    partial sum plus its certified tail, as an mpf; a certified sum always
+    converges."""
     res, carrier = inner_product(fam, n, r, abs_tol=rat(1, 10**30))
-    return abs(carrier) * (abs(to_mpf(res.value)) + to_mpf(res.tail_bound))
+    return abs(carrier) * (abs(to_mpf(res.value)) + to_mpf(res.tail_bound)), True
 
 
 def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:

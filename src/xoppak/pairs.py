@@ -70,23 +70,6 @@ class FiniteSet:
     def total(self) -> int:
         return sum(self.elems)
 
-    def blocks(self):
-        """Maximal runs of consecutive integers, as a list of lengths."""
-        out = []
-        run = 0
-        prev = None
-        for e in self.elems:
-            if prev is not None and e == prev + 1:
-                run += 1
-            else:
-                if run:
-                    out.append(run)
-                run = 1
-            prev = e
-        if run:
-            out.append(run)
-        return out
-
 
 def involute(F: FiniteSet) -> FiniteSet:
     """The dual set {1..M} minus {M - f : f in F}; empty maps to empty."""
@@ -97,44 +80,11 @@ def involute(F: FiniteSet) -> FiniteSet:
     return FiniteSet(e for e in range(1, M + 1) if e not in removed)
 
 
-def vandermonde(F: FiniteSet):
-    """Product of pairwise differences (f_j - f_i), i < j; 1 for card <= 1."""
-    out = rat(1)
-    elems = F.elems
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            out *= elems[j] - elems[i]
-    return out
-
-
-def s_number(F: FiniteSet) -> int:
-    """First index where the set departs from 1,2,3,...; card+1 if it never does."""
-    if not F.elems:
-        return 1
-    for s, f in enumerate(F.elems, start=1):
-        if s < f:
-            return s
-    return F.card + 1
-
-
-def lowered(F: FiniteSet) -> FiniteSet:
-    """Drop the leading consecutive run and translate the tail down."""
-    s = s_number(F)
-    if s > F.card:
-        return FiniteSet(())
-    return FiniteSet(f - s for f in F.elems[s - 1 :])
-
-
-def charlier_admissible(F: FiniteSet) -> bool:
-    """True when every maximal consecutive block of F has even length."""
-    return all(b % 2 == 0 for b in F.blocks())
-
-
 class PairSpec:
     """Ordered pair of finite sets, at least one nonempty.
 
     The degenerate both-empty pair denotes the classical (non-exceptional)
-    system; it can arise from lowering/descent and is built with
+    system; it can arise from Darboux descent and is built with
     :meth:`trivial`, but the public constructor rejects it.
     """
 
@@ -195,10 +145,6 @@ class PairSpec:
     def v(self) -> int:
         return self.u + self.F1.max_elem + 1
 
-    @property
-    def s(self) -> int:
-        return s_number(self.F1)
-
     def sigma_contains(self, n: int) -> bool:
         return n >= self.u and (n - self.u) not in self.F1
 
@@ -211,13 +157,6 @@ class PairSpec:
                 out.append(n)
             n += 1
         return out
-
-    def down(self) -> tuple[int, "PairSpec"]:
-        """Lowering step: (s, pair with F1 replaced by its lowered set)."""
-        low = lowered(self.F1)
-        if not low.elems and not self.F2.elems:
-            return self.s, PairSpec.trivial()
-        return self.s, PairSpec(low, self.F2)
 
     def remove_f2_max(self) -> tuple[int, "PairSpec"]:
         """Darboux descent step: (dropped element, pair without max of F2)."""

@@ -8,6 +8,8 @@ cell order is fixed by the pair enumeration.
 """
 from __future__ import annotations
 
+import os
+
 from . import laguerre as _lag
 from . import meixner as _mex
 from .classical import LaguerreParams, MeixnerParams
@@ -91,16 +93,21 @@ def sweep_specs(max_elem: int, max_card: int, mex_params=None, lag_params=None):
 def run_sweep(max_elem, max_card, mex_params=None, lag_params=None, jobs=1) -> dict:
     """Run every cell and aggregate counts plus counterexample artifacts.
 
+    jobs > 1 runs the cells in a worker pool of at most that many processes,
+    and never more than the CPUs or the cells.
+
     A counterexample cell carries the full discrepancy polynomial so the
     report alone reproduces the finding; skipped cells record why their
     check's precondition failed.
     """
     specs = sweep_specs(max_elem, max_card, mex_params, lag_params)
-    if jobs and jobs > 1 and len(specs) > 1:
+    # a worker beyond the cores or the cells would only sit idle
+    workers = min(jobs, os.cpu_count() or 1, len(specs))
+    if workers > 1:
         # imported here, as it costs every other command time and memory
         from multiprocessing import Pool
 
-        with Pool(processes=jobs) as pool:
+        with Pool(processes=workers) as pool:
             cells = pool.map(run_cell, specs)
     else:
         cells = [run_cell(s) for s in specs]

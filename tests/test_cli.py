@@ -215,6 +215,13 @@ def test_sweep_refuses_half_of_the_meixner_parameters(capsys):
     assert "--a and --c" in err and "--c is missing" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_refuses_fewer_than_one_job(capsys, jobs):
+    code, out, err = run(capsys, "sweep", "1", "1", "--alpha", "1/2", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs must be at least 1" in err
+
+
 def test_jobs_flag_only_on_sweep():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
@@ -306,7 +313,8 @@ def test_verify_full_admissible(capsys, flags, refused):
 
 def test_verify_limit_scales_with_the_member_values(capsys):
     # the deviations halve from 15.8 to 0.22 while the member values reach
-    # 76.9: within the default 1/100 of that scale, not of 1
+    # 76.9: within the fixed 1/100 of that scale, not of 1; --rel-tol does
+    # not reach the limit, whose deviations stop at the last a of its sequence
     flags = ["verify", "--kind", "laguerre", "--F1", "1,2", "--F2", "3",
              "--alpha", "1/2", "--checks", "limit"]
     code, doc = run_json(capsys, *flags)
@@ -314,8 +322,8 @@ def test_verify_limit_scales_with_the_member_values(capsys):
     assert doc["checks"][0]["status"] == "pass"
     assert doc["checks"][0]["detail"]["decreasing"]
     code, doc = run_json(capsys, *flags, "--rel-tol", "1/1000000")
-    assert code == 4
-    assert doc["checks"][0]["status"] == "fail"
+    assert code == 0
+    assert doc["checks"][0]["status"] == "pass"
 
 
 @pytest.mark.parametrize(
@@ -338,14 +346,15 @@ def test_orthogonality_takes_norms_from_the_closed_form(capsys, monkeypatch, fla
     assert doc["checks"][0]["status"] == "pass"
 
 
-@pytest.mark.parametrize(
+MEIXNER_FLAGS = ["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"]
+CONVERGENCE = pytest.mark.parametrize(
     "flags, converged",
-    [
-        (["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], False),
-        (["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"], True),
-    ],
+    [(["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], False), (MEIXNER_FLAGS, True)],
     ids=["laguerre", "meixner"],
 )
+
+
+@CONVERGENCE
 def test_norms_rows_report_convergence(capsys, flags, converged):
     # at alpha + k = -1/2 the quadrature stops at its degree cap; the row says
     # so and the verdict still rests on the tolerance; certified sums converge
@@ -356,6 +365,28 @@ def test_norms_rows_report_convergence(capsys, flags, converged):
     results = row["detail"]["results"]
     assert len(results) == 2
     assert all(res["converged"] is converged for res in results)
+
+
+@CONVERGENCE
+def test_orthogonality_reports_convergence(capsys, flags, converged):
+    code, doc = run_json(capsys, "verify", *flags, "--checks", "orthogonality")
+    assert code == 0
+    row = doc["checks"][0]
+    assert row["status"] == "pass"
+    assert row["detail"]["converged"] is converged
+
+
+def test_orthogonality_converged_needs_every_entry(capsys, monkeypatch):
+    calls = []
+
+    def bound(fam, n, r):
+        calls.append((n, r))
+        return 0, len(calls) != 2
+
+    monkeypatch.setattr(meixner, "inner_product_bound", bound)
+    code, doc = run_json(capsys, "verify", *MEIXNER_FLAGS, "--checks", "orthogonality")
+    assert code == 0 and len(calls) == 6
+    assert doc["checks"][0]["detail"]["converged"] is False
 
 
 def test_orthogonality_refuses_a_outside_the_unit_interval(capsys):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xoppak import meixner
-from xoppak.classical import MeixnerParams
+from xoppak.classical import MeixnerParams, meixner_raw
 from xoppak.exact import (
     AdmissibilityRefusal,
     DomainError,
@@ -16,6 +16,7 @@ from xoppak.exact import (
     RatFunc,
     Rational,
     pochhammer,
+    poly_det,
     rat,
     rat_pow,
 )
@@ -30,16 +31,10 @@ from xoppak.meixner import (
     eigen_residual,
     inner_product,
     invariance_conjecture,
-    lambda_from_psi,
-    leading_coeff_law,
-    lowering_identity,
     measures,
     norm_closed_form,
     norm_identity,
-    omega_from_phi,
-    omega_leading_law,
     operator,
-    phi_sign_relation,
     positivity_by_signs,
 )
 from xoppak.numerics import certified_sum, to_mpf
@@ -81,13 +76,6 @@ def test_leading_coefficient_law_by_hand():
     # 1x1 determinant: m_1 at (1/a, c) carries lc 1/((1/a - 1) 1!) scaled by a
     fam = family([], [1], rat(1, 2), rat(3))
     assert fam.member(1) == Poly([8, 1])
-    assert leading_coeff_law(1, fam) == rat(1)
-
-
-def test_leading_law_rejects_skipped_degrees():
-    fam = family([1], [], rat(1, 2), rat(3))
-    with pytest.raises(DomainError):
-        leading_coeff_law(1, fam)
 
 
 def test_degree_and_leading_law_sweep():
@@ -98,19 +86,22 @@ def test_degree_and_leading_law_sweep():
             for n in fam.pair.sigma_first(4):
                 p = fam.member(n)
                 assert p.degree == n, (f1, f2, a, c, n)
-                assert p.leading == leading_coeff_law(n, fam), (f1, f2, a, c, n)
 
 
 def test_two_determinant_paths_agree():
-    """The column-combined determinant reproduces the defining one exactly."""
+    """Members and Omega from the top-row minors equal the full determinants
+    of their defining Casorati matrices: the top row m_(n-u)(x+j) over the
+    F-block, and the F-block alone."""
     params = ((rat(1, 2), rat(3)), (rat(2, 3), rat(-1, 2)))
     for f1, f2 in SMALL_PAIRS:
         for a, c in params:
             fam = family(f1, f2, a, c)
-            u = fam.pair.u
+            k, u = fam.pair.k, fam.pair.u
+            block = meixner.block_rows(fam.params, fam.pair.F1, fam.pair.F2, k + 1)
             for n in range(u + 5):
-                assert fam.member(n) == fam.m_alt(n), (f1, f2, a, c, n)
-            assert fam.omega == fam.omega_alt(), (f1, f2, a, c)
+                top = [meixner_raw(n - u, a, c).shift(j) for j in range(k + 1)]
+                assert fam.member(n) == poly_det([top, *block]), (f1, f2, a, c, n)
+            assert fam.omega == poly_det([row[:k] for row in block]), (f1, f2, a, c)
 
 
 def test_omega_single_f1():
@@ -131,18 +122,6 @@ def test_omega_lambda_degrees():
     assert fam.pair.u == 1
     assert fam.omega.degree == fam.pair.u + fam.pair.k1 == 3
     assert fam.lam.degree == fam.pair.u + fam.pair.k1
-
-
-def test_omega_leading_law():
-    for f1, f2 in SMALL_PAIRS:
-        fam = family(f1, f2, rat(1, 3), rat(5, 2))
-        assert fam.omega.leading == omega_leading_law(fam), (f1, f2)
-
-
-def test_lowering_identity():
-    for f1, f2 in SMALL_PAIRS:
-        for a, c in ((rat(1, 2), rat(3)), (rat(2, 5), rat(7, 3))):
-            assert lowering_identity(family(f1, f2, a, c)), (f1, f2, a, c)
 
 
 def test_operator_h_minus_one_vanishes_at_zero():
@@ -184,14 +163,6 @@ def test_operator_application_matches_cleared_identity():
     applied = op.apply(p) - RatFunc(p * rat(n))
     assert applied.is_zero
     assert eigen_residual(n, fam).is_zero
-
-
-def test_phi_psi_dualities():
-    for f1, f2 in (([1], []), ([], [1]), ([1], [2]), ([1, 2], [1])):
-        fam = family(f1, f2, rat(1, 2), rat(3))
-        for n in (0, 1, 3):
-            assert fam.omega(n) == omega_from_phi(n, fam), (f1, f2, n)
-            assert fam.lam(n) == lambda_from_psi(n, fam), (f1, f2, n)
 
 
 def test_phi_nonzero_for_admissible_samples():
@@ -360,15 +331,6 @@ def test_positivity_signs_match_admissibility():
             adm = is_admissible(c, pair)
             for a in a_s:
                 assert positivity_by_signs(family(f1, f2, a, c)) == adm, (f1, f2, a, c)
-
-
-def test_phi_sign_relation_sweep():
-    for f1, f2 in (([1], []), ([], [1]), ([1], [1]), ([2], [1])):
-        for c in (rat(-1, 2), rat(3), rat(-7, 2)):
-            for a in (rat(1, 2), rat(2, 3)):
-                fam = family(f1, f2, a, c)
-                for n in range(5):
-                    assert phi_sign_relation(n, fam), (f1, f2, a, c, n)
 
 
 def test_negative_a_weight_is_never_positive():
@@ -544,7 +506,6 @@ def test_member_degree_property(idx, an, ad, cn):
     n = fam.pair.sigma_first(3)[2]
     p = fam.member(n)
     assert p.degree == n
-    assert p.leading == leading_coeff_law(n, fam)
 
 
 @settings(max_examples=15, deadline=None)

@@ -7,14 +7,10 @@ from xoppak.pairs import (
     FiniteSet,
     PairSpec,
     admissibility_witnesses,
-    charlier_admissible,
     enumerate_pairs,
     hat_c,
     involute,
     is_admissible,
-    lowered,
-    s_number,
-    vandermonde,
 )
 
 E = FiniteSet(())
@@ -70,7 +66,6 @@ def test_sigma_of_examples():
 def test_v_is_u_plus_max_plus_one():
     for pair in enumerate_pairs(4, 3):
         assert pair.v == pair.u + pair.F1.max_elem + 1
-        assert pair.s == s_number(pair.F1)
         for n in range(pair.u, pair.u + 6):
             assert pair.sigma_contains(n) == ((n - pair.u) not in pair.F1)
 
@@ -103,37 +98,11 @@ def test_involute_is_involution():
         assert involute(involute(F)) == F
 
 
-# -- lowering -----------------------------------------------------------------
-
-
-def test_s_and_down_examples():
-    assert s_number(E) == 1 and lowered(E) == E
-    assert s_number(FiniteSet([1, 2])) == 3 and lowered(FiniteSet([1, 2])) == E
-    assert s_number(FiniteSet([1, 3])) == 2 and lowered(FiniteSet([1, 3])) == FiniteSet([1])
-    assert s_number(FiniteSet([2, 3, 8])) == 1
-    assert lowered(FiniteSet([2, 3, 8])) == FiniteSet([1, 2, 7])
-
-    s, low = P([1, 2], []).down()
-    assert s == 3 and low.is_trivial
-    s, low = P([1, 3], [2]).down()
-    assert s == 2 and low == P([1], [2])
-
-
 def test_remove_f2_max():
     f, low = P([], [1, 4]).remove_f2_max()
     assert f == 4 and low == P([], [1])
     f, low = P([], [2]).remove_f2_max()
     assert f == 2 and low.is_trivial
-
-
-# -- vandermonde --------------------------------------------------------------
-
-
-def test_vandermonde():
-    assert vandermonde(E) == 1
-    assert vandermonde(FiniteSet([3])) == 1
-    assert vandermonde(FiniteSet([1, 3])) == 2
-    assert vandermonde(FiniteSet([1, 2, 4])) == 6
 
 
 # -- admissibility ------------------------------------------------------------
@@ -187,31 +156,6 @@ def test_admissible_interval_for_single_gap():
         assert is_admissible(c, P([1], [])) == expect, c
 
 
-def test_charlier_admissible():
-    assert charlier_admissible(FiniteSet([1, 2]))
-    assert not charlier_admissible(FiniteSet([1]))
-    assert charlier_admissible(FiniteSet([2, 3, 5, 6]))
-    assert charlier_admissible(E)
-
-
-def test_charlier_matches_sign_scan():
-    for F in all_subsets(6):
-        nonneg = all(
-            prod >= 0
-            for prod in (
-                _prod_at(F, x) for x in range(0, F.max_elem + 3)
-            )
-        )
-        assert charlier_admissible(F) == nonneg, F
-
-
-def _prod_at(F, x):
-    out = 1
-    for f in F:
-        out *= x - f
-    return out
-
-
 def test_ladm_properties():
     cs = [rat(-7, 2), rat(-5, 2), rat(-3, 2), rat(-1, 2), rat(-1, 4), rat(1, 2), rat(3, 2), rat(3)]
     pairs = enumerate_pairs(4, 3)
@@ -219,16 +163,10 @@ def test_ladm_properties():
         for pair in pairs:
             adm = is_admissible(c, pair)
             if adm:
-                # (1) admissible forces c + k > 0
+                # admissible forces c + k > 0
                 assert c + pair.k > 0, (c, pair)
-                # (4) admissibility descends along lowering
-                s, low = pair.down()
-                assert is_admissible(c + s, low), (c, pair)
-            if c > 0:
-                # (2) for positive c only the first set matters, Charlier-style
-                assert adm == charlier_admissible(pair.F1), (c, pair)
             if not pair.F1.elems:
-                # (3) empty first set: admissible exactly for positive c
+                # empty first set: admissible exactly for positive c
                 assert adm == (c > 0), (c, pair)
 
 

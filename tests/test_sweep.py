@@ -64,6 +64,42 @@ def test_sweep_parallel_matches_serial():
     assert serial["cells"] == parallel["cells"]
 
 
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps serially."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, func, items):
+        return [func(item) for item in items]
+
+
+def test_sweep_workers_are_capped(monkeypatch):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    # sweep 1 1 over one kind has 4 cells: two pairs, two checks each
+    for cpus, jobs, size in ((3, 1000, 3), (3, 2, 2), (64, 1000, 4)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        rep = run_sweep(1, 1, mex_params=MEX, jobs=jobs)
+        assert rep["total"] == 4 and rep["passed"] + rep["skipped"] == 4
+        assert RecordingPool.sizes[-1] == size, (cpus, jobs)
+    # one worker, one core or no cell at all starts no pool
+    for cpus, jobs, max_card in ((3, 1, 1), (1, 8, 1), (3, 8, 0)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        run_sweep(1, max_card, mex_params=MEX, jobs=jobs)
+    assert len(RecordingPool.sizes) == 3
+
+
 def test_command_line_loads_no_process_pool():
     # only `sweep --jobs` above 1 needs multiprocessing, so a fresh import of
     # the command line tool must not pay for loading it
