@@ -159,14 +159,3 @@ def meixner_op(p: MeixnerParams) -> DifferenceOperator:
             1: RatFunc(p.a * (x + p.c) / d),
         }
     )
-
-
-def krawtchouk(n: int, a, N: int) -> Poly:
-    """Krawtchouk polynomial via the formal substitution a -> -a, c -> -N+1."""
-    a = rat(a)
-    N = int(N)
-    if N < 1:
-        raise ParameterError("krawtchouk needs a positive integer N")
-    if a == 0 or a == -1:
-        raise ParameterError(f"krawtchouk parameter a must avoid 0 and -1: {a}")
-    return meixner_raw(n, -a, -N + 1)

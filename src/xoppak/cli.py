@@ -38,15 +38,13 @@ class UsageError(Exception):
 class JobSpec:
     """Parsed, validated description of one family job."""
 
-    def __init__(self, kind, f1, f2, a=None, c=None, alpha=None, n_range=None,
-                 checks=(), rel_tol=None):
+    def __init__(self, kind, f1, f2, params, n_range=None, checks=(), rel_tol=None):
         self.kind = kind
         self.module, self._build, self.formal = KINDS[kind]
         self.f1 = f1
         self.f2 = f2
-        self.a = a
-        self.c = c
-        self.alpha = alpha
+        # the given parameter flags' values by name, in the module's PARAMS order
+        self.params = params
         self.n_range = n_range
         self.checks = checks
         self.rel_tol = rel_tol
@@ -59,13 +57,14 @@ class JobSpec:
 
     def build_family(self):
         names = self.module.PARAMS
-        if any(getattr(self, name) is None for name in names):
+        if len(self.params) < len(names):
             hint = " (pass c = -N + 1)" if self.formal else ""
             flags = " and ".join(f"--{name}" for name in names)
             raise UsageError(f"{self.kind} families need {flags}{hint}")
-        if self.formal and self.a in (rat(0), rat(-1)):
-            raise UsageError(f"{self.kind} parameter a must avoid 0 and -1, got {self.a}")
-        return self._build(self.pair, self.a, self.c, self.alpha)
+        if self.formal and self.params["a"] in (rat(0), rat(-1)):
+            raise UsageError(
+                f"{self.kind} parameter a must avoid 0 and -1, got {self.params['a']}")
+        return self._build(self.pair, *self.params.values())
 
 
 # -- parsing helpers ---------------------------------------------------------
@@ -122,17 +121,22 @@ def _refuse_dead_flags(args, kind):
             raise UsageError(f"--{name} does not apply to {kind} families, which take {takes}")
 
 
-def _sweep_params(args, kind):
-    """The parsed values of the kind's parameter flags, None without any."""
-    names = KINDS[kind][0].PARAMS
-    given = [getattr(args, name) is not None for name in names]
-    if not any(given):
-        return None
-    if not all(given):
-        takes = " and ".join(f"--{n}" for n in names)
-        missing = ", ".join(f"--{n}" for n, g in zip(names, given) if not g)
-        raise UsageError(f"the {kind} cells of a sweep take {takes}; {missing} is missing")
-    return tuple(_parse_rational(getattr(args, name), f"--{name}") for name in names)
+def _sweep_params(args) -> dict:
+    """{kind: the parsed values of its parameter flags} for each kind with any."""
+    params = {}
+    for kind in ("meixner", "laguerre"):
+        names = KINDS[kind][0].PARAMS
+        given = [getattr(args, name) is not None for name in names]
+        if not any(given):
+            continue
+        if not all(given):
+            takes = " and ".join(f"--{n}" for n in names)
+            missing = ", ".join(f"--{n}" for n, g in zip(names, given) if not g)
+            raise UsageError(f"the {kind} cells of a sweep take {takes}; {missing} is missing")
+        params[kind] = tuple(_parse_rational(getattr(args, name), f"--{name}") for name in names)
+    if not params:
+        raise UsageError("sweep needs --a/--c, --alpha, or both")
+    return params
 
 
 def _job_from_args(args) -> JobSpec:
@@ -140,10 +144,9 @@ def _job_from_args(args) -> JobSpec:
     _refuse_dead_flags(args, kind)
     f1 = _parse_set(args.F1, "--F1")
     f2 = _parse_set(args.F2, "--F2")
-    a = _parse_rational(args.a, "--a") if args.a is not None else None
-    c = _parse_rational(args.c, "--c") if args.c is not None else None
-    alpha = _parse_rational(args.alpha, "--alpha") if args.alpha is not None else None
-    if "a" in KINDS[kind][0].PARAMS and a == 0:
+    params = {name: _parse_rational(getattr(args, name), f"--{name}")
+              for name in KINDS[kind][0].PARAMS if getattr(args, name) is not None}
+    if params.get("a") == 0:
         raise UsageError("parameter a must not be 0")
     checks = ()
     if getattr(args, "checks", None):
@@ -158,9 +161,7 @@ def _job_from_args(args) -> JobSpec:
         kind=kind,
         f1=f1,
         f2=f2,
-        a=a,
-        c=c,
-        alpha=alpha,
+        params=params,
         n_range=_parse_n(getattr(args, "n", None)),
         checks=checks,
         rel_tol=rel_tol,
@@ -186,10 +187,7 @@ def _job_header(job: JobSpec) -> dict:
         "f1": list(job.f1),
         "f2": list(job.f2),
     }
-    for name in ("a", "c", "alpha"):
-        val = getattr(job, name)
-        if val is not None:
-            head[name] = format_rational(val)
+    head.update((name, format_rational(val)) for name, val in job.params.items())
     return head
 
 
@@ -234,9 +232,16 @@ def _degrees(job, fam, count=7):
             if fam.pair.sigma_contains(n)]
 
 
+def _no_degree():
+    """The verdict of a check whose degrees miss the index set: nothing tested."""
+    return "refused", {"reason": "no degree in the index set to test"}, None
+
+
 def _check_eigen(job, fam):
     bad = []
     ns = _degrees(job, fam)
+    if not ns:
+        return _no_degree()
     for n in ns:
         res = job.module.eigen_residual(n, fam)
         if not res.is_zero:
@@ -277,7 +282,7 @@ def _check_darboux(job, fam):
 
 def _admissible_param(job):
     name, offset = job.module.ADMISSIBILITY
-    return getattr(job, name) + offset
+    return job.params[name] + offset
 
 
 def _check_altrep(job, fam):
@@ -307,6 +312,8 @@ def _check_altrep(job, fam):
 
 def _check_norms(job, fam):
     ns = _degrees(job, fam)[:2]
+    if not ns:
+        return _no_degree()
     results, bad = [], []
     try:
         for n in ns:
@@ -369,7 +376,7 @@ def _check_nonvanish(job, fam):
 def _check_limit(job, fam):
     ns = _degrees(job, fam)
     if not ns:
-        return "refused", {"reason": "no degree in the index set to test"}, None
+        return _no_degree()
     n = ns[0]
     rep = job.module.limit_from_meixner(n, fam)
     # relative to the size of the member values the deviations converge to;
@@ -435,7 +442,7 @@ def cmd_admissible(job: JobSpec) -> dict:
     if job.formal:
         raise UsageError("admissibility is defined for the meixner and laguerre kinds")
     name, _ = job.module.ADMISSIBILITY
-    if getattr(job, name) is None:
+    if name not in job.params:
         raise UsageError(f"admissible for {job.kind} needs --{name}")
     pair = job.pair
     if pair.is_trivial:
@@ -449,23 +456,17 @@ def cmd_admissible(job: JobSpec) -> dict:
     return out
 
 
-def cmd_sweep(max_elem: int, max_card: int, mex_params, lag_params, jobs: int) -> dict:
+def cmd_sweep(max_elem: int, max_card: int, params: dict, jobs: int) -> dict:
+    """params maps each swept kind to its parameter values, as run_sweep."""
     if max_elem < 1 or max_card < 0:
         raise UsageError("sweep bounds must satisfy max_elem >= 1 and max_card >= 0")
     if jobs < 1:
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
-    body = run_sweep(
-        max_elem,
-        max_card,
-        mex_params=mex_params,
-        lag_params=lag_params,
-        jobs=jobs,
-    )
+    body = run_sweep(max_elem, max_card, params, jobs=jobs)
     out = {"schema": "xoppak/1"}
-    if mex_params is not None:
-        out["a"], out["c"] = (format_rational(rat(p)) for p in mex_params)
-    if lag_params is not None:
-        out["alpha"] = format_rational(rat(lag_params))
+    for kind, values in params.items():
+        for name, value in zip(KINDS[kind][0].PARAMS, values):
+            out[name] = format_rational(rat(value))
     out.update(body)
     return out
 
@@ -518,7 +519,7 @@ def _emit(payload, args, verb) -> None:
 # -- argument plumbing -------------------------------------------------------
 
 def _add_family_flags(sub, with_checks=False):
-    """The family flags; only verify (with_checks) offers csv output."""
+    """The family flags; verify (with_checks) adds its checks, tolerance and format."""
     sub.add_argument("--kind", required=True,
                      choices=["meixner", "laguerre", "krawtchouk"])
     sub.add_argument("--F1", default="", help="comma list of positive integers")
@@ -530,8 +531,7 @@ def _add_family_flags(sub, with_checks=False):
         sub.add_argument("--checks", default=None, help="comma list of check names")
         sub.add_argument("--rel-tol", dest="rel_tol", default=None,
                          help="relative tolerance of the norms and orthogonality checks")
-    formats = ["json", "csv"] if with_checks else ["json"]
-    sub.add_argument("--format", choices=formats, default="json")
+        sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out", default=None, help="write the report to this path")
 
 
@@ -595,15 +595,7 @@ def main(argv=None) -> int:
         elif args.verb == "admissible":
             payload = cmd_admissible(_job_from_args(args))
         else:
-            mex_params = _sweep_params(args, "meixner")
-            lag_params = _sweep_params(args, "laguerre")
-            if lag_params is not None:
-                (lag_params,) = lag_params
-            if mex_params is None and lag_params is None:
-                raise UsageError("sweep needs --a/--c, --alpha, or both")
-            payload = cmd_sweep(
-                args.max_elem, args.max_card, mex_params, lag_params, args.jobs
-            )
+            payload = cmd_sweep(args.max_elem, args.max_card, _sweep_params(args), args.jobs)
         _emit(payload, args, args.verb)
     except UsageError as exc:
         print(f"xoppak: {exc}", file=sys.stderr)

@@ -602,8 +602,14 @@ def poly_det(matrix) -> Poly:
         degree += max(map(len, ints)) - 1
         M.append(ints)
     width = (bound.bit_length() + 8) // 8
-    M = [[_pack(lst, width) for lst in ints] for ints in M]
+    value = _zbareiss([[_pack(lst, width) for lst in ints] for ints in M])
+    return Poly._make(_unpack(value, degree + 1, width), 1) * scale
 
+
+def _zbareiss(M) -> int:
+    """Determinant of a nonempty square integer matrix by Bareiss' fraction-free
+    elimination, which overwrites M.  Every division is exact."""
+    n = len(M)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -614,7 +620,7 @@ def poly_det(matrix) -> Poly:
                     sign = -sign
                     break
             else:
-                return Poly.zero()
+                return 0
         piv, row_k = M[k][k], M[k]
         for i in range(k + 1, n):
             row_i = M[i]
@@ -624,8 +630,7 @@ def poly_det(matrix) -> Poly:
                 if rem:
                     raise InternalInconsistencyError("non-exact division in determinant")
         prev = piv
-    det = Poly._make(_unpack(M[n - 1][n - 1], degree + 1, width), 1)
-    return det * (scale if sign > 0 else -scale)
+    return sign * M[n - 1][n - 1]
 
 
 def top_row_minors(rows) -> list:
@@ -643,31 +648,20 @@ def top_row_minors(rows) -> list:
 
 
 def rational_det(rows):
-    """Determinant of a square matrix of Rationals (small sizes, plain Bareiss)."""
+    """Determinant of a square matrix of Rationals: Bareiss' elimination on each
+    row over its lcm denominator, divided by the product of those denominators."""
     M = [[rat(v) for v in r] for r in rows]
     n = len(M)
     if any(len(r) != n for r in M):
         raise ParameterError("determinant of a non-square matrix")
     if n == 0:
         return rat(1)
-    sign = 1
-    prev = rat(1)
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return rat(0)
-        piv = M[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (piv * M[i][j] - M[i][k] * M[k][j]) / prev
-            M[i][k] = rat(0)
-        prev = piv
-    return sign * M[n - 1][n - 1]
+    scale = 1
+    for i, row in enumerate(M):
+        den = reduce(math.lcm, [int(v.denominator) for v in row], 1)
+        M[i] = [int(v.numerator) * (den // int(v.denominator)) for v in row]
+        scale *= den
+    return rat(_zbareiss(M), scale)
 
 
 class RatFunc:

@@ -168,19 +168,7 @@ def eigen_residual(n: int, fam: LaguerreExcFamily) -> Poly:
     return Poly.x() * p1.derivative() * om + n1 * p1 + n0 * p + rat(n) * p * om
 
 
-# -- weight, nonvanishing, norms ---------------------------------------------
-
-
-def weight(fam: LaguerreExcFamily, x) -> mp.mpf:
-    """Weight value x^(alpha+k) exp(-x) / Omega(x)^2 at x > 0, as an mpf."""
-    x = rat(x)
-    if x <= 0:
-        raise DomainError(f"the weight lives on (0, inf), got x={x}")
-    d = fam.omega(x)
-    if d == 0:
-        raise PoleError(f"weight undefined: Omega vanishes at x={x}")
-    value = to_mpf(1 / (d * d)) * mp.power(to_mpf(x), to_mpf(fam.params.alpha + fam.pair.k))
-    return value * mp.exp(to_mpf(-x))
+# -- nonvanishing, norms -----------------------------------------------------
 
 
 def nonvanishing(fam: LaguerreExcFamily) -> bool:

@@ -6,11 +6,11 @@ block defines a family m_n that is a polynomial of degree n for every n in
 the gapped index set sigma, together with two smaller Casorati determinants
 Omega and Lambda.  This module constructs the family and everything attached
 to it: the dual family and its duality constants, the second order difference
-operator, the two discrete measures, norm and positivity statements, Darboux
-factorizations that strip the largest element of F2, an alternative
-determinantal representation through the involuted pair, and the reflection
-invariance of Omega.  Identities are verified exactly over the rationals;
-only norms go through certified summation.
+operator, norm and positivity statements, Darboux factorizations that strip
+the largest element of F2, an alternative determinantal representation
+through the involuted pair, and the reflection invariance of Omega.
+Identities are verified exactly over the rationals; only norms go through
+certified summation.
 """
 from __future__ import annotations
 
@@ -288,48 +288,7 @@ def eigen_residual(n: int, fam: MeixnerExcFamily) -> Poly:
     return nums[-1] * p.shift(-1) + nums[0] * p + nums[1] * p.shift(1) - den * p * rat(n)
 
 
-# -- measures, admissibility, norms -----------------------------------------
-
-
-def measures(fam: MeixnerExcFamily):
-    """Mass functions (rho_mass, omega_mass) of the two discrete measures.
-
-    rho lives on integers x >= u and carries the product prefactor; omega
-    lives on x >= 0 with Omega(x) Omega(x+1) in the denominator.  A zero of
-    Omega at a needed integer is a pole of the weight and raises, naming
-    the point; it is never skipped.
-    """
-    pair = fam.pair
-    a, c = fam.params.a, fam.params.c
-    u, k = pair.u, pair.k
-    om = fam.omega
-
-    def rho_mass(x: int) -> mp.mpf:
-        x = int(x)
-        if x < u:
-            raise DomainError(f"rho mass needs x >= {u}, got {x}")
-        pref = rat(1)
-        for f in pair.F1:
-            pref *= x - f - u
-        for f in pair.F2:
-            pref *= x + c + f - u
-        pref = pref * rat_pow(a, x - u) / math.factorial(x - u)
-        return to_mpf(pref) * gamma_rational(x + c - u)
-
-    def omega_mass(x: int) -> mp.mpf:
-        x = int(x)
-        if x < 0:
-            raise DomainError(f"omega mass needs x >= 0, got {x}")
-        o0, o1 = om(x), om(x + 1)
-        if o0 == 0 or o1 == 0:
-            where = x if o0 == 0 else x + 1
-            raise PoleError(
-                f"weight undefined: Omega vanishes at x={where}; "
-                f"family non-orthogonalizable there"
-            )
-        return to_mpf(rat_pow(a, x) / (math.factorial(x) * o0 * o1)) * gamma_rational(x + c + k)
-
-    return rho_mass, omega_mass
+# -- admissibility, norms ---------------------------------------------------
 
 
 def positivity_by_signs(fam: MeixnerExcFamily) -> bool:
@@ -420,18 +379,28 @@ def inner_product_bound(fam: MeixnerExcFamily, n: int, r: int):
 def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
     """Squared norm of member r in closed form, as an mpf.
 
-    The form holds for a positive weight only; refuses otherwise.
+    The form holds for a positive weight only; refuses otherwise.  rho is
+    prod_F1 (r-f-u) prod_F2 (r+c+f-u) a^(r-u) Gamma(r+c-u) / (r-u)!.
     """
     pair = fam.pair
+    if not pair.sigma_contains(r):
+        raise DomainError(f"degree {r} is outside the index set of {pair!r}")
     a, c = fam.params.a, fam.params.c
     if not (0 < a < 1) or not is_admissible(c, pair):
         raise AdmissibilityRefusal(
             f"norm identity needs a positive weight; (a={a}, c={c}, {pair!r}) "
             f"is not admissible"
         )
-    rho_mass, _ = measures(fam)
     u, k = pair.u, pair.k
-    closed = to_mpf(rat_pow(a, pair.k1 - 2 * k)) * rho_mass(r)
+    r = int(r)
+    pref = rat(1)
+    for f in pair.F1:
+        pref *= r - f - u
+    for f in pair.F2:
+        pref *= r + c + f - u
+    pref = pref * rat_pow(a, r - u) / math.factorial(r - u)
+    rho = to_mpf(pref) * gamma_rational(r + c - u)
+    closed = to_mpf(rat_pow(a, pair.k1 - 2 * k)) * rho
     return closed * mp.power(to_mpf(1 - a), to_mpf(-(c + 2 * r - 2 * u - k)))
 
 
@@ -441,9 +410,6 @@ def norm_identity(r: int, fam: MeixnerExcFamily, rel_tol=None) -> NormCheck:
     Only meaningful when the weight is a positive measure; refuses
     otherwise, since the summation identity presumes admissibility.
     """
-    pair = fam.pair
-    if not pair.sigma_contains(r):
-        raise DomainError(f"degree {r} is outside the index set of {pair!r}")
     rhs = norm_closed_form(r, fam)
     rel = rat(rel_tol) if rel_tol is not None else rat(1, 10**10)
     res, carrier = inner_product(fam, r, r, rel_tol=rel / 4)

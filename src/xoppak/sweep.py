@@ -17,23 +17,23 @@ from .exact import DomainError, ParameterError, poly_strings, rat
 from .pairs import PairSpec, enumerate_pairs
 
 
-def _meixner(pair, a, c, alpha):
+def _meixner(pair, a, c):
     return _mex.MeixnerExcFamily(MeixnerParams(a, c), pair)
 
 
-def _krawtchouk(pair, a, c, alpha):
+def _krawtchouk(pair, a, c):
     return _mex.MeixnerExcFamily(MeixnerParams.formal(-rat(a), c), pair)
 
 
-def _laguerre(pair, a, c, alpha):
+def _laguerre(pair, alpha):
     return _lag.LaguerreExcFamily(LaguerreParams(alpha), pair)
 
 
-# --kind -> (family module, family from the pair and the values of --a, --c and
-# --alpha, formal).  The values may be strings: the parameter classes convert
-# them.  krawtchouk is the meixner family at the formal parameters
-# (-a, c = -N + 1), which the check suite and the admissibility test do not
-# cover.
+# --kind -> (family module, builder, formal).  The builder takes the pair and
+# the values of the module's PARAMS in their order, which may be strings: the
+# parameter classes convert them.  krawtchouk is the meixner family at the
+# formal parameters (-a, c = -N + 1), which the check suite and the
+# admissibility test do not cover.
 KINDS = {
     "meixner": (_mex, _meixner, False),
     "laguerre": (_lag, _laguerre, False),
@@ -51,14 +51,14 @@ def _cell_id(kind, check, pair: PairSpec):
 
 
 def run_cell(spec: tuple) -> dict:
-    """One (check, kind, pair, parameters) cell; everything in the cell
-    tuple is a primitive so the pool can ship it between processes."""
-    check, kind, f1, f2, a, c, alpha = spec
+    """One (check, kind, F1, F2, parameter values) cell; everything in the
+    cell tuple is a primitive so the pool can ship it between processes."""
+    check, kind, f1, f2, values = spec
     pair = PairSpec(f1, f2)
     out = _cell_id(kind, check, pair)
     mod, build, _ = KINDS[kind]
     try:
-        fam = build(pair, a, c, alpha)
+        fam = build(pair, *values)
         if check == "invariance":
             rep = mod.invariance_conjecture(fam)
         else:
@@ -75,22 +75,16 @@ def run_cell(spec: tuple) -> dict:
     return out
 
 
-def sweep_specs(max_elem: int, max_card: int, mex_params=None, lag_params=None):
-    """Cell specs for the sweep, ordered by (F1, F2) then kind then check."""
-    specs = []
-    for pair in enumerate_pairs(max_elem, max_card):
-        f1, f2 = pair.F1.elems, pair.F2.elems
-        if mex_params is not None:
-            a, c = mex_params
-            for check in ("invariance", "altrep"):
-                specs.append((check, "meixner", f1, f2, str(a), str(c), None))
-        if lag_params is not None:
-            for check in ("invariance", "altrep"):
-                specs.append((check, "laguerre", f1, f2, None, None, str(lag_params)))
-    return specs
+def sweep_specs(max_elem: int, max_card: int, params: dict):
+    """Cell specs for the sweep, ordered by (F1, F2) then kind then check;
+    params maps each swept kind to its values in the order of its PARAMS."""
+    values = {kind: tuple(map(str, vals)) for kind, vals in params.items()}
+    return [(check, kind, pair.F1.elems, pair.F2.elems, vals)
+            for pair in enumerate_pairs(max_elem, max_card)
+            for kind, vals in values.items() for check in ("invariance", "altrep")]
 
 
-def run_sweep(max_elem, max_card, mex_params=None, lag_params=None, jobs=1) -> dict:
+def run_sweep(max_elem, max_card, params: dict, jobs=1) -> dict:
     """Run every cell and aggregate counts plus counterexample artifacts.
 
     jobs > 1 runs the cells in a worker pool of at most that many processes,
@@ -100,7 +94,7 @@ def run_sweep(max_elem, max_card, mex_params=None, lag_params=None, jobs=1) -> d
     report alone reproduces the finding; skipped cells record why their
     check's precondition failed.
     """
-    specs = sweep_specs(max_elem, max_card, mex_params, lag_params)
+    specs = sweep_specs(max_elem, max_card, params)
     # a worker beyond the cores or the cells would only sit idle
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers > 1:

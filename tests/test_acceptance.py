@@ -335,8 +335,8 @@ def test_criterion_10_conjecture_sweep(tmp_path):
     ]
     total = passed = skipped = 0
     counterexamples = []
-    for mex_params, alpha in samples:
-        rep = run_sweep(4, 4, mex_params=mex_params, lag_params=alpha)
+    for meixner_params, alpha in samples:
+        rep = run_sweep(4, 4, {"meixner": meixner_params, "laguerre": (alpha,)})
         total += rep["total"]
         passed += rep["passed"]
         skipped += rep["skipped"]

@@ -12,7 +12,6 @@ from xoppak.exact import ParameterError, PoleError, Poly, RatFunc, pochhammer, r
 from xoppak.classical import (
     LaguerreParams,
     MeixnerParams,
-    krawtchouk,
     laguerre,
     meixner,
     meixner_op,
@@ -149,16 +148,6 @@ def test_reflection_symmetry_exact():
             assert lhs == rhs
 
 
-def test_krawtchouk():
-    assert krawtchouk(0, rat(1, 2), 4) == Poly.one()
-    assert krawtchouk(1, rat(1, 2), 4) == X - 1
-    assert krawtchouk(2, rat(1, 3), 5) == meixner_raw(2, rat(-1, 3), -4)
-    with pytest.raises(ParameterError):
-        krawtchouk(1, rat(1, 2), 0)
-    with pytest.raises(ParameterError):
-        krawtchouk(1, 0, 4)
-
-
 # -- the basis against its explicit definitions -------------------------------
 #
 # The basis is built by recurrences; these oracles expand the explicit sums on
@@ -223,7 +212,7 @@ def test_meixner_matches_the_explicit_sum(n, a, c):
 @given(st.integers(0, 30), rationals(1, 9, 5), st.integers(1, 12))
 @settings(max_examples=20, deadline=None)
 def test_krawtchouk_matches_the_explicit_sum(n, a, big_n):
-    got = krawtchouk(n, a, big_n)
+    got = meixner_raw(n, -a, -big_n + 1)
     assert got == meixner_oracle(n, -a, -big_n + 1)
     assert_integer_fields(got)
 

@@ -293,6 +293,18 @@ def test_verify_refusals_do_not_fail(capsys):
         assert r["detail"]["reason"]
 
 
+def test_verify_refuses_checks_with_no_degree_to_test(capsys):
+    # --n 1 is the gap of F1 = {1} at u = 0, so no member is there to test
+    code, doc = run_json(
+        capsys, "verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
+        "--n", "1", "--checks", "eigen,norms,limit",
+    )
+    assert code == 0
+    for r in doc["checks"]:
+        assert r["status"] == "refused", r
+        assert r["detail"] == {"reason": "no degree in the index set to test"}
+
+
 @pytest.mark.parametrize(
     "flags, refused",
     [
@@ -510,7 +522,7 @@ def test_out_flag_writes_file(capsys, tmp_path):
 
 
 def test_csv_undefined_for_construct():
-    # csv is offered by verify and sweep only; argparse refuses it elsewhere
+    # --format is offered by verify and sweep only; argparse refuses it elsewhere
     with pytest.raises(SystemExit) as exc:
         cli.main(["construct", "--kind", "laguerre", "--F1", "1",
                   "--alpha", "-3/2", "--n", "0", "--format", "csv"])

@@ -12,9 +12,9 @@ of two near the slot width.
 from fractions import Fraction
 
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from xoppak.exact import Poly, RatFunc, poly_det, poly_gcd, rat, top_row_minors
+from xoppak.exact import Poly, RatFunc, poly_det, poly_gcd, rat, rational_det, top_row_minors
 
 X = sympy.Symbol("x")
 
@@ -148,6 +148,43 @@ def test_top_row_minors(rows):
         sub = block[:, [c for c in range(block.cols) if c != j]]
         want = sympy.expand((-1) ** j * sub.det(method="berkowitz"))
         assert agree(minor, sympy.Poly(want, X, domain="QQ"))
+
+
+@st.composite
+def rational_matrices(draw):
+    """Square matrices of sizes 0 to 6 with rational entries, zero often.
+
+    From size 2 on, one in four gets a zero first pivot, which needs a row
+    swap when the column has another nonzero entry, one in four a zero row,
+    and one in four a row that is a multiple of another, which is singular.
+    """
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)), rationals())
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2:
+        shape = draw(st.sampled_from(["plain", "zero pivot", "zero row", "dependent"]))
+        i, j = draw(st.permutations(range(n)))[:2]
+        if shape == "zero pivot":
+            rows[0][0] = Fraction(0)
+        elif shape == "zero row":
+            rows[i] = [Fraction(0)] * n
+        elif shape == "dependent":
+            factor = draw(entry)
+            rows[i] = [factor * v for v in rows[j]]
+    return rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_matrices())
+@example([[Fraction(0), Fraction(1, 2)], [Fraction(3), Fraction(5, 7)]])  # swap, then scale
+@example([[Fraction(0), Fraction(1)], [Fraction(0), Fraction(2)]])  # no pivot in column 0
+def test_rational_determinant(rows):
+    n = len(rows)
+    want = sympy.Matrix(n, n, [sympy.Rational(v.numerator, v.denominator)
+                               for r in rows for v in r]).det()
+    got = rational_det(rows)
+    assert got == Fraction(int(want.p), int(want.q)), (rows, got, want)
 
 
 def test_products_at_the_slot_boundary():

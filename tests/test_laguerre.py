@@ -32,7 +32,6 @@ from xoppak.laguerre import (
     norm_closed_form,
     norm_identity,
     operator,
-    weight,
 )
 from xoppak.numerics import to_mpf
 from xoppak.pairs import PairSpec, involute, is_admissible
@@ -187,29 +186,7 @@ def test_operator_apply_matches_eigenvalue():
     assert img.num == rat(-n) * p
 
 
-# -- weight, nonvanishing, norms ----------------------------------------------
-
-def test_weight_values_and_poles():
-    fam = family([1], [], rat(-3, 2))
-    # Omega = -1/2 - x is negative on (0, inf); squared denominator positive
-    for x in (rat(1, 2), rat(1), rat(10)):
-        w = weight(fam, x)
-        assert w > 0
-    with pytest.raises(DomainError):
-        weight(fam, rat(-1))
-    fam2 = family([1], [], rat(1, 2))
-    # Omega = 3/2 - x vanishes at x = 3/2
-    with pytest.raises(PoleError):
-        weight(fam2, rat(3, 2))
-
-
-def test_weight_carrier_structure():
-    fam = family([], [1], rat(1, 2))
-    w = weight(fam, rat(2))
-    alpha_k = rat(1, 2) + 1
-    want = mp.power(2, to_mpf(alpha_k)) * mp.exp(-2) / to_mpf(fam.omega(rat(2))) ** 2
-    assert mp.almosteq(w, want, rel_eps=mp.mpf(10) ** -40)
-
+# -- nonvanishing, norms -------------------------------------------------------
 
 def test_nonvanishing_examples():
     assert nonvanishing(family([1], [], rat(-3, 2)))

@@ -8,12 +8,13 @@ import xoppak
 from xoppak.exact import rat
 from xoppak.sweep import run_cell, run_sweep, sweep_specs
 
-MEX = (rat(1, 2), rat(3))
-LAG = rat(1, 2)
+MEX = {"meixner": (rat(1, 2), rat(3))}
+LAG = {"laguerre": (rat(1, 2),)}
+BOTH = {**MEX, **LAG}
 
 
 def test_sweep_small_counts():
-    rep = run_sweep(3, 3, mex_params=MEX, lag_params=LAG)
+    rep = run_sweep(3, 3, BOTH)
     assert rep["max_elem"] == 3
     assert rep["max_card"] == 3
     assert rep["total"] == 164
@@ -23,7 +24,7 @@ def test_sweep_small_counts():
 
 
 def test_sweep_skips_carry_reasons():
-    rep = run_sweep(3, 3, mex_params=MEX, lag_params=LAG)
+    rep = run_sweep(3, 3, BOTH)
     skipped = [c for c in rep["cells"] if c["ok"] is None]
     assert len(skipped) == 3
     for cell in skipped:
@@ -33,22 +34,22 @@ def test_sweep_skips_carry_reasons():
 
 
 def test_sweep_empty_enumeration():
-    rep = run_sweep(3, 0, mex_params=MEX, lag_params=LAG)
+    rep = run_sweep(3, 0, BOTH)
     assert rep["total"] == 0
     assert rep["passed"] == 0
     assert rep["cells"] == []
 
 
 def test_sweep_single_kind():
-    rep = run_sweep(2, 2, lag_params=LAG)
+    rep = run_sweep(2, 2, LAG)
     assert rep["total"] == 20
     assert all(c["kind"] == "laguerre" for c in rep["cells"])
-    rep = run_sweep(2, 2, mex_params=MEX)
+    rep = run_sweep(2, 2, MEX)
     assert all(c["kind"] == "meixner" for c in rep["cells"])
 
 
 def test_sweep_deterministic_order():
-    specs = sweep_specs(2, 2, MEX, LAG)
+    specs = sweep_specs(2, 2, BOTH)
     # four cells per enumerated pair (two kinds times two checks), in the
     # sorted pair order, so the pair sequence is grouped and non-decreasing
     pairs = [(s[2], s[3]) for s in specs]
@@ -59,8 +60,8 @@ def test_sweep_deterministic_order():
 
 
 def test_sweep_parallel_matches_serial():
-    serial = run_sweep(2, 2, mex_params=MEX, lag_params=LAG, jobs=1)
-    parallel = run_sweep(2, 2, mex_params=MEX, lag_params=LAG, jobs=2)
+    serial = run_sweep(2, 2, BOTH, jobs=1)
+    parallel = run_sweep(2, 2, BOTH, jobs=2)
     assert serial["cells"] == parallel["cells"]
 
 
@@ -90,13 +91,13 @@ def test_sweep_workers_are_capped(monkeypatch):
     # sweep 1 1 over one kind has 4 cells: two pairs, two checks each
     for cpus, jobs, size in ((3, 1000, 3), (3, 2, 2), (64, 1000, 4)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        rep = run_sweep(1, 1, mex_params=MEX, jobs=jobs)
+        rep = run_sweep(1, 1, MEX, jobs=jobs)
         assert rep["total"] == 4 and rep["passed"] + rep["skipped"] == 4
         assert RecordingPool.sizes[-1] == size, (cpus, jobs)
     # one worker, one core or no cell at all starts no pool
     for cpus, jobs, max_card in ((3, 1, 1), (1, 8, 1), (3, 8, 0)):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        run_sweep(1, max_card, mex_params=MEX, jobs=jobs)
+        run_sweep(1, max_card, MEX, jobs=jobs)
     assert len(RecordingPool.sizes) == 3
 
 
@@ -113,7 +114,7 @@ def test_command_line_loads_no_process_pool():
 
 
 def test_run_cell_invariance_pass():
-    out = run_cell(("invariance", "laguerre", (1,), (), None, None, rat(-3, 2)))
+    out = run_cell(("invariance", "laguerre", (1,), (), (rat(-3, 2),)))
     assert out["ok"] is True
     assert out["check"] == "invariance"
     assert out["f1"] == [1]
@@ -122,6 +123,6 @@ def test_run_cell_invariance_pass():
 def test_run_cell_skip_reports_reason():
     # Omega for this meixner family vanishes at a natural number, so the
     # alternative representation is undefined there and the cell skips
-    out = run_cell(("altrep", "meixner", (1,), (), rat(1, 2), rat(3), None))
+    out = run_cell(("altrep", "meixner", (1,), (), (rat(1, 2), rat(3))))
     assert out["ok"] is None
     assert "vanishes" in out["skipped"]
