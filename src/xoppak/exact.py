@@ -664,6 +664,25 @@ def rational_det(rows):
     return rat(_zbareiss(M), scale)
 
 
+def interpolate_at_zero(nodes, values):
+    """(value at 0, top coefficient) of the polynomial in h of degree below
+    len(nodes) through the points (nodes[i], values[i]), by Newton's divided
+    differences.  The values are Polys or Rationals, the nodes distinct
+    Rationals; the top coefficient, that of h^(len(nodes) - 1), is zero
+    exactly when a polynomial of lower degree fits the points."""
+    nodes = [rat(h) for h in nodes]
+    if not nodes or len(set(nodes)) != len(nodes) or len(values) != len(nodes):
+        raise DomainError("interpolation needs one value at each of some distinct nodes")
+    diffs = list(values)
+    for j in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (nodes[i] - nodes[i - j])
+    at_zero = diffs[-1]
+    for h, d in zip(nodes[-2::-1], diffs[-2::-1]):
+        at_zero = d - h * at_zero
+    return at_zero, diffs[-1]
+
+
 class RatFunc:
     """Rational function num/den, reduced, with monic denominator."""
 

@@ -11,9 +11,10 @@ the family and everything attached to it: the operator, the weight
 x^(alpha+k) exp(-x) / Omega^2 with its norms, differential Darboux
 factorizations stripping the largest element of F2, an alternative
 determinantal representation through the involuted pair, the reflection
-invariance of Omega, and the scaling limit recovering each object from its
-difference-equation counterpart.  Identities are verified exactly over the
-rationals; norms and orthogonality go through tail-bounded quadrature.
+invariance of Omega, and the scaling limit a -> 1 that recovers the members
+and Omega exactly from the Meixner family.  Identities are verified exactly
+over the rationals; norms and orthogonality go through tail-bounded
+quadrature.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from .exact import (
     Poly,
     RatFunc,
     gen_binomial,
+    interpolate_at_zero,
     is_integer,
     poly_det,
     rat,
@@ -371,93 +373,68 @@ def invariance_conjecture(fam: LaguerreExcFamily) -> InvarianceReport:
 
 # -- the scaling limit from the difference family ----------------------------
 
-class LimitReport:
-    """Deviations along an a-sequence for the member, Omega and Omega' limits.
-
-    Each list holds one exact rational deviation per element of the
-    sequence: the worst absolute difference over the sample points between
-    the scaled difference-family quantity and its differential target.
-    scale is the size of the member targets, max |member(n)(x)| over the
-    sample points.
-    """
-
-    def __init__(self, n, a_sequence, xs, member_dev, omega_dev, omega_prime_dev, scale):
-        self.n = n
-        self.a_sequence = a_sequence
-        self.xs = xs
-        self.member_dev = member_dev
-        self.omega_dev = omega_dev
-        self.omega_prime_dev = omega_prime_dev
-        self.scale = scale
-
-    @property
-    def decreasing(self) -> bool:
-        for devs in (self.member_dev, self.omega_dev, self.omega_prime_dev):
-            for i in range(len(devs) - 1):
-                if devs[i + 1] > devs[i]:
-                    return False
-        return True
-
-    @property
-    def final_dev(self):
-        return self.member_dev[-1]
-
-    def __repr__(self):
-        return (
-            f"LimitReport(n={self.n}, final_dev={self.final_dev}, "
-            f"decreasing={self.decreasing})"
-        )
+def _limit_scalings(n: int, pair: PairSpec):
+    """(sign, e, p, bound) for member n, then for Omega, as limit_from_meixner
+    states them: sign (1-h)^e h^p q(y/h) is a polynomial in (h, y) of
+    h-degree at most bound, whose value at h = 0 is this family's q."""
+    k1, k2 = pair.k1, pair.k2
+    E = k1 * k2 + comb(k2 + 1, 2)
+    gamma = n - (k1 + 1) * k2
+    sign_m = -1 if (comb(pair.k + 1, 2) + pair.F2.total + gamma) % 2 else 1
+    sign_o = -1 if pair.F1.total % 2 else 1
+    beta = pair.u + k1 * (1 - k2)
+    return (
+        (sign_m, E, gamma, n + comb(k2, 2)),
+        (sign_o, E - k2, beta, pair.F1.total + pair.F2.total - comb(k1, 2)),
+    )
 
 
-def limit_from_meixner(n: int, fam: LaguerreExcFamily, a_sequence=None) -> LimitReport:
-    """Scaled difference-family evaluations converging to this family.
+def limit_from_meixner(n: int, fam: LaguerreExcFamily) -> dict:
+    """Exact check that the Meixner family at c = alpha + 1 tends to this
+    family as a -> 1.
 
-    For each a in the sequence the degree-n member, Omega, and the first
-    difference of Omega of the difference family at c = alpha + 1 are
-    rescaled, evaluated exactly at x / (1 - a) for sample points x, and
-    compared against the signed member, Omega, and Omega' here.
+    Put a = 1 - h and x = y/h.  In `meixner.block_rows` at a = 1 - h, each
+    entry of row f is h^(-f) times a polynomial in (h, y) of total degree at
+    most f (the classical limit), times a^(-j) in column j of an F2 row.
+    Differencing the columns takes a factor h out of each step and, in the
+    top and F1 rows, one degree with it.  Hence
+      (1-h)^E (a-1)^(n-(k1+1)k2) m_n(y/h),   E = k1 k2 + k2(k2+1)/2,
+    has h-degree at most n + k2(k2-1)/2, and
+      (1-h)^(E-k2) h^beta Omega(y/h),   beta = u + k1(1-k2),
+    has h-degree at most sum F1 + sum F2 - k1(k1-1)/2.  E is the largest sum
+    of the columns the F2 rows can take, the least exponent that clears the
+    poles at a = 0; E - k2 is the same for Omega's k columns.  At h = 0 the
+    two are this family's member n and Omega, up to the signs of
+    `_limit_scalings`.
+
+    Each is interpolated in h from its bound + 2 nodes h = 1/2, 1/3, ...,
+    one Meixner family per node.  The extra node checks the bound: the top
+    coefficient must be 0.  The value at h = 0 is then compared exactly.  Omega' needs no check of its own: the difference quotient in y
+    of a polynomial in (h, y) tends to its y-derivative at h = 0.
+
+    Returns the report: n, both degree bounds, the number of nodes, and
+    whether the member and Omega matched exactly.
     """
     pair = fam.pair
-    alpha = fam.params.alpha
     if not pair.sigma_contains(n):
         raise DomainError(f"degree {n} is outside the index set of {pair!r}")
-    if a_sequence is None:
-        a_sequence = [1 - rat(1, 2**t) for t in range(4, 11)]
-    a_sequence = [rat(a) for a in a_sequence]
-    for a in a_sequence:
-        if not (0 < a < 1):
-            raise DomainError(f"the limit runs along a in (0, 1), got a={a}")
-    xs = (rat(1, 2), rat(1), rat(2))
-    k1, k2, k = pair.k1, pair.k2, pair.k
-    c = alpha + 1
-
-    sign_m = -1 if (comb(k + 1, 2) + pair.F2.total) % 2 else 1
-    target_m = [sign_m * fam.member(n)(x) for x in xs]
-    sign_o = -1 if pair.F1.total % 2 else 1
-    om = fam.omega
-    om1 = om.derivative()
-    target_o = [sign_o * om(x) for x in xs]
-    target_o1 = [sign_o * om1(x) for x in xs]
-    beta = pair.u + k1 * (1 - k2)
-
-    member_dev, omega_dev, omega_prime_dev = [], [], []
-    for a in a_sequence:
-        mex = MeixnerExcFamily(MeixnerParams(a, c), pair)
-        scale_m = rat_pow(a - 1, n - (k1 + 1) * k2)
-        scale_o = rat_pow(1 - a, beta)
-        p = mex.member(n)
-        pom = mex.omega
-        worst_m = worst_o = worst_o1 = rat(0)
-        for i, x in enumerate(xs):
-            xa = x / (1 - a)
-            worst_m = max(worst_m, abs(scale_m * p(xa) - target_m[i]))
-            worst_o = max(worst_o, abs(scale_o * pom(xa) - target_o[i]))
-            diff = pom(xa + 1) - pom(xa)
-            worst_o1 = max(
-                worst_o1, abs(scale_o / (1 - a) * diff - target_o1[i])
-            )
-        member_dev.append(worst_m)
-        omega_dev.append(worst_o)
-        omega_prime_dev.append(worst_o1)
-    scale = max(abs(t) for t in target_m)
-    return LimitReport(n, a_sequence, xs, member_dev, omega_dev, omega_prime_dev, scale)
+    scalings = _limit_scalings(n, pair)
+    nodes = [rat(1, m) for m in range(2, max(s[3] for s in scalings) + 4)]
+    samples = ([], [])
+    for h in nodes:
+        mex = MeixnerExcFamily(MeixnerParams(1 - h, fam.params.alpha + 1), pair)
+        for q, (sign, e, p, _), out in zip((mex.member(n), mex.omega), scalings, samples):
+            scaled = [c * h**-i for i, c in enumerate(q.coeffs)]
+            out.append(Poly(scaled) * (sign * rat_pow(1 - h, e) * rat_pow(h, p)))
+    exact = []
+    for target, (*_, bound), values in zip((fam.member(n), fam.omega), scalings, samples):
+        at_zero, top = interpolate_at_zero(nodes[: bound + 2], values[: bound + 2])
+        exact.append(top.is_zero and at_zero == target)
+    return {
+        "n": n,
+        "member_degree_bound": scalings[0][3],
+        "omega_degree_bound": scalings[1][3],
+        "nodes": len(nodes),
+        "member_exact": exact[0],
+        "omega_exact": exact[1],
+    }

@@ -1,10 +1,10 @@
 """Acceptance suite: eleven end-to-end criteria, one verdict line each.
 
 Each test prints "criterion N [name]: PASS/FAIL - detail" and then asserts.
-Identities checked in exact rational arithmetic carry no tolerance at all;
-sums, integrals and limit deviations carry the pinned tolerances stated in
-line (1e-10 for certified discrete sums, 1e-8 for quadrature, 1e-2 for the
-final limit deviation).
+Identities checked in exact rational arithmetic, the Meixner to Laguerre
+limit among them, carry no tolerance at all; sums and integrals carry the
+pinned tolerances stated in line (1e-10 for certified discrete sums, 1e-8
+for quadrature).
 """
 import json
 from functools import lru_cache
@@ -283,10 +283,9 @@ def test_criterion_08_norms():
 
 
 def test_criterion_09_limit_transfer():
-    # the convergence is first order in 1 - a with a family-dependent
-    # constant, so the pinned window t = 4..10 decides the absolute bound
-    # only for small constants; larger families are held to monotone
-    # decrease plus the same bound on the scale-free deviation
+    # at a = 1 - h and x = y/h the scaled Meixner member and Omega are
+    # polynomials in (h, y); interpolated through bound + 2 values of h, they
+    # must meet the bound and equal the Laguerre member and Omega at h = 0
     cases = [
         ((), (), 2, rat(1, 2)),
         ((), (), 4, rat(-3, 2)),
@@ -295,35 +294,26 @@ def test_criterion_09_limit_transfer():
         ((), (1,), 1, rat(1, 2)),
         ((), (1,), 2, rat(-1, 2)),
         ((2,), (), 2, rat(1, 2)),
-    ]
-    large_cases = [
         ((), (1, 2), 2, rat(1, 2)),
         ((1,), (1,), 3, rat(-1, 2)),
+        ((2, 5), (1, 3, 4), 12, rat(9, 2)),
     ]
-    xs = (rat(1, 2), rat(1), rat(2))
     bad = []
-
-    def build(f1, f2, alpha):
-        if f1 or f2:
-            return lag_fam(f1, f2, alpha)
-        return lag.LaguerreExcFamily(LaguerreParams(alpha), PairSpec.trivial())
-
+    nodes = 0
     for f1, f2, n, alpha in cases:
-        rep = lag.limit_from_meixner(n, build(f1, f2, alpha))
-        if not (rep.decreasing and rep.final_dev < rat(1, 100)):
-            bad.append((f1, f2, n, str(alpha), float(rep.final_dev)))
-    for f1, f2, n, alpha in large_cases:
-        fam = build(f1, f2, alpha)
+        if f1 or f2:
+            fam = lag_fam(f1, f2, alpha)
+        else:
+            fam = lag.LaguerreExcFamily(LaguerreParams(alpha), PairSpec.trivial())
         rep = lag.limit_from_meixner(n, fam)
-        scale = max(abs(fam.member(n)(x)) for x in xs)
-        if not (rep.decreasing and rep.final_dev / scale < rat(1, 100)):
-            bad.append((f1, f2, n, str(alpha), float(rep.final_dev / scale)))
+        nodes = max(nodes, rep["nodes"])
+        if not (rep["member_exact"] and rep["omega_exact"]):
+            bad.append((f1, f2, n, str(alpha), rep))
     verdict(
         9, "limit transfer", not bad,
-        f"deviations at x in {{1/2, 1, 2}} decrease monotonically along "
-        f"a = 1 - 2^-t, t = 4..10, for {len(cases) + len(large_cases)} "
-        f"families at degrees n <= 4, ending below 1e-2 ({len(cases)} "
-        f"absolute, {len(large_cases)} scale-free); {len(bad)} failures",
+        f"member and Omega of {len(cases)} families, k <= 5 and n <= 12, equal "
+        f"their Meixner limits exactly, from at most {nodes} values of a; "
+        f"{len(bad)} failures",
     )
 
 

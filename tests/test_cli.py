@@ -323,19 +323,31 @@ def test_verify_full_admissible(capsys, flags, refused):
         assert status == ("refused" if check in refused else "pass"), check
 
 
-def test_verify_limit_scales_with_the_member_values(capsys):
-    # the deviations halve from 15.8 to 0.22 while the member values reach
-    # 76.9: within the fixed 1/100 of that scale, not of 1; --rel-tol does
-    # not reach the limit, whose deviations stop at the last a of its sequence
+def test_verify_limit_is_exact_and_ignores_rel_tol(capsys):
+    # the member and Omega at h = 0 of interpolants through the Meixner
+    # families at a = 1 - h, h = 1/2 .. 1/8; no tolerance is involved, so
+    # --rel-tol leaves the verdict and the detail as they are
     flags = ["verify", "--kind", "laguerre", "--F1", "1,2", "--F2", "3",
              "--alpha", "1/2", "--checks", "limit"]
-    code, doc = run_json(capsys, *flags)
+    want = {"n": 3, "member_degree_bound": 3, "omega_degree_bound": 5, "nodes": 7,
+            "member_exact": True, "omega_exact": True}
+    for extra in ([], ["--rel-tol", "1/1000000"]):
+        code, doc = run_json(capsys, *flags, *extra)
+        assert code == 0
+        assert doc["checks"][0]["status"] == "pass"
+        assert doc["checks"][0]["detail"] == want
+
+
+def test_verify_darboux_refuses_a_gap_degree(capsys):
+    # F1 = F2 = {1} has u = 1 and its gap at 2, so --n 2 leaves nothing to test
+    code, doc = run_json(
+        capsys, "verify", "--kind", "meixner", "--F1", "1", "--F2", "1",
+        "--a", "1/2", "--c", "1/2", "--n", "2", "--checks", "darboux",
+    )
     assert code == 0
-    assert doc["checks"][0]["status"] == "pass"
-    assert doc["checks"][0]["detail"]["decreasing"]
-    code, doc = run_json(capsys, *flags, "--rel-tol", "1/1000000")
-    assert code == 0
-    assert doc["checks"][0]["status"] == "pass"
+    row = doc["checks"][0]
+    assert row["status"] == "refused"
+    assert row["detail"] == {"reason": "no degree in the index set to test"}
 
 
 @pytest.mark.parametrize(

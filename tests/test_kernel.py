@@ -14,7 +14,19 @@ from fractions import Fraction
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from xoppak.exact import Poly, RatFunc, poly_det, poly_gcd, rat, rational_det, top_row_minors
+import pytest
+
+from xoppak.exact import (
+    DomainError,
+    Poly,
+    RatFunc,
+    interpolate_at_zero,
+    poly_det,
+    poly_gcd,
+    rat,
+    rational_det,
+    top_row_minors,
+)
 
 X = sympy.Symbol("x")
 
@@ -185,6 +197,60 @@ def test_rational_determinant(rows):
                                for r in rows for v in r]).det()
     got = rational_det(rows)
     assert got == Fraction(int(want.p), int(want.q)), (rows, got, want)
+
+
+H = sympy.Symbol("h")
+
+
+def sympy_interpolation(nodes, values):
+    """(value at 0, top coefficient) by sympy's Lagrange interpolation, one
+    coefficient of the Poly values at a time."""
+    width = max(len(v.coeffs) for v in values)
+    at_zero, top = [], []
+    for i in range(width):
+        points = [(sympy.Rational(h.numerator, h.denominator), sympy.Rational(str(v.coeff(i))))
+                  for h, v in zip(nodes, values)]
+        fit = sympy.Poly(sympy.interpolate(points, H), H, domain="QQ")
+        at_zero.append(fit.eval(0))
+        top.append(fit.coeff_monomial(H ** (len(nodes) - 1)))
+    return [Poly([Fraction(int(c.p), int(c.q)) for c in cs]) for cs in (at_zero, top)]
+
+
+@st.composite
+def interpolation_points(draw):
+    """One to six distinct small rational nodes with a Poly value at each."""
+    count = draw(st.integers(1, 6))
+    nodes = draw(st.lists(st.fractions(-4, 4, max_denominator=6), min_size=count,
+                          max_size=count, unique=True))
+    return nodes, draw(st.lists(polys(max_deg=3), min_size=count, max_size=count))
+
+
+@settings(max_examples=40, deadline=None)
+@given(interpolation_points())
+def test_interpolation_at_zero(points):
+    nodes, values = points
+    assert list(interpolate_at_zero(nodes, values)) == sympy_interpolation(nodes, values)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_interpolation_top_coefficient_checks_the_degree(degree):
+    # p(h) = c_0 + c_1 h + ... + c_degree h^degree at the nodes 1/2, 1/3, ...
+    cs = [Poly([rat(i + 1), rat(-1, i + 2)]) for i in range(degree + 1)]
+    nodes = [rat(1, m) for m in range(2, degree + 4)]
+    values = [sum((c * h**i for i, c in enumerate(cs)), Poly.zero()) for h in nodes]
+    # degree + 2 nodes: the bound holds and the top coefficient is 0
+    assert interpolate_at_zero(nodes, values) == (cs[0], Poly.zero())
+    # degree + 1 nodes: a bound one below the degree leaves c_degree on top
+    got = interpolate_at_zero(nodes[:-1], values[:-1])
+    assert got == (cs[0], cs[-1])
+    assert list(got) == sympy_interpolation(nodes[:-1], values[:-1])
+
+
+def test_interpolation_needs_distinct_nodes():
+    with pytest.raises(DomainError):
+        interpolate_at_zero([rat(1, 2), rat(1, 2)], [Poly.one(), Poly.x()])
+    with pytest.raises(DomainError):
+        interpolate_at_zero([], [])
 
 
 def test_products_at_the_slot_boundary():

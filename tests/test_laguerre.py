@@ -441,43 +441,104 @@ def test_invariance_involution_matches_pair_map():
 
 # -- the scaling limit ----------------------------------------------------------
 
+def exact_limit(fam, n):
+    report = limit_from_meixner(n, fam)
+    assert report["member_exact"] and report["omega_exact"], report
+    return report
+
+
 def test_limit_classical_base_case():
-    fam = trivial_family(rat(1, 2))
-    report = limit_from_meixner(2, fam)
-    assert report.decreasing
-    assert report.final_dev < rat(1, 100)
+    # E = beta = 0 and Omega = 1: the member alone has h-degree n
+    report = exact_limit(trivial_family(rat(1, 2)), 2)
+    assert report == {
+        "n": 2, "member_degree_bound": 2, "omega_degree_bound": 0, "nodes": 4,
+        "member_exact": True, "omega_exact": True,
+    }
 
 
 def test_limit_constant_member_exact():
-    # ({1}, {}), n=0: both sides are matching constants at every a
-    fam = family([1], [], rat(-3, 2))
-    report = limit_from_meixner(0, fam)
-    assert all(d == 0 for d in report.member_dev)
-    # the member is the constant -1, so its values have size 1
-    assert report.scale == 1
+    # ({1}, {}), n=0: the member is the constant -1 and Omega = L_1 has
+    # h-degree 1, so three Meixner families decide both
+    report = exact_limit(family([1], [], rat(-3, 2)), 0)
+    assert (report["member_degree_bound"], report["omega_degree_bound"]) == (0, 1)
+    assert report["nodes"] == 3
 
 
 def test_limit_single_f2():
-    fam = family([], [1], rat(1, 2))
-    report = limit_from_meixner(2, fam)
-    assert report.decreasing
-    assert report.final_dev < rat(1, 100)
-    assert report.scale == max(abs(fam.member(2)(x)) for x in report.xs)
+    for n in (1, 2, 5):
+        report = exact_limit(family([], [1], rat(1, 2)), n)
+        assert report["member_degree_bound"] == n
+        assert report["nodes"] == max(n, 1) + 2
 
 
 def test_limit_mixed_pair():
     fam = family([1], [1], rat(1, 3))
-    report = limit_from_meixner(fam.pair.u + 2, fam)
-    assert report.decreasing
-    assert report.final_dev < rat(1, 100)
+    for n in fam.pair.sigma_first(3):
+        exact_limit(fam, n)
 
 
-def test_limit_rejects_gap_degree_and_bad_a():
+def test_limit_bounds_grow_with_the_second_set():
+    # k2 = 3 adds comb(3, 2) to the member bound; Omega's is 15 - comb(2, 2)
+    report = exact_limit(family([2, 5], [1, 3, 4], rat(9, 2)), 12)
+    assert (report["member_degree_bound"], report["omega_degree_bound"]) == (15, 14)
+    assert report["nodes"] == 17
+
+
+def test_limit_rejects_gap_degree():
     fam = family([1], [], rat(1, 2))
     with pytest.raises(DomainError):
         limit_from_meixner(1, fam)
-    with pytest.raises(DomainError):
-        limit_from_meixner(0, fam, a_sequence=[rat(3, 2)])
+
+
+def perturb_scalings(monkeypatch, which, field, change):
+    """Make limit_from_meixner use one wrong entry of _limit_scalings."""
+    real = lag._limit_scalings
+
+    def perturbed(n, pair):
+        rows = [list(r) for r in real(n, pair)]
+        rows[which][field] = change(rows[which][field])
+        return tuple(map(tuple, rows))
+
+    monkeypatch.setattr(lag, "_limit_scalings", perturbed)
+
+
+MEMBER, OMEGA = 0, 1
+SIGN, CLEARING, POWER, BOUND = range(4)
+LIMIT_FAMILIES = [
+    ([1], [], rat(-3, 2)), ([], [1], rat(1, 2)), ([1], [1], rat(1, 3)),
+    ([1, 2], [3], rat(1, 2)), ([], [1, 2], rat(5, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "which, field, change",
+    [
+        (MEMBER, SIGN, lambda s: -s),
+        (OMEGA, SIGN, lambda s: -s),
+        # the least exponent that clears the poles at a = 0, less one
+        (MEMBER, CLEARING, lambda e: e - 1),
+        (OMEGA, POWER, lambda b: b + 1),
+        (OMEGA, POWER, lambda b: b - 1),
+    ],
+    ids=["member-sign", "omega-sign", "E-1", "beta+1", "beta-1"],
+)
+def test_limit_fails_on_a_wrong_scaling(monkeypatch, which, field, change):
+    perturb_scalings(monkeypatch, which, field, change)
+    verdict = ("member_exact", "omega_exact")[which]
+    for f1, f2, alpha in LIMIT_FAMILIES:
+        fam = family(f1, f2, alpha)
+        for n in fam.pair.sigma_first(2):
+            assert not limit_from_meixner(n, fam)[verdict], (f1, f2, n)
+
+
+@pytest.mark.parametrize("which", [MEMBER, OMEGA], ids=["member", "omega"])
+def test_limit_extra_node_catches_a_low_degree_bound(monkeypatch, which):
+    # with F2 empty both bounds are attained: member 2 at n = 2, Omega = L_1
+    fam = family([1], [], rat(-3, 2))
+    assert exact_limit(fam, 2)["nodes"] == 4
+    perturb_scalings(monkeypatch, which, BOUND, lambda d: d - 1)
+    report = limit_from_meixner(2, fam)
+    assert not report[("member_exact", "omega_exact")[which]]
 
 
 # -- properties -----------------------------------------------------------------
