@@ -13,8 +13,8 @@ factorizations stripping the largest element of F2, an alternative
 determinantal representation through the involuted pair, the reflection
 invariance of Omega, and the scaling limit a -> 1 that recovers the members
 and Omega exactly from the Meixner family.  Identities are verified exactly
-over the rationals; norms and orthogonality go through tail-bounded
-quadrature.
+over the rationals, orthogonality too (from the operator's symmetry); only
+norms go through tail-bounded quadrature.
 """
 from __future__ import annotations
 
@@ -178,8 +178,8 @@ def nonvanishing(fam: LaguerreExcFamily) -> bool:
     return sturm_nonneg_roots(fam.omega) == 0
 
 
-# the degrees whose inner products the norms and orthogonality checks of
-# `xoppak verify` use: the first ones of sigma
+# the first degrees of sigma, over which inner_product builds its table; at
+# run time only the norms check reads it, its first two diagonal entries
 GRAM_DEGREES = 4
 
 
@@ -209,16 +209,23 @@ def inner_product(fam: LaguerreExcFamily, n: int, r: int):
     return table[key]
 
 
-def inner_product_bound(fam: LaguerreExcFamily, n: int, r: int):
-    """(bound, converged): |<member n, member r>| plus the quadrature's tail
-    bound and its error estimate, as an mpf, and whether the quadrature met
-    its own stopping rule.
+def orthogonality_premises(fam: LaguerreExcFamily) -> dict:
+    """The exact premises of orthogonality besides the eigen identity.
 
-    The tail is bounded; the error of the quadrature on [0, upper] is only
-    estimated, so the sum is not a certified bound.
+    For the weight w(x) = x^(alpha+k) e^-x / Omega(x)^2 on (0, inf),
+    integration by parts gives (r - n) <L_n, L_r> = 0 from symmetry,
+    (x w)' = h1 w, that is h1 Omega = (alpha+k+1-x) Omega - 2x Omega',
+    boundary, alpha + k > -1 (w is integrable at 0 and x w vanishes there),
+    and positive_weight, Omega has no root on [0, inf) (nonvanishing).
     """
-    res = inner_product(fam, n, r)
-    return abs(res.value) + res.tail_bound + res.error, res.converged
+    alpha, k = fam.params.alpha, fam.pair.k
+    om = fam.omega
+    n1, _ = _operator_numerators(fam)
+    return {
+        "symmetry": n1 == Poly([alpha + k + 1, -1]) * om - 2 * Poly.x() * om.derivative(),
+        "boundary": alpha + k > -1,
+        "positive_weight": nonvanishing(fam),
+    }
 
 
 def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
@@ -305,12 +312,10 @@ def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
     A, B, low = darboux_pair(fam)
     alpha = fam.params.alpha
     f, _ = fam.pair.remove_f2_max()
-    u_up = fam.pair.u
-    u_lo = low.pair.u if not low.pair.is_trivial else 0
     # the shift constants carry the sign of the eigenvalue convention: with
     # D(member n) = -n * member n the compositions subtract the constants
-    down_ok = (B @ A - (operator(low) - rat(alpha + f - u_lo + 1))).is_zero
-    up_ok = (A @ B - (operator(fam) - rat(alpha + f - u_up + 1))).is_zero
+    down_ok = (B @ A - (operator(low) - rat(alpha + f - low.pair.u + 1))).is_zero
+    up_ok = (A @ B - (operator(fam) - rat(alpha + f - fam.pair.u + 1))).is_zero
     return down_ok, up_ok
 
 

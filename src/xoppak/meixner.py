@@ -9,8 +9,8 @@ to it: the dual family and its duality constants, the second order difference
 operator, norm and positivity statements, Darboux factorizations that strip
 the largest element of F2, an alternative determinantal representation
 through the involuted pair, and the reflection invariance of Omega.
-Identities are verified exactly over the rationals; only norms go through
-certified summation.
+Identities are verified exactly over the rationals, orthogonality too (from
+the operator's symmetry); only norms go through certified summation.
 """
 from __future__ import annotations
 
@@ -315,7 +315,7 @@ def positivity_by_signs(fam: MeixnerExcFamily) -> bool:
     return True
 
 
-def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol=None, abs_tol=None):
+def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol):
     """Certified sum for the weighted inner product of members n and r.
 
     Returns (SumResult, carrier); the true value is the sum value times the
@@ -341,7 +341,7 @@ def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol=None, abs_tol=N
         return prod(x) * weight / den
 
     factors = [(Poly([1, 1]), c + k - 1), (prod, 1), (om, -2)]
-    res = certified_sum(term, a, factors, rel_tol=rel_tol, abs_tol=abs_tol)
+    res = certified_sum(term, a, factors, rel_tol=rel_tol)
     return res, gamma_rational(c + k)
 
 
@@ -368,12 +368,35 @@ class NormCheck:
         )
 
 
-def inner_product_bound(fam: MeixnerExcFamily, n: int, r: int):
-    """(bound, converged): an upper bound on |<member n, member r>|, the exact
-    partial sum plus its certified tail, as an mpf; a certified sum always
-    converges."""
-    res, carrier = inner_product(fam, n, r, abs_tol=rat(1, 10**30))
-    return abs(carrier) * (abs(to_mpf(res.value)) + to_mpf(res.tail_bound)), True
+def _refuse_unless_positive(fam: MeixnerExcFamily) -> None:
+    a, c = fam.params.a, fam.params.c
+    if not (0 < a < 1) or not is_admissible(c, fam.pair):
+        raise AdmissibilityRefusal(f"norm identity needs a positive weight; "
+                                   f"(a={a}, c={c}, {fam.pair!r}) is not admissible")
+
+
+def orthogonality_premises(fam: MeixnerExcFamily) -> dict:
+    """The exact premises of orthogonality besides the eigen identity.
+
+    For the weight w(x) = a^x Gamma(x+c+k) / (x! Omega(x) Omega(x+1)) on
+    x >= 0, summation by parts gives (n - r) <m_n, m_r> = 0 from symmetry,
+    h1(x) = a (x+c+k) Omega(x) / ((x+1) Omega(x+2)) * h-1(x+1) with the
+    denominators cleared, boundary, h-1(0) = 0, and positive_weight, w > 0
+    (positivity_by_signs).  Refuses as norm_closed_form does unless
+    0 < a < 1 (so every sum converges) and c is admissible.  The empty
+    pair's operator differs from these numerators by a constant in h0 only.
+    """
+    _refuse_unless_positive(fam)
+    a, c, k = fam.params.a, fam.params.c, fam.pair.k
+    nums, den = _operator_numerators(fam)
+    om = fam.omega
+    lhs = nums[1] * Poly([1, 1]) * om.shift(2) * den.shift(1)
+    rhs = Poly([c + k, 1]) * om * nums[-1].shift(1) * den * a
+    return {
+        "symmetry": lhs == rhs,
+        "boundary": nums[-1](0) == 0,
+        "positive_weight": positivity_by_signs(fam),
+    }
 
 
 def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
@@ -385,12 +408,8 @@ def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
     pair = fam.pair
     if not pair.sigma_contains(r):
         raise DomainError(f"degree {r} is outside the index set of {pair!r}")
+    _refuse_unless_positive(fam)
     a, c = fam.params.a, fam.params.c
-    if not (0 < a < 1) or not is_admissible(c, pair):
-        raise AdmissibilityRefusal(
-            f"norm identity needs a positive weight; (a={a}, c={c}, {pair!r}) "
-            f"is not admissible"
-        )
     u, k = pair.u, pair.k
     r = int(r)
     pref = rat(1)
@@ -461,10 +480,8 @@ def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
     A, B, low = darboux_pair(fam)
     c = fam.params.c
     f, _ = fam.pair.remove_f2_max()
-    u_up = fam.pair.u
-    u_lo = low.pair.u if not low.pair.is_trivial else 0
-    down_ok = (B @ A - (operator(low) + rat(c + f - u_lo))).is_zero
-    up_ok = (A @ B - (operator(fam) + rat(c + f - u_up))).is_zero
+    down_ok = (B @ A - (operator(low) + rat(c + f - low.pair.u))).is_zero
+    up_ok = (A @ B - (operator(fam) + rat(c + f - fam.pair.u))).is_zero
     return down_ok, up_ok
 
 

@@ -104,37 +104,30 @@ def ratio_cutoff(scale, factors):
     return hi, r
 
 
-def certified_sum(
-    term,
-    scale,
-    factors,
-    rel_tol=None,
-    abs_tol=None,
-    max_terms: int = 200000,
-) -> SumResult:
+def certified_sum(term, scale, factors, rel_tol=None, max_terms: int = 200000) -> SumResult:
     """Sum term(x) for x = 0, 1, 2, ... with a certified tail bound.
 
     The caller guarantees the exact recurrence
     term(x+1) = scale * prod_i P_i(x + s_i)/P_i(x) * term(x) for x >= 0,
     passing factors as (P_i, s_i) pairs.  Terms must be exact rationals; the
     partial sum is exact and only the tail is bounded.  Stops once the bound
-    meets rel_tol (vs the running sum) or abs_tol.
+    is at most rel_tol * sum |term| / 2: on a nonnegative series, the sum; on
+    two members against a positive weight, by Cauchy-Schwarz, at most the
+    geometric mean of their squared norms.
     """
-    if rel_tol is None and abs_tol is None:
-        raise ValueError("need rel_tol or abs_tol")
+    if rel_tol is None or rel_tol <= 0:
+        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     cutoff, r = ratio_cutoff(scale, factors)
     gfac = r / (1 - r)
-    total = rat(0)
+    half_tol = rat(rel_tol) / 2
+    total = size = rat(0)
     for x in range(max_terms):
         t = rat(term(x))
         total += t
+        size += abs(t)
         if x >= cutoff:
-            if t == 0:
-                return SumResult(total, rat(0), x + 1, cutoff)
             bound = abs(t) * gfac
-            if abs_tol is not None and bound <= rat(abs_tol) / 2:
-                return SumResult(total, bound, x + 1, cutoff)
-            if rel_tol is not None and total != 0 and bound <= rat(rel_tol) * abs(total) / 2:
+            if bound <= half_tol * size:
                 return SumResult(total, bound, x + 1, cutoff)
     raise ValueError(f"tolerance not reached after {max_terms} terms")
 

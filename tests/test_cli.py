@@ -367,18 +367,22 @@ def test_orthogonality_takes_norms_from_the_closed_form(capsys, monkeypatch, fla
     monkeypatch.setattr(laguerre, "norm_formula", refuse)
     code, doc = run_json(capsys, "verify", *flags, "--checks", "orthogonality")
     assert code == 0
-    assert doc["checks"][0]["status"] == "pass"
+    row = doc["checks"][0]
+    assert row["status"] == "pass" and row["witness"] is None
+    assert set(row["detail"]) == {"members", "premises"}
+    assert row["detail"]["premises"] == {
+        "eigen": True, "symmetry": True, "boundary": True, "positive_weight": True,
+    }
 
 
 MEIXNER_FLAGS = ["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"]
-CONVERGENCE = pytest.mark.parametrize(
+
+
+@pytest.mark.parametrize(
     "flags, converged",
     [(["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], False), (MEIXNER_FLAGS, True)],
     ids=["laguerre", "meixner"],
 )
-
-
-@CONVERGENCE
 def test_norms_rows_report_convergence(capsys, flags, converged):
     # at alpha + k = -1/2 the quadrature stops at its degree cap; the row says
     # so and the verdict still rests on the tolerance; certified sums converge
@@ -391,26 +395,46 @@ def test_norms_rows_report_convergence(capsys, flags, converged):
     assert all(res["converged"] is converged for res in results)
 
 
-@CONVERGENCE
-def test_orthogonality_reports_convergence(capsys, flags, converged):
+LAGUERRE_FLAGS = ["--kind", "laguerre", "--F1", "1,2", "--F2", "3", "--alpha", "1/2"]
+
+
+def bump_h1_meixner(fam, got):
+    nums, den = got
+    return {**nums, 1: nums[1] + den}, den
+
+
+def bump_h1_laguerre(fam, got):
+    n1, n0 = got
+    return n1 + fam.omega, n0
+
+
+def h_minus1_off_zero(fam, got):
+    # (x + 1) Omega(x+1)^2 in place of x Omega(x+1)^2: h-1(0) = Omega(1)^2 / den(0)
+    nums, den = got
+    return {**nums, -1: nums[-1] + fam.omega.shift(1) ** 2}, den
+
+
+@pytest.mark.parametrize(
+    "mod, flags, change, premise",
+    [
+        (meixner, MEIXNER_FLAGS, bump_h1_meixner, "symmetry"),
+        (laguerre, LAGUERRE_FLAGS, bump_h1_laguerre, "symmetry"),
+        (meixner, MEIXNER_FLAGS, h_minus1_off_zero, "boundary"),
+    ],
+    ids=["meixner-h1", "laguerre-h1", "meixner-h-1-at-0"],
+)
+def test_orthogonality_fails_on_a_broken_premise(capsys, monkeypatch, mod, flags, change,
+                                                 premise):
+    original = mod._operator_numerators
+    monkeypatch.setattr(mod, "_operator_numerators", lambda fam: change(fam, original(fam)))
     code, doc = run_json(capsys, "verify", *flags, "--checks", "orthogonality")
-    assert code == 0
+    assert code == 4
     row = doc["checks"][0]
-    assert row["status"] == "pass"
-    assert row["detail"]["converged"] is converged
-
-
-def test_orthogonality_converged_needs_every_entry(capsys, monkeypatch):
-    calls = []
-
-    def bound(fam, n, r):
-        calls.append((n, r))
-        return 0, len(calls) != 2
-
-    monkeypatch.setattr(meixner, "inner_product_bound", bound)
-    code, doc = run_json(capsys, "verify", *MEIXNER_FLAGS, "--checks", "orthogonality")
-    assert code == 0 and len(calls) == 6
-    assert doc["checks"][0]["detail"]["converged"] is False
+    assert row["status"] == "fail"
+    assert row["detail"]["premises"][premise] is False
+    assert row["witness"]["failed"] == [
+        name for name, holds in row["detail"]["premises"].items() if not holds
+    ]
 
 
 def test_orthogonality_refuses_a_outside_the_unit_interval(capsys):

@@ -274,7 +274,7 @@ def test_norm_rejects_gap_degree():
         norm_identity(1, fam)
 
 
-def test_orthogonality_normalized():
+def test_orthogonality_normalized(capsys):
     fam = family([1], [], rat(-3, 2))
     degrees = [n for n in range(0, 6) if fam.pair.sigma_contains(n)][:4]
     norms = {n: norm_identity(n, fam).rhs for n in degrees}
@@ -283,6 +283,10 @@ def test_orthogonality_normalized():
             res = inner_product(fam, n, r)
             bound = abs(res.value) + res.tail_bound
             assert bound / mp.sqrt(norms[n] * norms[r]) < 1e-7
+    # the exact check passes on the family the quadrature confirms
+    assert cli.main(["verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
+                     "--checks", "orthogonality"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "pass"
 
 
 def test_inner_product_refuses_vanishing_omega():

@@ -1,12 +1,13 @@
 """Tests for exceptional Meixner families and everything attached to them."""
 
+import json
 import math
 
 import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xoppak import meixner
+from xoppak import cli, meixner
 from xoppak.classical import MeixnerParams, meixner_raw
 from xoppak.exact import (
     AdmissibilityRefusal,
@@ -339,7 +340,7 @@ def test_inner_product_terms_match_the_direct_weight(monkeypatch):
     )
 
 
-def test_orthogonality_normalized():
+def test_orthogonality_normalized(capsys):
     fam = family([1], [], rat(1, 2), rat(-1, 2))
     sig = fam.pair.sigma_first(5)
     norms = {}
@@ -348,9 +349,13 @@ def test_orthogonality_normalized():
         norms[n] = abs(car) * to_mpf(res.value)
     for i, n in enumerate(sig):
         for r in sig[i + 1 :]:
-            res, car = inner_product(fam, n, r, abs_tol=rat(1, 10**14))
+            res, car = inner_product(fam, n, r, rel_tol=rat(1, 10**12))
             val = abs(car) * abs(to_mpf(res.value)) + abs(car) * to_mpf(res.tail_bound)
             assert val / mp.sqrt(norms[n] * norms[r]) < mp.mpf(10) ** -9, (n, r)
+    # the exact check passes on the family the sums confirm
+    assert cli.main(["verify", "--kind", "meixner", "--F1", "1", "--a", "1/2", "--c", "-1/2",
+                     "--checks", "orthogonality"]) == 0
+    assert json.loads(capsys.readouterr().out)["checks"][0]["status"] == "pass"
 
 
 def test_darboux_factorization_identities():
