@@ -313,18 +313,15 @@ def _check_norms(job, fam):
     ns = _degrees(job, fam)[:2]
     if not ns:
         return _no_degree()
-    results, bad = [], []
     try:
-        for n in ns:
-            chk = job.module.norm_identity(n, fam, rel_tol=job.rel_tol)
-            results.append({"n": n, "rel_err": float(chk.rel_err), "ok": chk.ok,
-                            "converged": chk.converged})
-            if not chk.ok:
-                bad.append({"n": n, "rel_err": float(chk.rel_err)})
+        checks = job.module.norm_identity(ns, fam, rel_tol=job.rel_tol)
     except AdmissibilityRefusal as exc:
         return "refused", {"reason": str(exc)}, None
     except PoleError as exc:
         return "pole", {"reason": str(exc)}, None
+    results = [{"n": chk.r, "rel_err": float(chk.rel_err), "ok": chk.ok,
+                "converged": chk.converged} for chk in checks]
+    bad = [{"n": chk.r, "rel_err": float(chk.rel_err)} for chk in checks if not chk.ok]
     return ("pass" if not bad else "fail", {"results": results}, bad or None)
 
 

@@ -106,7 +106,6 @@ class LaguerreExcFamily:
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
         self._op_nums = None  # _operator_numerators, once needed
-        self._gram = None  # inner_product's table, once needed
 
     def __repr__(self):
         return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
@@ -178,35 +177,15 @@ def nonvanishing(fam: LaguerreExcFamily) -> bool:
     return sturm_nonneg_roots(fam.omega) == 0
 
 
-# the first degrees of sigma, over which inner_product builds its table; at
-# run time only the norms check reads it, its first two diagonal entries
-GRAM_DEGREES = 4
-
-
-def inner_product(fam: LaguerreExcFamily, n: int, r: int):
-    """Tail-bounded quadrature of the weighted product of members n and r.
-
-    Read from the family's table, which one shared quadrature builds on
-    first need over every pair among the first GRAM_DEGREES degrees of
-    sigma; a pair outside it rebuilds the table over the union of the
-    degrees.
-    """
-    key = (min(n, r), max(n, r))
-    table = fam._gram
-    if table is None or key not in table:
-        om = fam.omega
-        if sturm_nonneg_roots(om) != 0:
-            raise PoleError("weight undefined: Omega vanishes on [0, inf)")
-        degrees = set(fam.pair.sigma_first(GRAM_DEGREES)).union(key)
-        if table is not None:
-            degrees.update(d for pair in table for d in pair)
-        degrees = sorted(degrees)
-        pairs = [(d, e) for i, d in enumerate(degrees) for e in degrees[i:]]
-        members = {d: fam.member(d) for d in degrees}
-        table = fam._gram = laguerre_type_integral(
-            members, om * om, fam.params.alpha + fam.pair.k, pairs
-        )
-    return table[key]
+def inner_product(fam: LaguerreExcFamily, pairs) -> dict:
+    """Tail-bounded quadrature of the weighted product of members n and r
+    for every (n, r) in pairs, as {(n, r): QuadResult}, from one shared
+    pass over exactly those pairs."""
+    if not nonvanishing(fam):
+        raise PoleError("weight undefined: Omega vanishes on [0, inf)")
+    om = fam.omega
+    members = {d: fam.member(d) for pair in pairs for d in pair}
+    return laguerre_type_integral(members, om * om, fam.params.alpha + fam.pair.k, pairs)
 
 
 def orthogonality_premises(fam: LaguerreExcFamily) -> dict:
@@ -235,6 +214,8 @@ def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
     The form holds for a positive weight only; refuses otherwise.
     """
     pair = fam.pair
+    if not pair.sigma_contains(n):
+        raise DomainError(f"degree {n} is outside the index set of {pair!r}")
     alpha = fam.params.alpha
     if not is_admissible(alpha + 1, pair):
         raise AdmissibilityRefusal(
@@ -250,23 +231,26 @@ def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
     return to_mpf(val) * gamma_rational(d + alpha + 1)
 
 
-def norm_identity(n: int, fam: LaguerreExcFamily, rel_tol=None) -> NormCheck:
-    """Verify the squared norm of member n against its closed form.
+def norm_identity(ns, fam: LaguerreExcFamily, rel_tol=None) -> list[NormCheck]:
+    """Verify the squared norms of the members of degrees ns against their
+    closed forms, from one quadrature over the pairs (n, n).
 
     Only meaningful when the weight is a positive measure; refuses
-    otherwise, since the integral identity presumes admissibility.  The
+    otherwise, since the integral identity presumes admissibility.  Each
     check allows the relative tolerance, the certified tail bound and the
     quadrature's error estimate.
     """
-    pair = fam.pair
-    if not pair.sigma_contains(n):
-        raise DomainError(f"degree {n} is outside the index set of {pair!r}")
-    rhs = norm_closed_form(n, fam)
-    rel = rat(rel_tol) if rel_tol is not None else rat(1, 10**8)
-    res = inner_product(fam, n, n)
-    err = abs(res.value - rhs)
-    ok = err <= float(rel) * abs(rhs) + res.tail_bound + res.error
-    return NormCheck(n, res.value, rhs, err / abs(rhs), res.tail_bound, ok, res.converged)
+    rhs = [norm_closed_form(n, fam) for n in ns]
+    rel = float(rat(rel_tol) if rel_tol is not None else rat(1, 10**8))
+    got = inner_product(fam, [(n, n) for n in ns])
+    checks = []
+    for n, want in zip(ns, rhs):
+        res = got[n, n]
+        err = abs(res.value - want)
+        ok = err <= rel * abs(want) + res.tail_bound + res.error
+        rel_err = err / abs(want)
+        checks.append(NormCheck(n, res.value, want, rel_err, res.tail_bound, ok, res.converged))
+    return checks
 
 
 norm_formula = norm_identity  # the benchmark traces the norm check under this name

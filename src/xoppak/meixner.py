@@ -423,20 +423,24 @@ def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
     return closed * mp.power(to_mpf(1 - a), to_mpf(-(c + 2 * r - 2 * u - k)))
 
 
-def norm_identity(r: int, fam: MeixnerExcFamily, rel_tol=None) -> NormCheck:
-    """Verify the squared norm of member r against its closed form.
+def norm_identity(rs, fam: MeixnerExcFamily, rel_tol=None) -> list[NormCheck]:
+    """Verify the squared norms of the members of degrees rs against their
+    closed forms, one certified sum each.
 
     Only meaningful when the weight is a positive measure; refuses
     otherwise, since the summation identity presumes admissibility.
     """
-    rhs = norm_closed_form(r, fam)
     rel = rat(rel_tol) if rel_tol is not None else rat(1, 10**10)
-    res, carrier = inner_product(fam, r, r, rel_tol=rel / 4)
-    lhs = carrier * to_mpf(res.value)
-    tail = abs(carrier) * to_mpf(res.tail_bound)
-    err = abs(lhs - rhs)
-    ok = err <= to_mpf(rel) * abs(rhs) + tail
-    return NormCheck(r, lhs, rhs, err / abs(rhs), tail, ok, True)
+    checks = []
+    for r in rs:
+        rhs = norm_closed_form(r, fam)
+        res, carrier = inner_product(fam, r, r, rel_tol=rel / 4)
+        lhs = carrier * to_mpf(res.value)
+        tail = abs(carrier) * to_mpf(res.tail_bound)
+        err = abs(lhs - rhs)
+        ok = err <= to_mpf(rel) * abs(rhs) + tail
+        checks.append(NormCheck(r, lhs, rhs, err / abs(rhs), tail, ok, True))
+    return checks
 
 
 # -- Darboux factorization ---------------------------------------------------

@@ -6,7 +6,8 @@ infinite sums or integrals are truncated.  Truncations are certified: the
 discrete summation bounds its tail by a geometric series whose ratio is
 established rigorously from root bounds of the factored term ratio, and the
 Laguerre integrals carry an incomplete-gamma tail bound.  The tanh-sinh
-quadrature of a Laguerre integral on the finite part is not certified: it
+quadrature of a Laguerre integral on the finite part, in t with x = t^q on
+[0, 1] so that the integrand is analytic at t = 0, is not certified: it
 carries mpmath's error estimate, not a bound.
 
 Every numeric value is computed at DPS decimal digits.
@@ -168,9 +169,15 @@ def laguerre_type_integral(members, denominator: Poly, exponent, pairs) -> dict:
     |den| >= |lc_d| (x/2)^dd, so the rational factor is within an explicit
     constant of |lc ratio| x^(dp - dd) and the tail is controlled by an
     upper incomplete gamma value.  The pair's own upper limit is at least
-    x0; every pair is integrated on [0, 1, U] (splitting at 1 tames the
-    x^exponent endpoint singularity) with U the largest of these limits, so
-    each tail bound holds at U, and can only shrink there.
+    x0; every pair is integrated on [0, 1] and [1, U] with U the largest of
+    these limits, so each tail bound holds at U, and can only shrink there.
+
+    Tanh-sinh converges fast only on an integrand analytic at the ends, and
+    x^exponent is not analytic at x = 0.  With exponent = p/q in lowest
+    terms, [0, 1] is therefore integrated in t with x = t^q:
+    x^(p/q) dx = q t^(p+q-1) dt, and p + q - 1 >= 0 because exponent > -1,
+    so the integrand is analytic at t = 0.  An integer exponent (q = 1)
+    keeps the integrand in x.
 
     One tanh-sinh pass serves every pair (see _tanh_sinh_gram), with
     mp.quad's nodes, working precision and stopping rule for each pair.
@@ -208,11 +215,12 @@ def laguerre_type_integral(members, denominator: Poly, exponent, pairs) -> dict:
 
 
 def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
-    """{(n, r): (value, error estimate, converged)} on [0, 1, upper].
+    """{(n, r): (value, error estimate, converged)} on [0, 1] and [1, upper].
 
-    At node t with tanh-sinh weight w, the weight function
-    g(t) = t^exponent exp(-t) / denominator(t) is evaluated once and each
-    member once, giving the column v_n = sqrt(w g(t)) m_n(t); the level sum
+    At node t with tanh-sinh weight w, the point is x = t^q on [0, 1] and
+    x = t on [1, upper], and the weight function
+    g = w dx/dt x^exponent exp(-x) / denominator(x) is evaluated once and
+    each member once, giving the column v_n = sqrt(g) m_n(x); the level sum
     of pair (n, r) is the dot product of v_n and v_r.  Node weight and g are
     both positive, so the square root is real.  Each pair follows mp.quad's
     rule on each subinterval: levels 1, 2, ... up to guess_degree(prec),
@@ -226,6 +234,7 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
     value = dict.fromkeys(pairs, mp.mpf(0))
     error = dict.fromkeys(pairs, mp.mpf(0))
     converged = dict.fromkeys(pairs, True)
+    p, q = int(exponent.numerator), int(exponent.denominator)
     with mp.workprec(prec + 20):
         coeffs = {n: [to_mpf(c) for c in reversed(members[n].coeffs)]
                   for n in {n for pair in pairs for n in pair}}
@@ -239,7 +248,11 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
                 if not active:
                     break
                 nodes = rule.get_nodes(a, b, degree, prec)
-                sums = _level_sums(nodes, coeffs, den_c, expo, active)
+                if a == 0:  # x = t^q
+                    points = [(t**q, q * w * t ** (p + q - 1)) for t, w in nodes]
+                else:
+                    points = [(t, w * mp.power(t, expo)) for t, w in nodes]
+                sums = _level_sums(points, coeffs, den_c, active)
                 h = mp.ldexp(1, -degree)
                 still = []
                 for pair in active:
@@ -259,17 +272,17 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
     return {pair: (+value[pair], +error[pair], converged[pair]) for pair in pairs}
 
 
-def _level_sums(nodes, coeffs, den_c, expo, pairs) -> dict:
-    """{(n, r): sum over the nodes of v_n v_r}; the columns die on return."""
+def _level_sums(points, coeffs, den_c, pairs) -> dict:
+    """{(n, r): sum of v_n v_r over the points (x, w dx/dt x^exponent)}."""
     scale = []
-    for t, w in nodes:
-        g = w * mp.power(t, expo) * mp.exp(-t) / mp.polyval(den_c, t)
+    for x, wx in points:
+        g = wx * mp.exp(-x) / mp.polyval(den_c, x)
         if g <= 0:
-            raise ValueError(f"the denominator is not positive at x={t}")
+            raise ValueError(f"the denominator is not positive at x={x}")
         scale.append(mp.sqrt(g))
     cols = {}
     for pair in pairs:
         for n in pair:
             if n not in cols:
-                cols[n] = [s * mp.polyval(coeffs[n], t) for s, (t, _) in zip(scale, nodes)]
+                cols[n] = [s * mp.polyval(coeffs[n], x) for s, (x, _) in zip(scale, points)]
     return {(n, r): mp.fdot(cols[n], cols[r]) for n, r in pairs}

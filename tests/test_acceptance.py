@@ -252,23 +252,21 @@ def test_criterion_08_norms():
             if not is_admissible(c, pair):
                 continue
             fam = mex_fam(f1, f2, a, c)
-            for r in pair.sigma_first(2):
-                chk = mex.norm_identity(r, fam, rel_tol=mex_tol)
+            for chk in mex.norm_identity(pair.sigma_first(2), fam, rel_tol=mex_tol):
                 mex_count += 1
                 if not chk.ok:
-                    bad.append(("meixner", f1, f2, str(a), str(c), r))
+                    bad.append(("meixner", f1, f2, str(a), str(c), chk.r))
         for alpha in ALPHA_GRID:
             if not is_admissible(alpha + 1, pair):
                 continue
             fam = lag_fam(f1, f2, alpha)
-            for r in pair.sigma_first(2):
-                chk = lag.norm_identity(r, fam, rel_tol=lag_tol)
+            for chk in lag.norm_identity(pair.sigma_first(2), fam, rel_tol=lag_tol):
                 lag_count += 1
                 if not chk.ok:
-                    bad.append(("laguerre", f1, f2, str(alpha), r))
+                    bad.append(("laguerre", f1, f2, str(alpha), chk.r))
     # the closed-form value of the lowest squared norm in one family
     fam = lag_fam((1,), (), rat(-3, 2))
-    chk0 = lag.norm_identity(0, fam, rel_tol=lag_tol)
+    [chk0] = lag.norm_identity([0], fam, rel_tol=lag_tol)
     two_sqrt_pi = 2 * mp.sqrt(mp.pi)
     value_ok = chk0.ok and mp.almosteq(chk0.rhs, two_sqrt_pi, rel_eps=mp.mpf("1e-12"))
     if not value_ok:

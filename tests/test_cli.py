@@ -379,20 +379,24 @@ MEIXNER_FLAGS = ["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", 
 
 
 @pytest.mark.parametrize(
-    "flags, converged",
-    [(["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], False), (MEIXNER_FLAGS, True)],
-    ids=["laguerre", "meixner"],
+    "flags",
+    [
+        ["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"],
+        ["--kind", "laguerre", "--F1", "1", "--alpha", "-7/4"],
+        MEIXNER_FLAGS,
+    ],
+    ids=["laguerre", "laguerre-minus-7_4", "meixner"],
 )
-def test_norms_rows_report_convergence(capsys, flags, converged):
-    # at alpha + k = -1/2 the quadrature stops at its degree cap; the row says
-    # so and the verdict still rests on the tolerance; certified sums converge
+def test_norms_rows_report_convergence(capsys, flags):
+    # the quadrature meets its target at alpha + k = -1/2 and -3/4, where the
+    # weight is singular at 0; certified sums always do
     code, doc = run_json(capsys, "verify", *flags, "--checks", "norms")
     assert code == 0
     row = doc["checks"][0]
     assert row["status"] == "pass"
     results = row["detail"]["results"]
     assert len(results) == 2
-    assert all(res["converged"] is converged for res in results)
+    assert all(res["converged"] is True for res in results)
 
 
 LAGUERRE_FLAGS = ["--kind", "laguerre", "--F1", "1,2", "--F2", "3", "--alpha", "1/2"]

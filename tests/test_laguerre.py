@@ -225,7 +225,7 @@ def test_norm_concrete_value_two_sqrt_pi():
     fam = family([1], [], rat(-3, 2))
     closed = norm_closed_form(0, fam)
     assert mp.almosteq(closed, 2 * mp.sqrt(mp.pi))
-    check = norm_identity(0, fam)
+    [check] = norm_identity([0], fam)
     assert check.ok
     assert check.rel_err < 1e-8
 
@@ -256,33 +256,32 @@ def test_norm_closed_form_matches_the_formula(f1, f2, alpha):
 
 def test_norm_further_examples():
     fam = family([1], [], rat(-3, 2))
-    assert norm_identity(2, fam).ok
+    assert norm_identity([2], fam)[0].ok
     fam = family([], [1], rat(1, 2))
-    assert norm_identity(1, fam).ok
+    assert norm_identity([1], fam)[0].ok
 
 
 def test_norm_refuses_non_admissible():
     with pytest.raises(AdmissibilityRefusal):
-        norm_identity(0, family([1], [], rat(-7, 2)))
+        norm_identity([0], family([1], [], rat(-7, 2)))
     with pytest.raises(AdmissibilityRefusal):
-        norm_identity(0, family([1], [], rat(1, 2)))
+        norm_identity([0], family([1], [], rat(1, 2)))
 
 
 def test_norm_rejects_gap_degree():
     fam = family([1], [], rat(-3, 2))
     with pytest.raises(DomainError):
-        norm_identity(1, fam)
+        norm_identity([0, 1], fam)
 
 
 def test_orthogonality_normalized(capsys):
     fam = family([1], [], rat(-3, 2))
     degrees = [n for n in range(0, 6) if fam.pair.sigma_contains(n)][:4]
-    norms = {n: norm_identity(n, fam).rhs for n in degrees}
-    for i, n in enumerate(degrees):
-        for r in degrees[i + 1 :]:
-            res = inner_product(fam, n, r)
-            bound = abs(res.value) + res.tail_bound
-            assert bound / mp.sqrt(norms[n] * norms[r]) < 1e-7
+    norms = {chk.r: chk.rhs for chk in norm_identity(degrees, fam)}
+    pairs = [(n, r) for i, n in enumerate(degrees) for r in degrees[i + 1 :]]
+    for (n, r), res in inner_product(fam, pairs).items():
+        bound = abs(res.value) + res.tail_bound
+        assert bound / mp.sqrt(norms[n] * norms[r]) < 1e-7
     # the exact check passes on the family the quadrature confirms
     assert cli.main(["verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
                      "--checks", "orthogonality"]) == 0
@@ -292,10 +291,12 @@ def test_orthogonality_normalized(capsys):
 def test_inner_product_refuses_vanishing_omega():
     fam = family([1], [], rat(1, 2))
     with pytest.raises(PoleError):
-        inner_product(fam, 0, 0)
+        inner_product(fam, [(0, 0)])
 
 
 def test_default_verify_makes_one_quadrature_per_family(monkeypatch, capsys):
+    # the norms check integrates exactly the diagonal pairs it reports, in
+    # one pass; no other check integrates anything
     calls = []
     quad = lag.laguerre_type_integral
 
@@ -307,41 +308,21 @@ def test_default_verify_makes_one_quadrature_per_family(monkeypatch, capsys):
     for flags in (["--F2", "1", "--alpha", "1/2"], ["--F1", "1", "--alpha", "-3/2"]):
         calls.clear()
         assert cli.main(["verify", "--kind", "laguerre"] + flags) == 0
-        statuses = {row["check"]: row["status"] for row in json.loads(capsys.readouterr().out)["checks"]}
-        assert statuses["norms"] == statuses["orthogonality"] == "pass"
-        assert len(calls) == 1, flags
-
-
-def test_families_never_share_a_table():
-    a, b = family([1], [], rat(-3, 2)), family([1], [], rat(-3, 2))
-    c = family([1], [], rat(-7, 4))
-    assert a._gram is None
-    for fam in (a, b, c):
-        inner_product(fam, 0, 2)
-    assert a._gram is not b._gram and a._gram is not c._gram
-    assert a._gram[0, 0].value == b._gram[0, 0].value != c._gram[0, 0].value
-
-
-def test_inner_product_outside_the_table_rebuilds_over_the_union():
-    fam = family([], [1], rat(1, 2))
-    first = inner_product(fam, 2, 1)
-    degrees = fam.pair.sigma_first(4)
-    assert set(fam._gram) == {(n, r) for n in degrees for r in degrees if n <= r}
-    inner_product(fam, 7, 1)
-    assert set(fam._gram) == {(n, r) for n in degrees + [7] for r in degrees + [7] if n <= r}
-    # a larger member raises the shared upper limit, within the old tail bound
-    again = inner_product(fam, 1, 2)
-    assert again.upper > first.upper
-    assert abs(again.value - first.value) <= first.tail_bound
+        rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
+        assert rows["norms"]["status"] == rows["orthogonality"]["status"] == "pass"
+        ns = [res["n"] for res in rows["norms"]["detail"]["results"]]
+        assert len(ns) == 2 and len(calls) == 1, flags
+        members, _, _, pairs = calls[0]
+        assert pairs == [(n, n) for n in ns] and set(members) == set(ns), flags
 
 
 def test_quadrature_reports_its_error_estimate():
-    # at alpha + k = -1/2 every tanh-sinh level is needed and the estimate
-    # stays above mpmath's target; at 3/2 the rule converges
-    res = inner_product(family([1], [], rat(-3, 2)), 0, 0)
-    assert not res.converged and 0 < res.error < 1e-20
-    res = inner_product(family([], [1], rat(1, 2)), 1, 1)
-    assert res.converged and res.error < mp.mp.eps
+    # x = t^q on [0, 1] makes the integrand analytic at t = 0, so the rule
+    # meets its target at alpha + k = -1/2 and -3/4 as well as at 3/2
+    for f1, f2, alpha, n in (([1], [], rat(-3, 2), 0), ([1], [], rat(-7, 4), 0),
+                             ([], [1], rat(1, 2), 1)):
+        res = inner_product(family(f1, f2, alpha), [(n, n)])[n, n]
+        assert res.converged and res.error < mp.mp.eps, (alpha, n)
 
 
 # -- Darboux -------------------------------------------------------------------

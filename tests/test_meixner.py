@@ -293,20 +293,19 @@ def test_positivity_signs_match_admissibility():
 
 def test_norm_identity_examples():
     fam = family([1], [], rat(1, 2), rat(-1, 2))
-    for r in (0, 2):
-        rec = norm_identity(r, fam)
+    for rec in norm_identity([0, 2], fam):
         assert rec.ok, rec
     other = family([], [1], rat(1, 3), rat(2))
-    rec = norm_identity(1, other)
+    [rec] = norm_identity([1], other)
     assert rec.ok, rec
 
 
 def test_norm_identity_refuses_signed_measures():
     with pytest.raises(AdmissibilityRefusal):
-        norm_identity(0, family([1], [], rat(1, 2), rat(-7, 2)))
+        norm_identity([0], family([1], [], rat(1, 2), rat(-7, 2)))
     with pytest.raises(AdmissibilityRefusal):
         # admissible c but a outside (0,1)
-        norm_identity(0, family([1], [], rat(-1, 2), rat(-1, 2)))
+        norm_identity([0], family([1], [], rat(-1, 2), rat(-1, 2)))
 
 
 def test_inner_product_terms_match_the_direct_weight(monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from xoppak.exact import Poly, PoleError, pochhammer, rat
 from xoppak.classical import LaguerreParams, MeixnerParams, laguerre, meixner
-from xoppak.laguerre import LaguerreExcFamily, nonvanishing
+from xoppak.laguerre import LaguerreExcFamily, nonvanishing, norm_closed_form
 from xoppak.numerics import (
     QuadResult,
     certified_sum,
@@ -116,13 +116,14 @@ def test_first_meixner_moment_is_explicit():
 
 
 def test_classical_laguerre_norms_by_quadrature():
-    for alpha in (rat(1, 2), rat(-1, 2), rat(2)):
+    for alpha in (rat(1, 2), rat(-1, 2), rat(2), rat(-3, 4)):
         for n in range(5):
             ln = laguerre(n, alpha)
             res = laguerre_type_integral({n: ln}, Poly.one(), alpha, [(n, n)])[n, n]
             want = gamma_rational(alpha + n + 1) / math.factorial(n)
-            err = abs(res.value - want) + res.tail_bound
-            assert err <= mp.mpf(10) ** -10 * want, (alpha, n)
+            assert res.converged, (alpha, n)
+            err = abs(res.value - want)
+            assert err <= res.tail_bound + mp.mpf(10) ** -40 * want, (alpha, n)
 
 
 def test_classical_laguerre_orthogonality_by_quadrature():
@@ -143,14 +144,17 @@ def test_tanh_sinh_rule_keeps_what_the_shared_pass_uses():
 
 
 def standalone_quad(prod: Poly, den: Poly, exponent, upper):
-    """mp.quad of prod / den * x^exponent * exp(-x) on [0, 1, upper]."""
+    """mp.quad of prod / den * x^exponent * exp(-x) on [0, 1] in t with
+    x = t^q, for exponent = p/q in lowest terms, plus on [1, upper] in x."""
     num_c = [to_mpf(c) for c in reversed(prod.coeffs)]
     den_c = [to_mpf(c) for c in reversed(den.coeffs)]
-    expo = to_mpf(exponent)
-    return mp.quad(
-        lambda t: mp.polyval(num_c, t) / mp.polyval(den_c, t) * mp.power(t, expo) * mp.exp(-t),
-        [0, 1, upper],
-    )
+    p, q = int(exponent.numerator), int(exponent.denominator)
+
+    def rest(x):
+        return mp.polyval(num_c, x) / mp.polyval(den_c, x) * mp.exp(-x)
+
+    head = mp.quad(lambda t: q * t ** (p + q - 1) * rest(t**q), [0, 1])
+    return head + mp.quad(lambda x: mp.power(x, to_mpf(exponent)) * rest(x), [1, upper])
 
 
 # (F1, F2, alpha) of small families whose Omega keeps off [0, inf); the
@@ -191,6 +195,31 @@ def test_shared_pass_matches_standalone_quad(spec):
     for pair, res in got.items():
         assert res.upper == upper
         assert abs(res.value - want[pair]) <= mp.mpf(10) ** -40 * scale, (spec, pair)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(LAGUERRE_FAMILIES))
+def test_diagonal_entries_meet_the_closed_form(spec):
+    # every weight exponent alpha + k from -3/4 to 9/2: the rule converges on
+    # each norm of the first two degrees, and only the tail separates it from
+    # the closed form
+    f1, f2, alpha = spec
+    fam = LaguerreExcFamily(LaguerreParams(alpha), PairSpec(f1, f2))
+    ns = fam.pair.sigma_first(2)
+    members = {n: fam.member(n) for n in ns}
+    den = fam.omega * fam.omega
+    got = laguerre_type_integral(members, den, alpha + fam.pair.k, [(n, n) for n in ns])
+    for n in ns:
+        res, want = got[n, n], norm_closed_form(n, fam)
+        assert res.converged, (spec, n)
+        assert abs(res.value - want) <= res.tail_bound + mp.mpf(10) ** -40 * res.value, (spec, n)
+
+
+# every family runs as an explicit example, whatever hypothesis draws
+for _spec in LAGUERRE_FAMILIES:
+    test_diagonal_entries_meet_the_closed_form = example(_spec)(
+        test_diagonal_entries_meet_the_closed_form
+    )
 
 
 def test_shared_pass_takes_the_largest_upper_limit():
