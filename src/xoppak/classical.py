@@ -17,8 +17,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import ParameterError, PoleError, Poly, RatFunc, is_integer, rat
-from .operators import DifferenceOperator
+from .exact import ParameterError, PoleError, Poly, is_integer, rat
 
 
 class MeixnerParams:
@@ -147,15 +146,3 @@ def laguerre(n: int, p) -> Poly:
     alpha = p.alpha if isinstance(p, LaguerreParams) else rat(p)
     return _laguerre_cached(int(n), *_terms(alpha))
 
-
-def meixner_op(p: MeixnerParams) -> DifferenceOperator:
-    """Second-order difference operator with meixner(n) as eigenvector for eigenvalue n."""
-    x = Poly.x()
-    d = p.a - 1
-    return DifferenceOperator(
-        {
-            -1: RatFunc(x / d),
-            0: RatFunc(-((1 + p.a) * x + p.a * p.c) / d),
-            1: RatFunc(p.a * (x + p.c) / d),
-        }
-    )

@@ -35,7 +35,7 @@ class UsageError(Exception):
 class JobSpec:
     """Parsed, validated description of one family job."""
 
-    def __init__(self, kind, f1, f2, params, n_range=None, checks=(), rel_tol=None):
+    def __init__(self, kind, f1, f2, params, n_range=None, checks=()):
         self.kind = kind
         self.module, self._build, self.formal = KINDS[kind]
         self.f1 = f1
@@ -44,7 +44,6 @@ class JobSpec:
         self.params = params
         self.n_range = n_range
         self.checks = checks
-        self.rel_tol = rel_tol
 
     @property
     def pair(self) -> PairSpec:
@@ -148,12 +147,6 @@ def _job_from_args(args) -> JobSpec:
     checks = ()
     if getattr(args, "checks", None):
         checks = tuple(p.strip() for p in args.checks.split(",") if p.strip())
-    rel_tol = None
-    if getattr(args, "rel_tol", None) is not None:
-        rel_tol = _parse_rational(args.rel_tol, "--rel-tol")
-        if rel_tol <= 0:
-            # the sums and the quadrature would never reach a tolerance of 0
-            raise UsageError(f"--rel-tol must be positive, got {format_rational(rel_tol)}")
     return JobSpec(
         kind=kind,
         f1=f1,
@@ -161,7 +154,6 @@ def _job_from_args(args) -> JobSpec:
         params=params,
         n_range=_parse_n(getattr(args, "n", None)),
         checks=checks,
-        rel_tol=rel_tol,
     )
 
 
@@ -314,14 +306,15 @@ def _check_norms(job, fam):
     if not ns:
         return _no_degree()
     try:
-        checks = job.module.norm_identity(ns, fam, rel_tol=job.rel_tol)
+        checks = job.module.norm_identity(ns, fam)
     except AdmissibilityRefusal as exc:
         return "refused", {"reason": str(exc)}, None
     except PoleError as exc:
         return "pole", {"reason": str(exc)}, None
-    results = [{"n": chk.r, "rel_err": float(chk.rel_err), "ok": chk.ok,
-                "converged": chk.converged} for chk in checks]
-    bad = [{"n": chk.r, "rel_err": float(chk.rel_err)} for chk in checks if not chk.ok]
+    results = [{"n": chk.r, "rel_err": float(chk.rel_err), "rel_bound": float(chk.rel_bound),
+                "ok": chk.ok, "converged": chk.converged} for chk in checks]
+    bad = [{key: res[key] for key in ("n", "rel_err", "rel_bound")}
+           for res in results if not res["ok"]]
     return ("pass" if not bad else "fail", {"results": results}, bad or None)
 
 
@@ -495,7 +488,7 @@ def _emit(payload, args, verb) -> None:
 # -- argument plumbing -------------------------------------------------------
 
 def _add_family_flags(sub, with_checks=False):
-    """The family flags; verify (with_checks) adds its checks, tolerance and format."""
+    """The family flags; verify (with_checks) adds its checks and format."""
     sub.add_argument("--kind", required=True,
                      choices=["meixner", "laguerre", "krawtchouk"])
     sub.add_argument("--F1", default="", help="comma list of positive integers")
@@ -505,8 +498,6 @@ def _add_family_flags(sub, with_checks=False):
     sub.add_argument("--alpha", default=None, help="rational like -3/2")
     if with_checks:
         sub.add_argument("--checks", default=None, help="comma list of check names")
-        sub.add_argument("--rel-tol", dest="rel_tol", default=None,
-                         help="relative tolerance of the norms check")
         sub.add_argument("--format", choices=["json", "csv"], default="json")
     sub.add_argument("--out", default=None, help="write the report to this path")
 
@@ -537,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--a", "--c", "--alpha", "--rel-tol"}
+_VALUE_FLAGS = {"--a", "--c", "--alpha"}
 
 
 def _preprocess(argv):

@@ -19,21 +19,6 @@ try:
 except ImportError:  # without the gmpy2 extra
     from fractions import Fraction as Rational
 
-try:
-    from gmpy2 import iroot as _iroot
-except ImportError:  # without the gmpy2 extra
-
-    def _iroot(n, i):
-        n = int(n)
-        lo, hi = 0, 1 << ((n.bit_length() + i - 1) // i)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mid**i <= n:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo, lo**i == n
-
 NEG_INF = float("-inf")
 
 
@@ -848,13 +833,25 @@ def cauchy_root_bound(p: Poly):
     return rat(1) + m / lc
 
 
+def _iroot(n, i):
+    """(floor of the i-th root of the integer n >= 0, whether it is exact)."""
+    lo, hi = 0, 1 << ((n.bit_length() + i - 1) // i)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**i <= n:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo, lo**i == n
+
+
 def _nth_root_upper(q, i: int):
     """Smallest convenient integer upper bound for q**(1/i), q >= 0 rational."""
     n = int(rat_ceil(q))
     if n <= 0:
         return 0
     root, exact = _iroot(n, i)
-    return int(root) if exact else int(root) + 1
+    return root if exact else root + 1
 
 
 def root_bound(p: Poly):

@@ -46,6 +46,7 @@ from .meixner import (
     MeixnerExcFamily,
     NormCheck,
     fitted_representation,
+    norm_check,
 )
 from .numerics import gamma_rational, laguerre_type_integral, to_mpf
 from .operators import DifferentialOperator
@@ -231,25 +232,20 @@ def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
     return to_mpf(val) * gamma_rational(d + alpha + 1)
 
 
-def norm_identity(ns, fam: LaguerreExcFamily, rel_tol=None) -> list[NormCheck]:
+def norm_identity(ns, fam: LaguerreExcFamily) -> list[NormCheck]:
     """Verify the squared norms of the members of degrees ns against their
-    closed forms, from one quadrature over the pairs (n, n).
+    closed forms, from one quadrature over the pairs (n, n), allowing each
+    its certified tail and the quadrature's error estimate.
 
     Only meaningful when the weight is a positive measure; refuses
-    otherwise, since the integral identity presumes admissibility.  Each
-    check allows the relative tolerance, the certified tail bound and the
-    quadrature's error estimate.
+    otherwise, since the integral identity presumes admissibility.
     """
     rhs = [norm_closed_form(n, fam) for n in ns]
-    rel = float(rat(rel_tol) if rel_tol is not None else rat(1, 10**8))
     got = inner_product(fam, [(n, n) for n in ns])
     checks = []
     for n, want in zip(ns, rhs):
         res = got[n, n]
-        err = abs(res.value - want)
-        ok = err <= rel * abs(want) + res.tail_bound + res.error
-        rel_err = err / abs(want)
-        checks.append(NormCheck(n, res.value, want, rel_err, res.tail_bound, ok, res.converged))
+        checks.append(norm_check(n, res.value, want, res.tail_bound + res.error, res.converged))
     return checks
 
 

@@ -19,7 +19,7 @@ from math import comb
 
 import mpmath as mp
 
-from .classical import MeixnerParams, meixner_op, meixner_raw
+from .classical import MeixnerParams, meixner_raw
 from .exact import (
     AdmissibilityRefusal,
     DomainError,
@@ -37,7 +37,7 @@ from .exact import (
     root_bound,
     top_row_minors,
 )
-from .numerics import certified_sum, gamma_rational, to_mpf
+from .numerics import DPS, certified_sum, gamma_rational, to_mpf
 from .operators import DifferenceOperator
 from .pairs import PairSpec, hat_c, involute, is_admissible
 
@@ -247,17 +247,15 @@ def _operator_numerators(fam: MeixnerExcFamily):
     """Numerators of the coefficients of the shifts -1, 0 and 1 over one
     denominator (a-1) Omega(x) Omega(x+1), and that denominator.
 
-    For the degenerate empty pair the formula does not specialize to the
-    classical operator (the middle coefficient keeps a constant offset), so
-    the callers use the classical operator there.  Computed once per family,
-    as every residual of the family reads them.
+    The empty pair takes Lambda = 0, which gives the classical operator.
+    Computed once per family, as every residual of the family reads them.
     """
     if fam._op_nums is not None:
         return fam._op_nums
     a, c = fam.params.a, fam.params.c
     u, k = fam.pair.u, fam.pair.k
     om, om1 = fam.omega, fam.omega.shift(1)
-    lm = fam.lam
+    lm = fam.lam if k else Poly.zero()
     x = Poly.x()
     mid = ((x + k) * (-(1 + a)) - a * c + (a - 1) * u) * om * om1
     mid = mid + (x + (c + k)) * lm.shift(1) * om * a - (x + (c + k - 1)) * lm * om1 * a
@@ -268,8 +266,6 @@ def _operator_numerators(fam: MeixnerExcFamily):
 
 def operator(fam: MeixnerExcFamily) -> DifferenceOperator:
     """The three point difference operator with the family as eigenfunctions."""
-    if fam.pair.is_trivial:
-        return meixner_op(fam.params)
     nums, den = _operator_numerators(fam)
     return DifferenceOperator({j: RatFunc(num, den) for j, num in nums.items()})
 
@@ -281,9 +277,6 @@ def eigen_residual(n: int, fam: MeixnerExcFamily) -> Poly:
     the statement into a polynomial identity, which is compared exactly.
     """
     p = fam.member(n)
-    if fam.pair.is_trivial:
-        diff = meixner_op(fam.params).apply(p) - RatFunc(p * rat(n))
-        return diff.num if not diff.is_zero else Poly.zero()
     nums, den = _operator_numerators(fam)
     return nums[-1] * p.shift(-1) + nums[0] * p + nums[1] * p.shift(1) - den * p * rat(n)
 
@@ -345,34 +338,57 @@ def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol):
     return res, gamma_rational(c + k)
 
 
+# the relative rounding allowance of every norms row, ten digits short of the
+# DPS working digits: far above the rounding of the value and the closed form
+ROUNDING = mp.mpf(10) ** (10 - DPS)
+# the certified sum of a squared norm stops once its tail is at most this
+# fraction of the sum
+NORM_SUM_TOL = rat(1, 4 * 10**10)
+
+
 class NormCheck:
     """Record of one norm verification: measured vs closed form.
 
     converged says whether the numeric value met its own stopping rule: a
     certified sum always does, a quadrature may stop at its degree cap.
+    rel_bound is the allowed |lhs - rhs| relative to |rhs|.
     """
 
-    def __init__(self, r, lhs, rhs, rel_err, tail, ok, converged):
+    def __init__(self, r, lhs, rhs, rel_err, rel_bound, ok, converged):
         self.r = r
         self.lhs = lhs
         self.rhs = rhs
         self.rel_err = rel_err
-        self.tail = tail
+        self.rel_bound = rel_bound
         self.ok = ok
         self.converged = converged
 
     def __repr__(self):
         return (
-            f"NormCheck(r={self.r}, lhs={self.lhs}, rhs={self.rhs}, "
-            f"rel_err={self.rel_err}, ok={self.ok}, converged={self.converged})"
+            f"NormCheck(r={self.r}, lhs={self.lhs}, rhs={self.rhs}, rel_err={self.rel_err}, "
+            f"rel_bound={self.rel_bound}, ok={self.ok}, converged={self.converged})"
         )
+
+
+def norm_check(r, value, closed, allowance, converged) -> NormCheck:
+    """The verdict on one numeric squared norm against its closed form.
+
+    allowance bounds the numeric error (a certified tail, plus a quadrature's
+    error estimate); ROUNDING |closed| covers the rounding.  The row passes
+    when the value met its own stopping rule and lies within both.
+    """
+    err, bound = abs(value - closed), allowance + ROUNDING * abs(closed)
+    rel_err, rel_bound = err / abs(closed), bound / abs(closed)
+    return NormCheck(r, value, closed, rel_err, rel_bound, converged and err <= bound, converged)
 
 
 def _refuse_unless_positive(fam: MeixnerExcFamily) -> None:
     a, c = fam.params.a, fam.params.c
-    if not (0 < a < 1) or not is_admissible(c, fam.pair):
-        raise AdmissibilityRefusal(f"norm identity needs a positive weight; "
-                                   f"(a={a}, c={c}, {fam.pair!r}) is not admissible")
+    if not 0 < a < 1:
+        raise AdmissibilityRefusal(f"a positive weight needs 0 < a < 1, got a={a}")
+    if not is_admissible(c, fam.pair):
+        raise AdmissibilityRefusal(
+            f"a positive weight needs an admissible c; c={c} is not admissible for {fam.pair!r}")
 
 
 def orthogonality_premises(fam: MeixnerExcFamily) -> dict:
@@ -383,8 +399,7 @@ def orthogonality_premises(fam: MeixnerExcFamily) -> dict:
     h1(x) = a (x+c+k) Omega(x) / ((x+1) Omega(x+2)) * h-1(x+1) with the
     denominators cleared, boundary, h-1(0) = 0, and positive_weight, w > 0
     (positivity_by_signs).  Refuses as norm_closed_form does unless
-    0 < a < 1 (so every sum converges) and c is admissible.  The empty
-    pair's operator differs from these numerators by a constant in h0 only.
+    0 < a < 1 (so every sum converges) and c is admissible.
     """
     _refuse_unless_positive(fam)
     a, c, k = fam.params.a, fam.params.c, fam.pair.k
@@ -423,23 +438,20 @@ def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
     return closed * mp.power(to_mpf(1 - a), to_mpf(-(c + 2 * r - 2 * u - k)))
 
 
-def norm_identity(rs, fam: MeixnerExcFamily, rel_tol=None) -> list[NormCheck]:
+def norm_identity(rs, fam: MeixnerExcFamily) -> list[NormCheck]:
     """Verify the squared norms of the members of degrees rs against their
-    closed forms, one certified sum each.
+    closed forms, one certified sum each, allowing each its certified tail.
 
     Only meaningful when the weight is a positive measure; refuses
     otherwise, since the summation identity presumes admissibility.
     """
-    rel = rat(rel_tol) if rel_tol is not None else rat(1, 10**10)
     checks = []
     for r in rs:
         rhs = norm_closed_form(r, fam)
-        res, carrier = inner_product(fam, r, r, rel_tol=rel / 4)
+        res, carrier = inner_product(fam, r, r, rel_tol=NORM_SUM_TOL)
         lhs = carrier * to_mpf(res.value)
         tail = abs(carrier) * to_mpf(res.tail_bound)
-        err = abs(lhs - rhs)
-        ok = err <= to_mpf(rel) * abs(rhs) + tail
-        checks.append(NormCheck(r, lhs, rhs, err / abs(rhs), tail, ok, True))
+        checks.append(norm_check(r, lhs, rhs, tail, True))
     return checks
 
 

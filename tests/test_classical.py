@@ -7,16 +7,17 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from xoppak import classical
+from xoppak import classical, meixner as mex
 from xoppak.exact import ParameterError, PoleError, Poly, RatFunc, pochhammer, rat, rat_pow
 from xoppak.classical import (
     LaguerreParams,
     MeixnerParams,
     laguerre,
     meixner,
-    meixner_op,
     meixner_raw,
 )
+from xoppak.operators import DifferenceOperator
+from xoppak.pairs import PairSpec
 
 
 def rationals(min_num=-9, max_num=9, max_den=5):
@@ -106,11 +107,30 @@ def test_laguerre_three_term_recurrence(alpha):
         assert lhs == rhs
 
 
+def empty_pair_operator(p):
+    # the exceptional operator of the empty pair, checked against the
+    # classical one: x/(a-1) at shift -1, -((1+a)x + ac)/(a-1) at 0 and
+    # a(x+c)/(a-1) at 1
+    op = mex.operator(mex.MeixnerExcFamily(p, PairSpec.trivial()))
+    d = p.a - 1
+    assert op == DifferenceOperator({
+        -1: RatFunc(X / d),
+        0: RatFunc(-((1 + p.a) * X + p.a * p.c) / d),
+        1: RatFunc(p.a * (X + p.c) / d),
+    })
+    return op
+
+
 def test_meixner_operator_eigenfunctions():
+    # x m(x-1) - ((1+a)x + ac) m(x) + a(x+c) m(x+1) = n (a-1) m(x)
     for p in (MeixnerParams(rat(1, 2), 3), MeixnerParams(rat(2, 3), rat(7, 3))):
-        op = meixner_op(p)
+        op = empty_pair_operator(p)
+        a, c = p.a, p.c
         for n in range(13):
-            assert op.apply(meixner(n, p)) == RatFunc(n * meixner(n, p))
+            m = meixner(n, p)
+            lhs = X * m.shift(-1) - ((1 + a) * X + a * c) * m + a * (X + c) * m.shift(1)
+            assert lhs == n * (a - 1) * m
+            assert op.apply(m) == RatFunc(n * m)
 
 
 def test_laguerre_operator_eigenfunctions():
@@ -124,7 +144,7 @@ def test_laguerre_operator_eigenfunctions():
 
 def test_operator_algebra_on_eigenfunctions():
     p = MeixnerParams(rat(2, 3), rat(7, 3))
-    op = meixner_op(p)
+    op = empty_pair_operator(p)
     m5 = meixner(5, p)
     assert (op - 5).apply(m5) == RatFunc(Poly.zero())
     assert (op @ op).apply(m5) == RatFunc(25 * m5)

@@ -1,6 +1,7 @@
 """Command line tool: verbs, payload shapes, exit codes."""
 import json
 
+import mpmath as mp
 import pytest
 
 from xoppak import cli, laguerre, meixner
@@ -151,13 +152,26 @@ def test_bad_rational_exits_2(capsys):
         assert "--a" in err
 
 
+def assert_rel_tol_refused(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2",
+                  "--c", "3", "--checks", "norms", "--rel-tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --rel-tol" in captured.err
+
+
+def test_rel_tol_is_an_unknown_argument(capsys):
+    # a norms row passes on its own error bound, so no tolerance is taken
+    assert_rel_tol_refused(capsys, "1/1000000")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1"])
 def test_nonpositive_rel_tol_exits_2(capsys, tol):
-    # a tolerance no finite sum can reach used to run without end
-    code, out, err = run(capsys, "verify", "--kind", "meixner", "--F1", "1,2", "--F2", "1",
-                         "--a", "1/2", "--c", "3", "--checks", "norms", "--rel-tol", tol)
-    assert code == 2 and out == ""
-    assert "--rel-tol must be positive" in err
+    # a tolerance no finite sum can reach used to run without end; with the
+    # flag gone such a value is refused before any sum starts
+    assert_rel_tol_refused(capsys, tol)
 
 
 def test_flag_values_parse(capsys):
@@ -323,19 +337,17 @@ def test_verify_full_admissible(capsys, flags, refused):
         assert status == ("refused" if check in refused else "pass"), check
 
 
-def test_verify_limit_is_exact_and_ignores_rel_tol(capsys):
+def test_verify_limit_is_exact(capsys):
     # the member and Omega at h = 0 of interpolants through the Meixner
-    # families at a = 1 - h, h = 1/2 .. 1/8; no tolerance is involved, so
-    # --rel-tol leaves the verdict and the detail as they are
-    flags = ["verify", "--kind", "laguerre", "--F1", "1,2", "--F2", "3",
-             "--alpha", "1/2", "--checks", "limit"]
-    want = {"n": 3, "member_degree_bound": 3, "omega_degree_bound": 5, "nodes": 7,
-            "member_exact": True, "omega_exact": True}
-    for extra in ([], ["--rel-tol", "1/1000000"]):
-        code, doc = run_json(capsys, *flags, *extra)
-        assert code == 0
-        assert doc["checks"][0]["status"] == "pass"
-        assert doc["checks"][0]["detail"] == want
+    # families at a = 1 - h, h = 1/2 .. 1/8
+    code, doc = run_json(capsys, "verify", "--kind", "laguerre", "--F1", "1,2", "--F2", "3",
+                         "--alpha", "1/2", "--checks", "limit")
+    assert code == 0
+    assert doc["checks"][0]["status"] == "pass"
+    assert doc["checks"][0]["detail"] == {
+        "n": 3, "member_degree_bound": 3, "omega_degree_bound": 5, "nodes": 7,
+        "member_exact": True, "omega_exact": True,
+    }
 
 
 def test_verify_darboux_refuses_a_gap_degree(capsys):
@@ -397,6 +409,37 @@ def test_norms_rows_report_convergence(capsys, flags):
     results = row["detail"]["results"]
     assert len(results) == 2
     assert all(res["converged"] is True for res in results)
+    assert all(res["ok"] and res["rel_err"] <= res["rel_bound"] for res in results)
+
+
+@pytest.mark.parametrize(
+    "mod, flags, scale",
+    [
+        (meixner, MEIXNER_FLAGS, "5e-11"),
+        (meixner, ["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "4/5", "--c", "3"],
+         "5e-11"),
+        (laguerre, ["--kind", "laguerre", "--F2", "1", "--alpha", "1/2"], "1e-15"),
+        (laguerre, ["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], "1e-15"),
+    ],
+    ids=["meixner", "meixner-a-4_5", "laguerre", "laguerre-minus-3_2"],
+)
+def test_norms_fail_on_a_perturbed_closed_form(capsys, monkeypatch, mod, flags, scale):
+    # a closed form off by far less than the old default tolerances (1e-10
+    # for Meixner, 1e-8 for Laguerre) lies outside every row's own bound
+    original = mod.norm_closed_form
+    monkeypatch.setattr(mod, "norm_closed_form",
+                        lambda n, fam: original(n, fam) * (1 + mp.mpf(scale)))
+    code, doc = run_json(capsys, "verify", *flags, "--checks", "norms")
+    assert code == 4
+    row = doc["checks"][0]
+    assert row["status"] == "fail"
+    for res in row["detail"]["results"]:
+        assert res["converged"] is True and res["ok"] is False
+        assert res["rel_bound"] < res["rel_err"]
+    assert row["witness"] == [
+        {key: res[key] for key in ("n", "rel_err", "rel_bound")}
+        for res in row["detail"]["results"]
+    ]
 
 
 LAGUERRE_FLAGS = ["--kind", "laguerre", "--F1", "1,2", "--F2", "3", "--alpha", "1/2"]
@@ -450,9 +493,36 @@ def test_orthogonality_refuses_a_outside_the_unit_interval(capsys):
     assert code == 0
     row = doc["checks"][0]
     assert row["status"] == "refused"
+    assert row["detail"]["reason"] == "a positive weight needs 0 < a < 1, got a=3/2"
+
+
+@pytest.mark.parametrize("check, a", [("orthogonality", "2"), ("norms", "2"),
+                                      ("norms", "-1/2")])
+def test_refusal_names_a_outside_the_unit_interval(capsys, check, a):
+    # the reason names the failed condition, not admissibility, and not the
+    # norm identity when orthogonality refuses
+    code, doc = run_json(
+        capsys, "verify", "--kind", "meixner", "--F1", "1,2", "--F2", "1",
+        "--a", a, "--c", "3", "--checks", check,
+    )
+    assert code == 0
+    row = doc["checks"][0]
+    assert row["status"] == "refused"
+    assert row["detail"]["reason"] == f"a positive weight needs 0 < a < 1, got a={a}"
+
+
+def test_norms_refusal_names_an_inadmissible_c(capsys):
+    # 0 < a < 1 holds, but c = -7/2 is not admissible for F1 = {1}
+    code, doc = run_json(
+        capsys, "verify", "--kind", "meixner", "--F1", "1", "--a", "1/2", "--c", "-7/2",
+        "--checks", "norms",
+    )
+    assert code == 0
+    row = doc["checks"][0]
+    assert row["status"] == "refused"
     assert row["detail"]["reason"] == (
-        "norm identity needs a positive weight; (a=3/2, c=3, PairSpec([1, 2], [1])) "
-        "is not admissible"
+        "a positive weight needs an admissible c; c=-7/2 is not admissible for "
+        "PairSpec([1], [])"
     )
 
 

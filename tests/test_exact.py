@@ -22,6 +22,7 @@ from xoppak.exact import (
     rational_det,
     sturm_nonneg_roots,
     top_row_minors,
+    _iroot,
 )
 
 X = Poly.x()
@@ -304,3 +305,24 @@ def test_cauchy_bound_contains_roots():
     p = (X - 3) * (X + 5) * (2 * X - 1)
     b = cauchy_root_bound(p)
     assert b > 5
+
+
+@given(st.integers(min_value=0, max_value=10**40))
+def test_iroot_square_matches_isqrt(n):
+    root = math.isqrt(n)
+    assert _iroot(n, 2) == (root, root * root == n)
+
+
+@pytest.mark.parametrize("i", [3, 4, 5])
+def test_iroot_matches_brute_force(i):
+    # every n up to 3^i + 1, so each root 0..3 is met exactly and in between
+    root = 0
+    for n in range(3**i + 2):
+        while (root + 1) ** i <= n:
+            root += 1
+        assert _iroot(n, i) == (root, root**i == n), (n, i)
+    # and around large perfect powers
+    for base in (10**6, 2**40 + 3):
+        for n in (base**i - 1, base**i, base**i + 1):
+            want = base if n >= base**i else base - 1
+            assert _iroot(n, i) == (want, n == base**i), (n, i)

@@ -24,6 +24,7 @@ from xoppak.exact import (
 from xoppak.meixner import (
     DualityConstants,
     MeixnerExcFamily,
+    ROUNDING,
     alt_representation,
     darboux_identities,
     darboux_intertwining,
@@ -32,6 +33,7 @@ from xoppak.meixner import (
     eigen_residual,
     inner_product,
     invariance_conjecture,
+    norm_check,
     norm_closed_form,
     norm_identity,
     operator,
@@ -152,6 +154,16 @@ def test_eigen_identity_sweep():
         fam = family(f1, f2, rat(2, 3), rat(-1, 2))
         for n in fam.pair.sigma_first(4):
             assert eigen_residual(n, fam).is_zero, (f1, f2, n)
+
+
+def test_empty_pair_residuals_vanish():
+    # the general numerators with Lambda = 0 are the classical operator
+    for a, c in ((rat(1, 2), rat(3)), (rat(2, 3), rat(7, 3)), (rat(3, 2), rat(-1, 2)),
+                 (rat(-1, 3), rat(5, 2))):
+        fam = MeixnerExcFamily(MeixnerParams(a, c), PairSpec.trivial())
+        assert fam.lam == Poly.one()
+        for n in range(6):
+            assert eigen_residual(n, fam).is_zero, (a, c, n)
 
 
 def test_operator_application_matches_cleared_identity():
@@ -306,6 +318,20 @@ def test_norm_identity_refuses_signed_measures():
     with pytest.raises(AdmissibilityRefusal):
         # admissible c but a outside (0,1)
         norm_identity([0], family([1], [], rat(-1, 2), rat(-1, 2)))
+
+
+def test_norm_check_rule():
+    # a row passes when the value met its stopping rule and lies within the
+    # allowance plus 1e-40 of the closed form, and reports that bound
+    one, gap = mp.mpf(1), mp.mpf(2) ** -70  # both exact in binary
+    chk = norm_check(3, one + gap, one, 2 * gap, True)
+    assert chk.ok and chk.r == 3
+    assert chk.rel_err == gap and chk.rel_bound == 2 * gap + ROUNDING
+    assert ROUNDING == mp.mpf(10) ** -40
+    assert not norm_check(3, one + gap, one, 2 * gap, False).ok
+    assert not norm_check(3, one + gap, one, gap / 2, True).ok
+    assert norm_check(3, one + ROUNDING / 2, one, 0, True).ok
+    assert not norm_check(3, one + 2 * ROUNDING, one, 0, True).ok
 
 
 def test_inner_product_terms_match_the_direct_weight(monkeypatch):
