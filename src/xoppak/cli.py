@@ -215,22 +215,17 @@ def cmd_construct(job: JobSpec) -> dict:
 # -- verify ------------------------------------------------------------------
 
 def _degrees(job, fam, count=7):
-    if job.n_range is not None:
-        return [n for n in job.n_range if fam.pair.sigma_contains(n)]
-    return [n for n in range(fam.pair.u, fam.pair.u + count)
-            if fam.pair.sigma_contains(n)]
-
-
-def _no_degree():
-    """The verdict of a check whose degrees miss the index set: nothing tested."""
-    return "refused", {"reason": "no degree in the index set to test"}, None
+    pair = fam.pair
+    ns = job.n_range if job.n_range is not None else range(pair.u, pair.u + count)
+    ns = [n for n in ns if pair.sigma_contains(n)]
+    if not ns:
+        raise DomainError("no degree in the index set to test")
+    return ns
 
 
 def _check_eigen(job, fam):
     bad = []
     ns = _degrees(job, fam)
-    if not ns:
-        return _no_degree()
     for n in ns:
         res = job.module.eigen_residual(n, fam)
         if not res.is_zero:
@@ -260,8 +255,6 @@ def _check_darboux(job, fam):
     if not fam.pair.F2.elems:
         return "refused", {"reason": "needs a nonempty second set"}, None
     ns = _degrees(job, fam)[:3]
-    if not ns:
-        return _no_degree()
     down_ok, up_ok = job.module.darboux_identities(fam)
     inter = {n: job.module.darboux_intertwining(fam, n) for n in ns}
     ok = down_ok and up_ok and all(inter.values())
@@ -279,20 +272,17 @@ def _admissible_param(job):
 def _check_altrep(job, fam):
     v = fam.pair.v
     results, mismatches = [], []
-    try:
-        for n in range(v, v + 3):
-            rep = job.module.alt_representation(n, fam)
-            results.append(
-                {
-                    "n": n,
-                    "matches": rep.matches,
-                    "constant": None if rep.constant is None else format_rational(rep.constant),
-                }
-            )
-            if not rep.matches:
-                mismatches.append({"n": n, "discrepancy": poly_strings(rep.discrepancy)})
-    except DomainError as exc:
-        return "refused", {"reason": str(exc)}, None
+    for n in range(v, v + 3):
+        rep = job.module.alt_representation(n, fam)
+        results.append(
+            {
+                "n": n,
+                "matches": rep.matches,
+                "constant": None if rep.constant is None else format_rational(rep.constant),
+            }
+        )
+        if not rep.matches:
+            mismatches.append({"n": n, "discrepancy": poly_strings(rep.discrepancy)})
     if not mismatches:
         return "pass", {"results": results}, None
     if is_admissible(_admissible_param(job), fam.pair):
@@ -302,15 +292,7 @@ def _check_altrep(job, fam):
 
 
 def _check_norms(job, fam):
-    ns = _degrees(job, fam)[:2]
-    if not ns:
-        return _no_degree()
-    try:
-        checks = job.module.norm_identity(ns, fam)
-    except AdmissibilityRefusal as exc:
-        return "refused", {"reason": str(exc)}, None
-    except PoleError as exc:
-        return "pole", {"reason": str(exc)}, None
+    checks = job.module.norm_identity(_degrees(job, fam)[:2], fam)
     results = [{"n": chk.r, "rel_err": float(chk.rel_err), "rel_bound": float(chk.rel_bound),
                 "ok": chk.ok, "converged": chk.converged} for chk in checks]
     bad = [{key: res[key] for key in ("n", "rel_err", "rel_bound")}
@@ -319,12 +301,7 @@ def _check_norms(job, fam):
 
 
 def _check_orthogonality(job, fam):
-    if not is_admissible(_admissible_param(job), fam.pair):
-        return "refused", {"reason": "weight is not a positive measure"}, None
-    try:
-        premises = job.module.orthogonality_premises(fam)
-    except AdmissibilityRefusal as exc:
-        return "refused", {"reason": str(exc)}, None
+    premises = job.module.orthogonality_premises(fam)
     ns = fam.pair.sigma_first(4)
     premises = {"eigen": all(job.module.eigen_residual(n, fam).is_zero for n in ns), **premises}
     failed = [name for name, holds in premises.items() if not holds]
@@ -351,10 +328,7 @@ def _check_nonvanish(job, fam):
 
 
 def _check_limit(job, fam):
-    ns = _degrees(job, fam)
-    if not ns:
-        return _no_degree()
-    detail = job.module.limit_from_meixner(ns[0], fam)
+    detail = job.module.limit_from_meixner(_degrees(job, fam)[0], fam)
     ok = detail["member_exact"] and detail["omega_exact"]
     return ("pass" if ok else "fail", detail, None if ok else detail)
 
@@ -389,7 +363,12 @@ def cmd_verify(job: JobSpec) -> dict:
     failed = False
     for name in checks:
         started = time.perf_counter()
-        status, detail, witness = _CHECK_FUNCS[name](job, fam)
+        try:
+            status, detail, witness = _CHECK_FUNCS[name](job, fam)
+        except (AdmissibilityRefusal, DomainError) as exc:
+            status, detail, witness = "refused", {"reason": str(exc)}, None
+        except PoleError as exc:
+            status, detail, witness = "pole", {"reason": str(exc)}, None
         rows.append(
             {
                 "check": name,
@@ -564,10 +543,7 @@ def main(argv=None) -> int:
         else:
             payload = cmd_sweep(args.max_elem, args.max_card, _sweep_params(args), args.jobs)
         _emit(payload, args, args.verb)
-    except UsageError as exc:
-        print(f"xoppak: {exc}", file=sys.stderr)
-        return 2
-    except (ParameterError, DomainError) as exc:
+    except (UsageError, ParameterError, DomainError) as exc:
         print(f"xoppak: {exc}", file=sys.stderr)
         return 2
     except InternalInconsistencyError as exc:

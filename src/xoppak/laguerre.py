@@ -189,6 +189,14 @@ def inner_product(fam: LaguerreExcFamily, pairs) -> dict:
     return laguerre_type_integral(members, om * om, fam.params.alpha + fam.pair.k, pairs)
 
 
+def _refuse_unless_positive(fam: LaguerreExcFamily) -> None:
+    alpha = fam.params.alpha
+    if not is_admissible(alpha + 1, fam.pair):
+        raise AdmissibilityRefusal(
+            f"a positive weight needs an admissible alpha; alpha={alpha} is not admissible "
+            f"for {fam.pair!r}")
+
+
 def orthogonality_premises(fam: LaguerreExcFamily) -> dict:
     """The exact premises of orthogonality besides the eigen identity.
 
@@ -197,7 +205,9 @@ def orthogonality_premises(fam: LaguerreExcFamily) -> dict:
     (x w)' = h1 w, that is h1 Omega = (alpha+k+1-x) Omega - 2x Omega',
     boundary, alpha + k > -1 (w is integrable at 0 and x w vanishes there),
     and positive_weight, Omega has no root on [0, inf) (nonvanishing).
+    Refuses as norm_closed_form does unless alpha is admissible.
     """
+    _refuse_unless_positive(fam)
     alpha, k = fam.params.alpha, fam.pair.k
     om = fam.omega
     n1, _ = _operator_numerators(fam)
@@ -217,12 +227,8 @@ def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
     pair = fam.pair
     if not pair.sigma_contains(n):
         raise DomainError(f"degree {n} is outside the index set of {pair!r}")
+    _refuse_unless_positive(fam)
     alpha = fam.params.alpha
-    if not is_admissible(alpha + 1, pair):
-        raise AdmissibilityRefusal(
-            f"norm identity needs a positive weight; (alpha={alpha}, {pair!r}) "
-            f"is not admissible"
-        )
     d = n - pair.u
     val = rat(1, math.factorial(d))
     for f in pair.F1:

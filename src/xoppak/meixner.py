@@ -103,9 +103,10 @@ class MeixnerExcFamily:
 
     @property
     def lam(self) -> Poly:
-        """Casorati determinant Lambda."""
+        """Casorati determinant Lambda; zero for the empty pair, which gives
+        the classical operator."""
         if self.pair.is_trivial:
-            return Poly.one()
+            return Poly.zero()
         minor = self._minors[-2]
         return minor if self.pair.k % 2 else -minor
 
@@ -247,7 +248,6 @@ def _operator_numerators(fam: MeixnerExcFamily):
     """Numerators of the coefficients of the shifts -1, 0 and 1 over one
     denominator (a-1) Omega(x) Omega(x+1), and that denominator.
 
-    The empty pair takes Lambda = 0, which gives the classical operator.
     Computed once per family, as every residual of the family reads them.
     """
     if fam._op_nums is not None:
@@ -255,7 +255,7 @@ def _operator_numerators(fam: MeixnerExcFamily):
     a, c = fam.params.a, fam.params.c
     u, k = fam.pair.u, fam.pair.k
     om, om1 = fam.omega, fam.omega.shift(1)
-    lm = fam.lam if k else Poly.zero()
+    lm = fam.lam
     x = Poly.x()
     mid = ((x + k) * (-(1 + a)) - a * c + (a - 1) * u) * om * om1
     mid = mid + (x + (c + k)) * lm.shift(1) * om * a - (x + (c + k - 1)) * lm * om1 * a

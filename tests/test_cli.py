@@ -6,7 +6,7 @@ import pytest
 
 from xoppak import cli, laguerre, meixner
 from xoppak.classical import LaguerreParams
-from xoppak.exact import InternalInconsistencyError, Poly, rat
+from xoppak.exact import InternalInconsistencyError, PoleError, Poly, rat
 from xoppak.laguerre import LaguerreExcFamily
 from xoppak.pairs import PairSpec
 
@@ -524,6 +524,39 @@ def test_norms_refusal_names_an_inadmissible_c(capsys):
         "a positive weight needs an admissible c; c=-7/2 is not admissible for "
         "PairSpec([1], [])"
     )
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--kind", "meixner", "--F1", "1", "--a", "-1/2", "--c", "3"],
+        ["--kind", "meixner", "--F1", "1", "--a", "1/2", "--c", "-7/2"],
+        ["--kind", "laguerre", "--F1", "2", "--alpha", "-5/2"],
+    ],
+    ids=["meixner-a", "meixner-c", "laguerre-alpha"],
+)
+def test_norms_and_orthogonality_share_the_weight_refusal(capsys, flags):
+    # one module decides the positive weight, so both rows give its reason
+    code, doc = run_json(capsys, "verify", *flags, "--checks", "norms,orthogonality")
+    assert code == 0
+    norms, orthogonality = doc["checks"]
+    assert norms["status"] == orthogonality["status"] == "refused"
+    assert norms["detail"] == orthogonality["detail"]
+    assert norms["detail"]["reason"].startswith("a positive weight needs ")
+
+
+def test_a_pole_in_a_check_is_reported_and_later_checks_run(capsys, monkeypatch):
+    def pole(n, fam):
+        raise PoleError("evaluation at pole 2")
+
+    monkeypatch.setattr(meixner, "eigen_residual", pole)
+    code, doc = run_json(capsys, "verify", *MEIXNER_FLAGS, "--checks", "eigen,duality,admissible")
+    assert code == 0
+    eigen, duality, admissible = doc["checks"]
+    assert eigen["status"] == "pole"
+    assert eigen["detail"] == {"reason": "evaluation at pole 2"}
+    assert eigen["witness"] is None
+    assert duality["status"] == admissible["status"] == "pass"
 
 
 def test_verify_darboux_with_f2(capsys):

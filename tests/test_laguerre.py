@@ -32,6 +32,7 @@ from xoppak.laguerre import (
     norm_closed_form,
     norm_identity,
     operator,
+    orthogonality_premises,
 )
 from xoppak.numerics import to_mpf
 from xoppak.pairs import PairSpec, involute, is_admissible
@@ -266,6 +267,20 @@ def test_norm_refuses_non_admissible():
         norm_identity([0], family([1], [], rat(-7, 2)))
     with pytest.raises(AdmissibilityRefusal):
         norm_identity([0], family([1], [], rat(1, 2)))
+
+
+def test_orthogonality_premises_refuse_non_admissible():
+    # alpha = -5/2 is not admissible for F1 = {2}: the premises refuse with
+    # the reason the norms give
+    fam = family([2], [], rat(-5, 2))
+    with pytest.raises(AdmissibilityRefusal) as premises:
+        orthogonality_premises(fam)
+    with pytest.raises(AdmissibilityRefusal) as norm:
+        norm_closed_form(2, fam)
+    assert str(premises.value) == str(norm.value) == (
+        "a positive weight needs an admissible alpha; alpha=-5/2 is not admissible for "
+        "PairSpec([2], [])"
+    )
 
 
 def test_norm_rejects_gap_degree():
