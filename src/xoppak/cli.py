@@ -252,10 +252,9 @@ def _check_duality(job, fam):
 
 
 def _check_darboux(job, fam):
-    if not fam.pair.F2.elems:
-        return "refused", {"reason": "needs a nonempty second set"}, None
-    ns = _degrees(job, fam)[:3]
+    # the kind refuses an empty second set before any degree is looked at
     down_ok, up_ok = job.module.darboux_identities(fam)
+    ns = _degrees(job, fam)[:3]
     inter = {n: job.module.darboux_intertwining(fam, n) for n in ns}
     ok = down_ok and up_ok and all(inter.values())
     witness = None

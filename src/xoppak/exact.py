@@ -156,8 +156,20 @@ def _bias(n: int, width: int) -> int:
     return int.from_bytes((b"\x00" * (width - 1) + b"\x80") * n, "little")
 
 
+# Slots up to which _pack and _unpack shift and add one coefficient at a time.
+# Each step copies the whole packed integer, so past a few dozen slots the
+# linear byte round trip is faster; below, it spends more on its bytes
+# objects and bias than on the integers.
+SHORT_SLOTS = 16
+
+
 def _pack(a, width: int) -> int:
     """a(2^(8*width)) for |coefficients of a| < 2^(8*width - 1)."""
+    if len(a) <= SHORT_SLOTS:
+        shift, value = 8 * width, 0
+        for c in reversed(a):
+            value = (value << shift) + c
+        return value
     half = 1 << (8 * width - 1)
     packed = b"".join([(c + half).to_bytes(width, "little") for c in a])
     return int.from_bytes(packed, "little") - _bias(len(a), width)
@@ -166,6 +178,18 @@ def _pack(a, width: int) -> int:
 def _unpack(value: int, n: int, width: int) -> list:
     """The n coefficients of the polynomial that _pack(., width) maps to value."""
     half = 1 << (8 * width - 1)
+    if n <= SHORT_SLOTS:
+        shift, mask = 8 * width, (1 << 8 * width) - 1
+        out = []
+        for _ in range(n):
+            c = value & mask
+            value >>= shift
+            if c >= half:
+                # a negative slot borrowed one from the slot above
+                c -= mask + 1
+                value += 1
+            out.append(c)
+        return out
     buf = (value + _bias(n, width)).to_bytes(n * width, "little")
     return [int.from_bytes(buf[i : i + width], "little") - half for i in range(0, n * width, width)]
 
@@ -328,10 +352,13 @@ class Poly:
         return Rational(self._nums[k], self._den) if 0 <= k < len(self._nums) else rat(0)
 
     def __call__(self, v):
-        v = rat(v)
+        if type(v) is int:
+            p, q = v, 1
+        else:
+            v = rat(v)
+            p, q = int(v.numerator), int(v.denominator)
         if not self._nums:
             return rat(0)
-        p, q = int(v.numerator), int(v.denominator)
         # sum_i a_i p^i q^(n-i) by Horner, over den * q^n
         acc, qpow = 0, 1
         for c in reversed(self._nums):
@@ -379,6 +406,8 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Poly):
             return Poly._make(_zmul(self._nums, other._nums), self._den * other._den)
+        if type(other) is int:
+            return self._scaled(other, 1)
         try:
             c = rat(other)
         except (ParameterError, ValueError, TypeError):
@@ -428,10 +457,13 @@ class Poly:
 
     def shift(self, j):
         """Return p(x + j)."""
-        j = rat(j)
-        if j == 0 or not self._nums:
+        if type(j) is int:
+            r, s = j, 1
+        else:
+            j = rat(j)
+            r, s = int(j.numerator), int(j.denominator)
+        if not r or not self._nums:
             return self
-        r, s = int(j.numerator), int(j.denominator)
         if s == 1:
             # a shift by an integer keeps the content and the leading term
             return Poly._from_lowest(tuple(_ztaylor(self._nums, r)), self._den)
@@ -562,7 +594,8 @@ def poly_det(matrix) -> Poly:
     polynomials within that bound, so Bareiss' fraction-free elimination
     runs on plain integers: each pivot is zero exactly when its minor is,
     each division is exact, and the determinant's coefficients are read
-    back from its value.  The rational row scales multiply back at the end.
+    back from its value.  The rows' scales, integer contents over lcm
+    denominators, multiply back at the end as one integer fraction.
     """
     rows = [[e if isinstance(e, Poly) else Poly.constant(e) for e in r] for r in matrix]
     n = len(rows)
@@ -571,24 +604,26 @@ def poly_det(matrix) -> Poly:
     if n == 0:
         return Poly.one()
 
-    scale = rat(1)
+    # the rows' scales multiply to snum/sden
+    snum = sden = 1
     bound, degree = 1, 0
     M = []
     for row in rows:
         den = reduce(math.lcm, [p._den for p in row], 1)
-        ints = [[c * (den // p._den) for c in p._nums] for p in row]
+        ints = [p._nums if p._den == den else [c * (den // p._den) for c in p._nums] for p in row]
         g = _content([_content(lst) for lst in ints])
         if g == 0:
             return Poly.zero()
         if g > 1:
             ints = [[c // g for c in lst] for lst in ints]
-        scale *= rat(g, den)
+        snum *= g
+        sden *= den
         bound *= sum(sum(map(abs, lst)) for lst in ints)
         degree += max(map(len, ints)) - 1
         M.append(ints)
     width = (bound.bit_length() + 8) // 8
     value = _zbareiss([[_pack(lst, width) for lst in ints] for ints in M])
-    return Poly._make(_unpack(value, degree + 1, width), 1) * scale
+    return Poly._make([c * snum for c in _unpack(value, degree + 1, width)], sden)
 
 
 def _zbareiss(M) -> int:

@@ -13,7 +13,7 @@ import os
 from . import laguerre as _lag
 from . import meixner as _mex
 from .classical import LaguerreParams, MeixnerParams
-from .exact import DomainError, ParameterError, poly_strings, rat
+from .exact import DomainError, ParameterError, PoleError, poly_strings, rat
 from .pairs import PairSpec, enumerate_pairs
 
 
@@ -63,7 +63,7 @@ def run_cell(spec: tuple) -> dict:
             rep = mod.invariance_conjecture(fam)
         else:
             rep = mod.alt_representation(pair.v, fam)
-    except (DomainError, ParameterError) as exc:
+    except (DomainError, ParameterError, PoleError) as exc:
         out["ok"] = None
         out["skipped"] = str(exc)
         return out
@@ -92,7 +92,7 @@ def run_sweep(max_elem, max_card, params: dict, jobs=1) -> dict:
 
     A counterexample cell carries the full discrepancy polynomial so the
     report alone reproduces the finding; skipped cells record why their
-    check's precondition failed.
+    check's precondition failed, or the pole the check ran into.
     """
     specs = sweep_specs(max_elem, max_card, params)
     # a worker beyond the cores or the cells would only sit idle

@@ -307,6 +307,19 @@ def test_verify_refusals_do_not_fail(capsys):
         assert r["detail"]["reason"]
 
 
+@pytest.mark.parametrize("flags", [
+    ["--kind", "meixner", "--F1", "1", "--a", "1/2", "--c", "3"],
+    ["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"],
+    # --n 1 is the gap of F1 = {1}; the empty second set is refused first
+    ["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2", "--n", "1"],
+], ids=["meixner", "laguerre", "gap-degree"])
+def test_darboux_refuses_an_empty_second_set_with_the_kinds_reason(capsys, flags):
+    code, doc = run_json(capsys, "verify", *flags, "--checks", "darboux")
+    assert code == 0
+    assert doc["checks"][0]["status"] == "refused"
+    assert doc["checks"][0]["detail"] == {"reason": "Darboux step needs a nonempty second set"}
+
+
 def test_verify_refuses_checks_with_no_degree_to_test(capsys):
     # --n 1 is the gap of F1 = {1} at u = 0, so no member is there to test
     code, doc = run_json(

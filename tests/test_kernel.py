@@ -17,9 +17,14 @@ from hypothesis import example, given, settings, strategies as st
 import pytest
 
 from xoppak.exact import (
+    SHORT_SLOTS,
     DomainError,
     Poly,
     RatFunc,
+    Rational,
+    _pack,
+    _unpack,
+    _zmul,
     interpolate_at_zero,
     poly_det,
     poly_gcd,
@@ -279,3 +284,78 @@ def test_constants_hash_like_their_scalars():
     x = Poly.x()
     assert hash(RatFunc(x + 1)) == hash(x + 1)
     assert len({RatFunc(x**2 - 1, x - 1), x + 1}) == 1
+
+
+def edge_polynomial(n, start):
+    """n coefficients taken in turn from EDGES, from index start on."""
+    return [EDGES[(start + i) % len(EDGES)] for i in range(n)]
+
+
+def test_packing_round_trips_on_both_sides_of_the_short_path():
+    # the narrowest slot that holds the largest coefficient, so the EDGES
+    # values 2^(8w - 1) - 1 and -(2^(8w - 1) - 1) fill their slots
+    assert 1 < SHORT_SLOTS < 40
+    for n in range(1, 41):
+        for start in range(0, len(EDGES), 5):
+            a = edge_polynomial(n, start)
+            width = (max(map(abs, a)).bit_length() + 8) // 8
+            value = _pack(a, width)
+            assert value == sum(c << (8 * width * i) for i, c in enumerate(a))
+            assert _unpack(value, n, width) == a
+            # a zero polynomial of the same length and one padded with zeros
+            assert _unpack(_pack([0] * n, width), n, width) == [0] * n
+            assert _unpack(value, n + 2, width) == a + [0, 0]
+
+
+def test_integer_products_across_the_short_path():
+    for n in range(1, 41):
+        a = edge_polynomial(n, n)
+        for b in (a, edge_polynomial(41 - n, 3 * n), edge_polynomial(n, 7)[::-1], [-1]):
+            want = sympy.Poly(a[::-1], X, domain="ZZ") * sympy.Poly(b[::-1], X, domain="ZZ")
+            assert _zmul(a, b) == [int(c) for c in want.all_coeffs()[::-1]]
+
+
+def sympy_det(rows):
+    want = sympy.Matrix([[to_sympy(e).as_expr() for e in r] for r in rows]).det(method="berkowitz")
+    return sympy.Poly(sympy.expand(want), X, domain="QQ")
+
+
+def test_determinant_rows_with_mixed_denominators_and_contents():
+    x = Poly.x()
+    third = Poly([rat(1, 3), rat(2, 3)])  # already over the row's lcm 3
+    sixth = Poly([rat(5, 6), rat(-1, 6)])  # over 6, the lcm of its row
+    rows = [
+        [third, Poly([1, -2]), 6 * x + 3, Poly([rat(2, 3)])],  # lcm 3, one entry at it
+        [sixth, Poly([rat(1, 2), 0, rat(3, 2)]), Poly([rat(1, 3)]), x],  # 2 and 3 rescale to 6
+        [Poly([4, 8]), Poly([-12]), Poly([0, 0, 20]), Poly([8, 4])],  # content 4
+        [Poly([rat(6, 7), rat(9, 7)]), Poly([rat(3, 7)]), x * 3, Poly([-3])],  # content 3 over 7
+    ]
+    assert agree(poly_det(rows), sympy_det(rows))
+    for i in range(len(rows)):
+        singular = [r if j != i else [Poly.zero()] * len(r) for j, r in enumerate(rows)]
+        assert poly_det(singular).is_zero
+    # a row whose every entry is at its lcm, scaled by an integer content
+    assert poly_det([[Poly([rat(2, 5), rat(4, 5)])]]) == Poly([rat(2, 5), rat(4, 5)])
+    assert poly_det([[Poly([rat(2, 5)]), Poly([rat(4, 5)])], [Poly([6]), Poly([9])]]) == Poly([rat(-6, 5)])
+
+
+SCALARS = list(range(-6, 7)) + [2**70, -(2**70)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys())
+def test_integer_scalars_agree_with_the_rational_path(p):
+    for j in SCALARS:
+        q = Fraction(j)
+        assert p.shift(j) == p.shift(q)
+        assert p * j == p * q == j * p == q * p
+        assert agree(p * j, to_sympy(p) * j)
+        value = p(j)
+        assert type(value) is Rational
+        assert value == p(q)
+        want = to_sympy(p).eval(j)
+        assert value == Fraction(int(want.p), int(want.q))
+    assert agree(p.shift(2**70), to_sympy(p).shift(2**70))
+    # bool is not int, so True takes the rational path and means 1
+    assert p(True) == p(1) and p * True == p and p.shift(True) == p.shift(1)
+    assert p(False) == p(0) and (p * False).is_zero and p.shift(False) == p

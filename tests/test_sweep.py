@@ -1,11 +1,13 @@
 """Sweep layer: enumeration, cell execution, aggregation."""
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import xoppak
-from xoppak.exact import rat
+from xoppak import cli, meixner
+from xoppak.exact import PoleError, rat
 from xoppak.sweep import run_cell, run_sweep, sweep_specs
 
 MEX = {"meixner": (rat(1, 2), rat(3))}
@@ -126,3 +128,28 @@ def test_run_cell_skip_reports_reason():
     out = run_cell(("altrep", "meixner", (1,), (), (rat(1, 2), rat(3))))
     assert out["ok"] is None
     assert "vanishes" in out["skipped"]
+
+
+def test_a_pole_in_one_cell_skips_that_cell_only(capsys, monkeypatch):
+    argv = ["sweep", "3", "3", "--a", "1/2", "--c", "3", "--alpha", "1/2", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    before = json.loads(capsys.readouterr().out)
+
+    invariance = meixner.invariance_conjecture
+
+    def pole_at_one_pair(fam):
+        if fam.pair.F1.elems == (1,) and fam.pair.F2.elems == (2,):
+            raise PoleError("evaluation at pole 5")
+        return invariance(fam)
+
+    monkeypatch.setattr(meixner, "invariance_conjecture", pole_at_one_pair)
+    assert cli.main(argv) == 0
+    after = json.loads(capsys.readouterr().out)
+    hit = [i for i, (x, y) in enumerate(zip(before["cells"], after["cells"])) if x != y]
+    assert len(hit) == 1 and len(after["cells"]) == len(before["cells"])
+    cell = after["cells"][hit[0]]
+    assert cell == {"kind": "meixner", "check": "invariance", "f1": [1], "f2": [2],
+                    "ok": None, "skipped": "evaluation at pole 5"}
+    assert after["skipped"] == before["skipped"] + 1
+    assert after["passed"] == before["passed"] - 1
+    assert after["counterexamples"] == before["counterexamples"] == []
