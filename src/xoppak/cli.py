@@ -32,24 +32,21 @@ class UsageError(Exception):
     """Bad flags or parameters; maps to exit code 2."""
 
 
+# construct and verify take the degrees u .. u + DEGREE_COUNT - 1 without --n
+DEGREE_COUNT = 7
+
+
 class JobSpec:
     """Parsed, validated description of one family job."""
 
-    def __init__(self, kind, f1, f2, params, n_range=None, checks=()):
+    def __init__(self, kind, pair: PairSpec, params, n_range=None, checks=()):
         self.kind = kind
         self.module, self._build, self.formal = KINDS[kind]
-        self.f1 = f1
-        self.f2 = f2
+        self.pair = pair
         # the given parameter flags' values by name, in the module's PARAMS order
         self.params = params
         self.n_range = n_range
         self.checks = checks
-
-    @property
-    def pair(self) -> PairSpec:
-        if not self.f1 and not self.f2:
-            return PairSpec.trivial()
-        return PairSpec(self.f1, self.f2)
 
     def build_family(self):
         names = self.module.PARAMS
@@ -138,8 +135,7 @@ def _sweep_params(args) -> dict:
 def _job_from_args(args) -> JobSpec:
     kind = args.kind
     _refuse_dead_flags(args, kind)
-    f1 = _parse_set(args.F1, "--F1")
-    f2 = _parse_set(args.F2, "--F2")
+    pair = PairSpec(_parse_set(args.F1, "--F1"), _parse_set(args.F2, "--F2"))
     params = {name: _parse_rational(getattr(args, name), f"--{name}")
               for name in KINDS[kind][0].PARAMS if getattr(args, name) is not None}
     if params.get("a") == 0:
@@ -149,8 +145,7 @@ def _job_from_args(args) -> JobSpec:
         checks = tuple(p.strip() for p in args.checks.split(",") if p.strip())
     return JobSpec(
         kind=kind,
-        f1=f1,
-        f2=f2,
+        pair=pair,
         params=params,
         n_range=_parse_n(getattr(args, "n", None)),
         checks=checks,
@@ -173,8 +168,8 @@ def _job_header(job: JobSpec) -> dict:
     head = {
         "schema": "xoppak/1",
         "kind": job.kind,
-        "f1": list(job.f1),
-        "f2": list(job.f2),
+        "f1": list(job.pair.F1.elems),
+        "f2": list(job.pair.F2.elems),
     }
     head.update((name, format_rational(val)) for name, val in job.params.items())
     return head
@@ -187,7 +182,7 @@ def cmd_construct(job: JobSpec) -> dict:
     mod = job.module
     pair = fam.pair
     u = pair.u
-    ns = job.n_range if job.n_range is not None else list(range(u, u + 7))
+    ns = job.n_range if job.n_range is not None else list(range(u, u + DEGREE_COUNT))
     members = []
     for n in ns:
         if n < 0:
@@ -214,9 +209,9 @@ def cmd_construct(job: JobSpec) -> dict:
 
 # -- verify ------------------------------------------------------------------
 
-def _degrees(job, fam, count=7):
+def _degrees(job, fam):
     pair = fam.pair
-    ns = job.n_range if job.n_range is not None else range(pair.u, pair.u + count)
+    ns = job.n_range if job.n_range is not None else range(pair.u, pair.u + DEGREE_COUNT)
     ns = [n for n in ns if pair.sigma_contains(n)]
     if not ns:
         raise DomainError("no degree in the index set to test")
@@ -391,11 +386,13 @@ def cmd_admissible(job: JobSpec) -> dict:
     name, _ = job.module.ADMISSIBILITY
     if name not in job.params:
         raise UsageError(f"admissible for {job.kind} needs --{name}")
-    pair = job.pair
-    if pair.is_trivial:
+    if job.pair.is_trivial:
         raise UsageError("admissibility needs a nonempty pair")
+    if len(job.params) == len(job.module.PARAMS):
+        # the classical family refuses the parameters with the family's own text
+        job._build(PairSpec([], []), *job.params.values())
     c_like = _admissible_param(job)
-    witnesses = admissibility_witnesses(c_like, pair)
+    witnesses = admissibility_witnesses(c_like, job.pair)
     out = _job_header(job)
     out["parameter"] = format_rational(c_like)
     out["admissible"] = not witnesses
@@ -457,8 +454,11 @@ def _emit(payload, args, verb) -> None:
         text = json.dumps(payload, indent=2) + "\n"
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.write(text)
 

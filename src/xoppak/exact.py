@@ -325,8 +325,8 @@ class Poly:
         return cls((c,))
 
     @classmethod
-    def monomial(cls, k: int, c=1):
-        return cls([0] * k + [c])
+    def monomial(cls, k: int):
+        return cls([0] * k + [1])
 
     @property
     def coeffs(self) -> tuple:

@@ -269,12 +269,9 @@ def darboux_pair(fam: LaguerreExcFamily):
     the second order operators of the two families up to explicit constant
     shifts, which darboux_identities checks exactly.
     """
-    pair = fam.pair
-    if not pair.F2.elems:
-        raise DomainError("Darboux step needs a nonempty second set")
+    _, low_pair = fam.pair.remove_f2_max()
     alpha = fam.params.alpha
-    k = pair.k
-    _, low_pair = pair.remove_f2_max()
+    k = fam.pair.k
     low = LaguerreExcFamily(fam.params, low_pair)
     om_up, om_lo = fam.omega, low.omega
     x = Poly.x()
@@ -297,7 +294,7 @@ def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
     """Exact operator identities for the two compositions of the Darboux pair."""
     A, B, low = darboux_pair(fam)
     alpha = fam.params.alpha
-    f, _ = fam.pair.remove_f2_max()
+    f = fam.pair.F2.max_elem
     # the shift constants carry the sign of the eigenvalue convention: with
     # D(member n) = -n * member n the compositions subtract the constants
     down_ok = (B @ A - (operator(low) - rat(alpha + f - low.pair.u + 1))).is_zero
@@ -308,7 +305,7 @@ def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
 def darboux_intertwining(fam: LaguerreExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
     A, _, low = darboux_pair(fam)
-    f, _ = fam.pair.remove_f2_max()
+    f = fam.pair.F2.max_elem
     shift = n - f + fam.pair.k2 - 1
     if shift < 0:
         return fam.member(n).is_zero

@@ -466,12 +466,9 @@ def darboux_pair(fam: MeixnerExcFamily):
     the second order operators of the two families up to explicit constant
     shifts, which darboux_identities checks exactly.
     """
-    pair = fam.pair
-    if not pair.F2.elems:
-        raise DomainError("Darboux step needs a nonempty second set")
+    _, low_pair = fam.pair.remove_f2_max()
     a, c = fam.params.a, fam.params.c
-    k = pair.k
-    _, low_pair = pair.remove_f2_max()
+    k = fam.pair.k
     low = MeixnerExcFamily(fam.params, low_pair)
     om_up, om_up1 = fam.omega, fam.omega.shift(1)
     om_lo, om_lo1 = low.omega, low.omega.shift(1)
@@ -495,7 +492,7 @@ def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
     """Exact operator identities for the two compositions of the Darboux pair."""
     A, B, low = darboux_pair(fam)
     c = fam.params.c
-    f, _ = fam.pair.remove_f2_max()
+    f = fam.pair.F2.max_elem
     down_ok = (B @ A - (operator(low) + rat(c + f - low.pair.u))).is_zero
     up_ok = (A @ B - (operator(fam) + rat(c + f - fam.pair.u))).is_zero
     return down_ok, up_ok
@@ -504,7 +501,7 @@ def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
 def darboux_intertwining(fam: MeixnerExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
     A, _, low = darboux_pair(fam)
-    f, _ = fam.pair.remove_f2_max()
+    f = fam.pair.F2.max_elem
     shift = n - f + fam.pair.k2 - 1
     if shift < 0:
         return fam.member(n).is_zero

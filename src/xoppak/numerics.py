@@ -21,6 +21,8 @@ from .exact import Poly, PoleError, is_integer, rat, rat_ceil, rat_pow, root_bou
 # the working precision in decimal digits
 DPS = 50
 mp.mp.dps = DPS
+# certified_sum gives up after this many terms
+MAX_SUM_TERMS = 200000
 
 
 def to_mpf(q) -> mp.mpf:
@@ -105,7 +107,7 @@ def ratio_cutoff(scale, factors):
     return hi, r
 
 
-def certified_sum(term, scale, factors, rel_tol=None, max_terms: int = 200000) -> SumResult:
+def certified_sum(term, scale, factors, rel_tol=None) -> SumResult:
     """Sum term(x) for x = 0, 1, 2, ... with a certified tail bound.
 
     The caller guarantees the exact recurrence
@@ -122,7 +124,7 @@ def certified_sum(term, scale, factors, rel_tol=None, max_terms: int = 200000) -
     gfac = r / (1 - r)
     half_tol = rat(rel_tol) / 2
     total = size = rat(0)
-    for x in range(max_terms):
+    for x in range(MAX_SUM_TERMS):
         t = rat(term(x))
         total += t
         size += abs(t)
@@ -130,7 +132,7 @@ def certified_sum(term, scale, factors, rel_tol=None, max_terms: int = 200000) -
             bound = abs(t) * gfac
             if bound <= half_tol * size:
                 return SumResult(total, bound, x + 1, cutoff)
-    raise ValueError(f"tolerance not reached after {max_terms} terms")
+    raise ValueError(f"tolerance not reached after {MAX_SUM_TERMS} terms")
 
 
 class QuadResult:

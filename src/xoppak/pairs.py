@@ -81,29 +81,14 @@ def involute(F: FiniteSet) -> FiniteSet:
 
 
 class PairSpec:
-    """Ordered pair of finite sets, at least one nonempty.
-
-    The degenerate both-empty pair denotes the classical (non-exceptional)
-    system; it can arise from Darboux descent and is built with
-    :meth:`trivial`, but the public constructor rejects it.
-    """
+    """Ordered pair of finite sets; (empty, empty) is the classical family,
+    where Darboux descent ends."""
 
     __slots__ = ("F1", "F2")
 
     def __init__(self, F1, F2):
-        F1 = F1 if isinstance(F1, FiniteSet) else FiniteSet(F1)
-        F2 = F2 if isinstance(F2, FiniteSet) else FiniteSet(F2)
-        if not F1.elems and not F2.elems:
-            raise ParameterError("at least one of the two sets must be nonempty")
-        self.F1 = F1
-        self.F2 = F2
-
-    @classmethod
-    def trivial(cls) -> "PairSpec":
-        p = object.__new__(cls)
-        p.F1 = FiniteSet(())
-        p.F2 = FiniteSet(())
-        return p
+        self.F1 = F1 if isinstance(F1, FiniteSet) else FiniteSet(F1)
+        self.F2 = F2 if isinstance(F2, FiniteSet) else FiniteSet(F2)
 
     @property
     def is_trivial(self) -> bool:
@@ -161,12 +146,8 @@ class PairSpec:
     def remove_f2_max(self) -> tuple[int, "PairSpec"]:
         """Darboux descent step: (dropped element, pair without max of F2)."""
         if not self.F2.elems:
-            raise DomainError("descent needs a nonempty second set")
-        f = self.F2.max_elem
-        rest = FiniteSet(e for e in self.F2 if e != f)
-        if not self.F1.elems and not rest.elems:
-            return f, PairSpec.trivial()
-        return f, PairSpec(self.F1, rest)
+            raise DomainError("Darboux step needs a nonempty second set")
+        return self.F2.max_elem, PairSpec(self.F1, self.F2.elems[:-1])
 
 
 def hat_c(c) -> int:

@@ -302,7 +302,7 @@ def test_criterion_09_limit_transfer():
         if f1 or f2:
             fam = lag_fam(f1, f2, alpha)
         else:
-            fam = lag.LaguerreExcFamily(LaguerreParams(alpha), PairSpec.trivial())
+            fam = lag.LaguerreExcFamily(LaguerreParams(alpha), PairSpec([], []))
         rep = lag.limit_from_meixner(n, fam)
         nodes = max(nodes, rep["nodes"])
         if not (rep["member_exact"] and rep["omega_exact"]):

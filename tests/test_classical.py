@@ -111,7 +111,7 @@ def empty_pair_operator(p):
     # the exceptional operator of the empty pair, checked against the
     # classical one: x/(a-1) at shift -1, -((1+a)x + ac)/(a-1) at 0 and
     # a(x+c)/(a-1) at 1
-    op = mex.operator(mex.MeixnerExcFamily(p, PairSpec.trivial()))
+    op = mex.operator(mex.MeixnerExcFamily(p, PairSpec([], [])))
     d = p.a - 1
     assert op == DifferenceOperator({
         -1: RatFunc(X / d),

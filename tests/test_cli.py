@@ -631,6 +631,21 @@ def test_admissible_needs_pair_and_param(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind_flags", [
+    ("--kind", "laguerre", "--alpha", "-1"),
+    ("--kind", "meixner", "--a", "1", "--c", "3"),
+])
+def test_admissible_refuses_parameters_as_the_family_does(capsys, kind_flags):
+    # admissibility tests alpha + 1 = 0 against the meixner rule on c, but the
+    # refusal names the flag and the value the user typed
+    refusals = [run(capsys, verb, *kind_flags, "--F1", "1") for verb in ("admissible", "construct")]
+    assert refusals[0] == refusals[1]
+    code, out, err = refusals[0]
+    assert code == 2 and out == ""
+    assert err == {"laguerre": "xoppak: alpha must stay off the negative integers, got -1\n",
+                   "meixner": "xoppak: parameter a must avoid 0 and 1: 1\n"}[kind_flags[1]]
+
+
 # -- sweep -------------------------------------------------------------------
 
 def test_sweep_json(capsys):
@@ -675,6 +690,19 @@ def test_out_flag_writes_file(capsys, tmp_path):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["schema"] == "xoppak/1"
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"),
+    ("sweep", "1", "1", "--alpha", "1/2"),
+])
+def test_unwritable_out_path_is_a_usage_error(capsys, tmp_path, argv):
+    missing = tmp_path / "missing" / "report.json"
+    for path, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert code == 2 and out == ""
+        assert err == f"xoppak: cannot write {path}: {reason}\n"
+    assert not missing.parent.exists()
 
 
 def test_csv_undefined_for_construct():

@@ -60,7 +60,7 @@ def family(f1, f2, alpha):
 
 
 def trivial_family(alpha):
-    return LaguerreExcFamily(LaguerreParams(alpha), PairSpec.trivial())
+    return LaguerreExcFamily(LaguerreParams(alpha), PairSpec([], []))
 
 
 # -- the defining determinant ------------------------------------------------

@@ -160,7 +160,7 @@ def test_empty_pair_residuals_vanish():
     # the general numerators with Lambda = 0 are the classical operator
     for a, c in ((rat(1, 2), rat(3)), (rat(2, 3), rat(7, 3)), (rat(3, 2), rat(-1, 2)),
                  (rat(-1, 3), rat(5, 2))):
-        fam = MeixnerExcFamily(MeixnerParams(a, c), PairSpec.trivial())
+        fam = MeixnerExcFamily(MeixnerParams(a, c), PairSpec([], []))
         assert fam.lam == Poly.zero()
         for n in range(6):
             assert eigen_residual(n, fam).is_zero, (a, c, n)

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from xoppak.exact import ParameterError, pochhammer, rat
+from xoppak.exact import DomainError, ParameterError, pochhammer, rat
 from xoppak.pairs import (
     FiniteSet,
     PairSpec,
@@ -70,11 +70,13 @@ def test_v_is_u_plus_max_plus_one():
             assert pair.sigma_contains(n) == ((n - pair.u) not in pair.F1)
 
 
-def test_pair_spec_rejects_double_empty():
-    with pytest.raises(ParameterError):
-        PairSpec(E, E)
-    assert PairSpec.trivial().is_trivial
-    assert PairSpec.trivial().u == 0
+def test_empty_pair_is_the_classical_pair():
+    pair = PairSpec([], [])
+    assert pair == PairSpec(E, E)
+    assert pair.is_trivial
+    assert pair.u == 0 and pair.v == 0
+    assert pair.sigma_first(3) == [0, 1, 2]
+    assert not PairSpec([1], []).is_trivial and not PairSpec([], [1]).is_trivial
 
 
 # -- involution ---------------------------------------------------------------
@@ -102,7 +104,15 @@ def test_remove_f2_max():
     f, low = P([], [1, 4]).remove_f2_max()
     assert f == 4 and low == P([], [1])
     f, low = P([], [2]).remove_f2_max()
-    assert f == 2 and low.is_trivial
+    assert f == 2 and low == PairSpec([], [])
+    f, low = P([1, 3], [2, 5]).remove_f2_max()
+    assert f == 5 and low == P([1, 3], [2])
+
+
+@pytest.mark.parametrize("f1", [[], [1, 3]])
+def test_remove_f2_max_refuses_an_empty_second_set(f1):
+    with pytest.raises(DomainError, match="^Darboux step needs a nonempty second set$"):
+        PairSpec(f1, []).remove_f2_max()
 
 
 # -- admissibility ------------------------------------------------------------
