@@ -44,14 +44,6 @@ class MeixnerParams:
         p.c = rat(c)
         return p
 
-    def __eq__(self, other):
-        if isinstance(other, MeixnerParams):
-            return self.a == other.a and self.c == other.c
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.c))
-
     def __repr__(self):
         return f"MeixnerParams(a={self.a}, c={self.c})"
 
@@ -63,14 +55,6 @@ class LaguerreParams:
 
     def __init__(self, alpha):
         self.alpha = rat(alpha)
-
-    def __eq__(self, other):
-        if isinstance(other, LaguerreParams):
-            return self.alpha == other.alpha
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.alpha)
 
     def __repr__(self):
         return f"LaguerreParams(alpha={self.alpha})"

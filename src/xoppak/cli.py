@@ -24,7 +24,7 @@ from .exact import (
     poly_strings,
     rat,
 )
-from .pairs import PairSpec, admissibility_witnesses, is_admissible
+from .pairs import FiniteSet, PairSpec, admissibility_witnesses, is_admissible
 from .sweep import KINDS, run_sweep
 
 
@@ -69,22 +69,19 @@ def _parse_rational(text, flag):
         raise UsageError(f"{flag} expects a rational like 3 or -5/2, got {text!r}: {exc}")
 
 
-def _parse_set(text, flag):
-    if text is None or text.strip() == "":
-        return ()
+def _parse_set(text, flag) -> FiniteSet:
+    """The set of a comma list of integers; FiniteSet decides which it takes."""
     out = []
-    for part in text.split(","):
+    for part in text.split(",") if text.strip() else ():
         part = part.strip()
         try:
-            v = int(part)
+            out.append(int(part))
         except ValueError:
             raise UsageError(f"{flag} expects comma-separated integers, got {part!r}")
-        if v < 1:
-            raise UsageError(f"{flag} elements must be positive, got {v}")
-        out.append(v)
-    if len(set(out)) != len(out):
-        raise UsageError(f"{flag} elements must be distinct, got {text!r}")
-    return tuple(sorted(out))
+    try:
+        return FiniteSet(out)
+    except ParameterError as exc:
+        raise UsageError(f"{flag}: {exc}")
 
 
 def _parse_n(text):
@@ -98,11 +95,15 @@ def _parse_n(text):
             raise UsageError(f"--n range expects lo..hi integers, got {text!r}")
         if hi < lo:
             raise UsageError(f"--n range is empty: {text!r}")
-        return list(range(lo, hi + 1))
-    try:
-        return [int(text)]
-    except ValueError:
-        raise UsageError(f"--n expects an integer or lo..hi, got {text!r}")
+        ns = list(range(lo, hi + 1))
+    else:
+        try:
+            ns = [int(text)]
+        except ValueError:
+            raise UsageError(f"--n expects an integer or lo..hi, got {text!r}")
+    if ns[0] < 0:
+        raise UsageError(f"--n must be nonnegative, got {ns[0]}")
+    return ns
 
 
 def _refuse_dead_flags(args, kind):
@@ -115,7 +116,10 @@ def _refuse_dead_flags(args, kind):
 
 
 def _sweep_params(args) -> dict:
-    """{kind: the parsed values of its parameter flags} for each kind with any."""
+    """{kind: the parsed values of its parameter flags} for each kind with any.
+
+    Each kind's classical family is built once, so that parameters every cell
+    would refuse are refused before the first cell."""
     params = {}
     for kind in ("meixner", "laguerre"):
         names = KINDS[kind][0].PARAMS
@@ -127,6 +131,7 @@ def _sweep_params(args) -> dict:
             missing = ", ".join(f"--{n}" for n, g in zip(names, given) if not g)
             raise UsageError(f"the {kind} cells of a sweep take {takes}; {missing} is missing")
         params[kind] = tuple(_parse_rational(getattr(args, name), f"--{name}") for name in names)
+        KINDS[kind][1](PairSpec([], []), *params[kind])
     if not params:
         raise UsageError("sweep needs --a/--c, --alpha, or both")
     return params
@@ -138,8 +143,6 @@ def _job_from_args(args) -> JobSpec:
     pair = PairSpec(_parse_set(args.F1, "--F1"), _parse_set(args.F2, "--F2"))
     params = {name: _parse_rational(getattr(args, name), f"--{name}")
               for name in KINDS[kind][0].PARAMS if getattr(args, name) is not None}
-    if params.get("a") == 0:
-        raise UsageError("parameter a must not be 0")
     checks = ()
     if getattr(args, "checks", None):
         checks = tuple(p.strip() for p in args.checks.split(",") if p.strip())
@@ -185,8 +188,6 @@ def cmd_construct(job: JobSpec) -> dict:
     ns = job.n_range if job.n_range is not None else list(range(u, u + DEGREE_COUNT))
     members = []
     for n in ns:
-        if n < 0:
-            raise UsageError(f"--n must be nonnegative, got {n}")
         included = pair.sigma_contains(n)
         p = fam.member(n)
         members.append(

@@ -446,12 +446,6 @@ class Poly:
             return not self._nums
         return self._nums == (int(c.numerator),) and self._den == int(c.denominator)
 
-    def __hash__(self):
-        # a constant hashes like the scalar it equals
-        if len(self._nums) <= 1:
-            return hash(self.coeff(0))
-        return hash((self._nums, self._den))
-
     def derivative(self):
         return Poly._make([i * c for i, c in enumerate(self._nums)][1:], self._den)
 
@@ -511,27 +505,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly([{', '.join(format_rational(c) for c in self.coeffs)}])"
-
-    def __str__(self):
-        if not self._nums:
-            return "0"
-        cs = self.coeffs
-        parts = []
-        for i in range(len(cs) - 1, -1, -1):
-            c = cs[i]
-            if c == 0:
-                continue
-            mag = format_rational(c if c > 0 else -c)
-            if i == 0:
-                term = mag
-            else:
-                xpart = "x" if i == 1 else f"x^{i}"
-                term = xpart if mag == "1" else f"{mag}*{xpart}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
 
 
 def _lowest(nums: list, den: int):
@@ -729,10 +702,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.degree == 0
-
     def __add__(self, other):
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
@@ -750,12 +719,6 @@ class RatFunc:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
@@ -764,20 +727,6 @@ class RatFunc:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = _coerce_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __eq__(self, other):
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
@@ -785,12 +734,6 @@ class RatFunc:
         if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        # a polynomial hashes like the Poly, and so a constant like the scalar, it equals
-        if self.is_polynomial:
-            return hash(self.num)
-        return hash((self.num, self.den))
 
     def shift(self, j):
         """Return f(x + j)."""
@@ -810,11 +753,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.is_polynomial:
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
 
 
 def _coerce_ratfunc(v):

@@ -51,14 +51,6 @@ ADMISSIBILITY = ("c", 0)
 OPERATOR_PAYLOAD = ("difference", 1)
 
 
-def _rsign(q) -> int:
-    if q > 0:
-        return 1
-    if q < 0:
-        return -1
-    return 0
-
-
 def _shifts(base: Poly, cols: int):
     return [base.shift(j) for j in range(cols)]
 
@@ -303,7 +295,7 @@ def positivity_by_signs(fam: MeixnerExcFamily) -> bool:
     )
     for n in range(n_bound + 1):
         val = om(n) * om(n + 1)
-        if gamma_sign(n + c + k) * _rsign(val) <= 0:
+        if gamma_sign(n + c + k) * val <= 0:
             return False
     return True
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import mpmath as mp
 
-from .exact import Poly, PoleError, is_integer, rat, rat_ceil, rat_pow, root_bound
+from .exact import DomainError, Poly, PoleError, is_integer, rat, rat_ceil, rat_pow, root_bound
 
 # the working precision in decimal digits
 DPS = 50
@@ -116,7 +116,8 @@ def certified_sum(term, scale, factors, rel_tol=None) -> SumResult:
     partial sum is exact and only the tail is bounded.  Stops once the bound
     is at most rel_tol * sum |term| / 2: on a nonnegative series, the sum; on
     two members against a positive weight, by Cauchy-Schwarz, at most the
-    geometric mean of their squared norms.
+    geometric mean of their squared norms.  Refuses with a DomainError once
+    MAX_SUM_TERMS terms have not reached that bound.
     """
     if rel_tol is None or rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
@@ -132,7 +133,7 @@ def certified_sum(term, scale, factors, rel_tol=None) -> SumResult:
             bound = abs(t) * gfac
             if bound <= half_tol * size:
                 return SumResult(total, bound, x + 1, cutoff)
-    raise ValueError(f"tolerance not reached after {MAX_SUM_TERMS} terms")
+    raise DomainError(f"tolerance not reached after {MAX_SUM_TERMS} terms")
 
 
 class QuadResult:

@@ -10,15 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exact import Poly, RatFunc
-
-
-def _as_ratfunc(v):
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, Poly):
-        return RatFunc(v)
-    return RatFunc(Poly.constant(v))
+from .exact import Poly, RatFunc, _coerce_ratfunc
 
 
 class _OperatorBase:
@@ -27,7 +19,7 @@ class _OperatorBase:
     def __init__(self, coeffs):
         cleaned = {}
         for key, val in dict(coeffs).items():
-            val = _as_ratfunc(val)
+            val = _coerce_ratfunc(val)
             if not val.is_zero:
                 cleaned[int(key)] = val
         self.coeffs = cleaned
@@ -40,9 +32,6 @@ class _OperatorBase:
             return self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash((type(self).__name__, tuple(sorted(self.coeffs.items()))))
-
     def _binop(self, other, sub: bool):
         if isinstance(other, type(self)):
             out = dict(self.coeffs)
@@ -50,9 +39,8 @@ class _OperatorBase:
                 out[k] = out.get(k, RatFunc(Poly.zero())) + (-v if sub else v)
             return type(self)(out)
         # a bare scalar/function acts as that multiple of the identity
-        try:
-            v = _as_ratfunc(other)
-        except (TypeError, ValueError):
+        v = _coerce_ratfunc(other)
+        if v is NotImplemented:
             return NotImplemented
         out = dict(self.coeffs)
         out[0] = out.get(0, RatFunc(Poly.zero())) + (-v if sub else v)
@@ -66,15 +54,6 @@ class _OperatorBase:
     def __sub__(self, other):
         return self._binop(other, sub=True)
 
-    def __mul__(self, scalar):
-        v = _as_ratfunc(scalar)
-        return type(self)({k: c * v for k, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -83,10 +62,10 @@ class _OperatorBase:
 class DifferenceOperator(_OperatorBase):
     """sum_j a_j(x) Sh_j with (Sh_j f)(x) = f(x+j)."""
 
-    def apply(self, p) -> RatFunc:
+    def apply(self, p: Poly) -> RatFunc:
         out = RatFunc(Poly.zero())
         for j, a in self.coeffs.items():
-            out = out + a * (p.shift(j) if isinstance(p, (Poly, RatFunc)) else _as_ratfunc(p).shift(j))
+            out = out + a * p.shift(j)
         return out
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":

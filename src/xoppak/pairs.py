@@ -31,14 +31,11 @@ class FiniteSet:
         if len(elems) != len(raw):
             raise ParameterError(f"duplicate elements in {raw}")
         if elems and elems[0] < 1:
-            raise ParameterError(f"set elements must be positive: {elems}")
+            raise ParameterError(f"set elements must be positive: {list(elems)}")
         self.elems = elems
 
     def __iter__(self):
         return iter(self.elems)
-
-    def __len__(self):
-        return len(self.elems)
 
     def __contains__(self, v):
         return v in self.elems
@@ -53,9 +50,6 @@ class FiniteSet:
 
     def __repr__(self):
         return f"FiniteSet({list(self.elems)})"
-
-    def __str__(self):
-        return "{" + ",".join(str(e) for e in self.elems) + "}"
 
     @property
     def card(self) -> int:

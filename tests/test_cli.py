@@ -4,7 +4,7 @@ import json
 import mpmath as mp
 import pytest
 
-from xoppak import cli, laguerre, meixner
+from xoppak import cli, laguerre, meixner, numerics
 from xoppak.classical import LaguerreParams
 from xoppak.exact import InternalInconsistencyError, PoleError, Poly, rat
 from xoppak.laguerre import LaguerreExcFamily
@@ -188,12 +188,22 @@ def test_bad_set_exits_2(capsys):
         code, _, err = run(capsys, "construct", "--kind", "laguerre",
                            "--F1", f1, "--alpha", "1/2")
         assert code == 2, f1
+        assert err.startswith("xoppak: --F1"), err
 
 
 def test_bad_n_range_exits_2(capsys):
     code, _, _ = run(capsys, "construct", "--kind", "laguerre", "--F1", "1",
                      "--alpha", "1/2", "--n", "4..2")
     assert code == 2
+
+
+@pytest.mark.parametrize("verb, checks", [("construct", []), ("verify", ["--checks", "eigen"])])
+def test_negative_degree_exits_2(capsys, verb, checks):
+    # both verbs refuse the range; verify used to drop the negative degrees
+    code, out, err = run(capsys, verb, "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
+                         *checks, "--n=-3..1")
+    assert code == 2 and out == ""
+    assert "--n must be nonnegative, got -3" in err
 
 
 def test_integer_alpha_at_most_minus_one_exits_2(capsys):
@@ -227,6 +237,23 @@ def test_sweep_refuses_half_of_the_meixner_parameters(capsys):
     code, out, err = run(capsys, "sweep", "2", "1", "--a", "1/2", "--alpha", "1/2")
     assert code == 2 and out == ""
     assert "--a and --c" in err and "--c is missing" in err
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (["--a", "0", "--c", "3"], "parameter a must avoid 0 and 1"),
+        (["--alpha", "-1"], "alpha must stay off the negative integers"),
+        (["--a", "1/2", "--c", "-2", "--alpha", "1/2"], "c must not be a nonpositive integer"),
+    ],
+    ids=["a-0", "alpha-minus-1", "c-minus-2"],
+)
+def test_sweep_refuses_bad_parameters_before_any_cell(capsys, flags, reason):
+    # every cell would skip with the same reason, so the sweep does not start
+    code, out, err = run(capsys, "sweep", "1", "1", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("xoppak: ") and err.count("\n") == 1
+    assert reason in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -453,6 +480,16 @@ def test_norms_fail_on_a_perturbed_closed_form(capsys, monkeypatch, mod, flags, 
         {key: res[key] for key in ("n", "rel_err", "rel_bound")}
         for res in row["detail"]["results"]
     ]
+
+
+def test_norms_out_of_terms_are_refused(capsys, monkeypatch):
+    # a certified sum that runs out of terms refuses its row; no traceback
+    monkeypatch.setattr(numerics, "MAX_SUM_TERMS", 5)
+    code, doc = run_json(capsys, "verify", *MEIXNER_FLAGS, "--checks", "norms")
+    assert code == 0
+    row = doc["checks"][0]
+    assert row["status"] == "refused" and row["witness"] is None
+    assert row["detail"] == {"reason": "tolerance not reached after 5 terms"}
 
 
 LAGUERRE_FLAGS = ["--kind", "laguerre", "--F1", "1,2", "--F2", "3", "--alpha", "1/2"]

@@ -20,7 +20,6 @@ from xoppak.exact import (
     SHORT_SLOTS,
     DomainError,
     Poly,
-    RatFunc,
     Rational,
     _pack,
     _unpack,
@@ -273,17 +272,6 @@ def test_products_with_inner_zeros_and_constants():
     p = Poly([5, 0, 0, -(2**64), 0, 1])
     for q in (Poly.zero(), Poly.one(), Poly.constant(-(2**70)), Poly([0, 0, 3]), p):
         assert agree(p * q, to_sympy(p) * to_sympy(q))
-
-
-def test_constants_hash_like_their_scalars():
-    assert len({Poly.constant(3), 3}) == 1
-    assert len({Poly.zero(), 0}) == 1
-    assert len({RatFunc(Poly.constant(3)), 3}) == 1
-    assert hash(Poly.constant(rat(-7, 2))) == hash(rat(-7, 2))
-    assert hash(RatFunc(Poly.constant(rat(1, 3)))) == hash(rat(1, 3))
-    x = Poly.x()
-    assert hash(RatFunc(x + 1)) == hash(x + 1)
-    assert len({RatFunc(x**2 - 1, x - 1), x + 1}) == 1
 
 
 def edge_polynomial(n, start):
