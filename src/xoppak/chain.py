@@ -1,0 +1,163 @@
+"""Exact squared norms along a Darboux chain down to the classical family.
+
+A first order step takes a family to a lower one, without max(F2)
+(`darboux_pair`) or without an element f of F1 (`f1_pair`).  Its operator A
+takes the lower member m_s, s = n - u + u_low, to the member m_n above, so
+the degree d = n - u is the same at every step.  B solves
+B A = op_low + C with a constant shift C (`down_operator`), and the adjoint
+A* of A between the two weights (`adjoint`) is kappa B.  Then
+
+    <m_n, m_n> = <A m_s, A m_s> = <m_s, A* A m_s>_low
+               = kappa (lambda_s + C) <m_s, m_s>_low,
+
+with lambda_s the eigenvalue of m_s under op_low.  This is Crum's argument
+for Wronskians (Gomez-Ullate, Kamran & Milson, J. Phys. A 43 (2010) 434016)
+and its Casoratian analogue (Duran, arXiv:1310.4658).  A chain of steps down
+to (empty; empty) gives the squared norm as the product of its step factors
+kappa (lambda_s + C) times the classical norm at degree d.  The closed form
+is right when that product equals `norm_quotient`, the closed form over the
+classical one, which is a rational.  Everything is exact.
+
+The argument needs every weight along the chain to be defined and every
+boundary term to vanish (`weight_refusal`, `boundary_refusal`).  The order of
+the steps is free, so `find_route` tries the orders until one meets them.
+"""
+from __future__ import annotations
+
+from .exact import RatFunc, rat
+
+
+class Step:
+    """One first order step from fam down to low, which lacks f of set_name."""
+
+    __slots__ = ("set_name", "f", "fam", "low", "A", "A_star")
+
+    def __init__(self, set_name, f, fam, low, A, A_star):
+        self.set_name = set_name
+        self.f = f
+        self.fam = fam
+        self.low = low
+        self.A = A
+        self.A_star = A_star
+
+
+class ChainNorm:
+    """The chain's verdict on the squared norm of member n.
+
+    steps holds, per step: set, f, kappa, shift, factor (None where the
+    step's identities give no constant) and holds (A m_s = m_n and m_s is an
+    eigenfunction of op_low).  product is None when a factor is.
+    """
+
+    __slots__ = ("n", "base_degree", "steps", "product", "quotient", "ok")
+
+    def __init__(self, n, base_degree, steps, product, quotient):
+        self.n = n
+        self.base_degree = base_degree
+        self.steps = steps
+        self.product = product
+        self.quotient = quotient
+        self.ok = product == quotient and all(step["holds"] for step in steps)
+
+
+def _constant(r: RatFunc):
+    """The rational r is, or None when r is not a constant."""
+    return r.num.coeff(0) if r.num.degree <= 0 and r.den.degree == 0 else None
+
+
+def _multiple_of_identity(op):
+    return None if set(op.coeffs) - {0} else _constant(op.coeff(0))
+
+
+def _ratio(P, Q):
+    """The constant kappa with P = kappa Q, or None."""
+    if set(P.coeffs) != set(Q.coeffs) or not P.coeffs:
+        return None
+    found = {_constant(P.coeff(key) / Q.coeff(key)) for key in P.coeffs}
+    return found.pop() if len(found) == 1 and None not in found else None
+
+
+def _candidates(mod, fam):
+    # F1 from its largest element down, then max(F2); each built when tried
+    for f in reversed(fam.pair.F1.elems):
+        yield ("F1", f, *mod.f1_pair(fam, f))
+    if fam.pair.F2.elems:
+        A, _, low = mod.darboux_pair(fam)
+        yield "F2", fam.pair.F2.max_elem, A, low
+
+
+def find_route(mod, fam):
+    """(steps from fam down to the classical family, None), every step
+    meeting its premises, or (None, why no order does)."""
+    why = mod.weight_refusal(fam)
+    if why is not None:
+        return None, why
+    if fam.pair.is_trivial:
+        return None, "the classical family has no step; its norm is the textbook one"
+    reasons, dead = [], set()
+
+    def walk(up):
+        if up.pair.is_trivial:
+            return []
+        if up.pair in dead:
+            return None
+        for set_name, f, A, low in _candidates(mod, up):
+            why = mod.weight_refusal(low)
+            if why is None:
+                A_star = mod.adjoint(A, up, low)
+                why = mod.boundary_refusal(A_star, up, low)
+            if why is not None:
+                if why not in reasons:
+                    reasons.append(why)
+                continue
+            rest = walk(low)
+            if rest is not None:
+                return [Step(set_name, f, up, low, A, A_star)] + rest
+        dead.add(up.pair)
+        return None
+
+    route = walk(fam)
+    if route is None:
+        return None, "no step order to the classical family meets its premises: " + "; ".join(
+            reasons)
+    return route, None
+
+
+def step_constants(mod, step):
+    """(kappa, shift) of one step: A* = kappa B and B A = op_low + shift for
+    the B of `down_operator`; either is None when no constant does."""
+    op = mod.operator(step.low)
+    B = mod.down_operator(step.A, op)
+    shift = _multiple_of_identity(B @ step.A - op)
+    return _ratio(step.A_star, B), shift
+
+
+def norms(mod, fam, ns):
+    """(ChainNorm per degree of ns, None), or (None, why no chain applies).
+
+    norm_quotient refuses a weight that is not positive first, as the
+    numeric norms do.
+    """
+    quotients = [mod.norm_quotient(n, fam) for n in ns]
+    route, why = find_route(mod, fam)
+    if route is None:
+        return None, why
+    sign = mod.OPERATOR_PAYLOAD[1]  # op m_s = sign * s * m_s
+    constants = [step_constants(mod, step) for step in route]
+    out = []
+    for n, quotient in zip(ns, quotients):
+        d = n - fam.pair.u
+        steps, product = [], rat(1)
+        for step, (kappa, shift) in zip(route, constants):
+            s = d + step.low.pair.u
+            lifted = step.A.apply(step.low.member(s))
+            holds = (lifted == RatFunc(step.fam.member(d + step.fam.pair.u))
+                     and mod.eigen_residual(s, step.low).is_zero)
+            factor = None
+            if kappa is not None and shift is not None:
+                factor = kappa * (sign * s + shift)
+            product = None if product is None or factor is None else product * factor
+            steps.append({"set": step.set_name, "f": step.f, "kappa": kappa, "shift": shift,
+                          "factor": factor, "holds": holds})
+        out.append(ChainNorm(n, d, steps, product, quotient))
+    return out, None

@@ -24,6 +24,7 @@ from .exact import (
     poly_strings,
     rat,
 )
+from . import chain
 from .pairs import FiniteSet, PairSpec, admissibility_witnesses, is_admissible
 from .sweep import KINDS, run_sweep
 
@@ -286,12 +287,31 @@ def _check_altrep(job, fam):
     return "refused", {"results": results, "evidence": mismatches}, None
 
 
+def _optional_rational(q):
+    return None if q is None else format_rational(q)
+
+
+def _chain_row(norm) -> dict:
+    steps = [{**step, **{key: _optional_rational(step[key])
+                         for key in ("kappa", "shift", "factor")}} for step in norm.steps]
+    return {"n": norm.n, "method": "chain", "ok": norm.ok, "base_degree": norm.base_degree,
+            "steps": steps, "product": _optional_rational(norm.product),
+            "quotient": format_rational(norm.quotient)}
+
+
 def _check_norms(job, fam):
-    checks = job.module.norm_identity(_degrees(job, fam)[:2], fam)
-    results = [{"n": chk.r, "rel_err": float(chk.rel_err), "rel_bound": float(chk.rel_bound),
-                "ok": chk.ok, "converged": chk.converged} for chk in checks]
-    bad = [{key: res[key] for key in ("n", "rel_err", "rel_bound")}
-           for res in results if not res["ok"]]
+    # exact along a Darboux chain where one meets its premises, else numeric
+    ns = _degrees(job, fam)[:2]
+    norms, refusal = chain.norms(job.module, fam, ns)
+    if norms is not None:
+        results = [_chain_row(norm) for norm in norms]
+        keys = ("n", "product", "quotient")
+    else:
+        results = [{"n": chk.r, "method": "numeric", "rel_err": float(chk.rel_err),
+                    "rel_bound": float(chk.rel_bound), "ok": chk.ok, "converged": chk.converged,
+                    "chain_refusal": refusal} for chk in job.module.norm_identity(ns, fam)]
+        keys = ("n", "rel_err", "rel_bound")
+    bad = [{key: res[key] for key in keys} for res in results if not res["ok"]]
     return ("pass" if not bad else "fail", {"results": results}, bad or None)
 
 

@@ -289,7 +289,12 @@ class Poly:
     __slots__ = ("_nums", "_den")
 
     def __init__(self, coeffs=()):
-        cs = [rat(c) for c in coeffs]
+        cs = list(coeffs)
+        if all(type(c) is int for c in cs):
+            # integer coefficients are their own numerators over 1
+            self._nums, self._den = _lowest(cs, 1)
+            return
+        cs = [rat(c) for c in cs]
         den = reduce(math.lcm, [int(c.denominator) for c in cs], 1)
         nums = [int(c.numerator) * (den // int(c.denominator)) for c in cs]
         self._nums, self._den = _lowest(nums, den)
@@ -310,23 +315,25 @@ class Poly:
 
     @classmethod
     def zero(cls):
-        return cls(())
+        return cls._from_lowest((), 1)
 
     @classmethod
     def one(cls):
-        return cls((1,))
+        return cls._from_lowest((1,), 1)
 
     @classmethod
     def x(cls):
-        return cls((0, 1))
+        return cls._from_lowest((0, 1), 1)
 
     @classmethod
     def constant(cls, c):
+        if type(c) is int:
+            return cls._from_lowest((c,) if c else (), 1)
         return cls((c,))
 
     @classmethod
     def monomial(cls, k: int):
-        return cls([0] * k + [1])
+        return cls._from_lowest(tuple([0] * k + [1]), 1)
 
     @property
     def coeffs(self) -> tuple:
@@ -523,6 +530,8 @@ def _lowest(nums: list, den: int):
 def _coerce_poly(v):
     if isinstance(v, Poly):
         return v
+    if type(v) is int:
+        return Poly.constant(v)
     try:
         return Poly.constant(rat(v))
     except (ParameterError, ValueError, TypeError):
@@ -727,6 +736,14 @@ class RatFunc:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        other = _coerce_ratfunc(other)
+        if other is NotImplemented:
+            return NotImplemented
+        if other.is_zero:
+            raise ZeroDivisionError("rational function division by zero")
+        return RatFunc(self.num * other.den, self.den * other.num)
+
     def __eq__(self, other):
         if isinstance(other, RatFunc):
             return self.num == other.num and self.den == other.den
@@ -758,7 +775,7 @@ class RatFunc:
 def _coerce_ratfunc(v):
     if isinstance(v, RatFunc):
         return v
-    if isinstance(v, Poly):
+    if isinstance(v, Poly) or type(v) is int:
         return RatFunc(v)
     try:
         return RatFunc(Poly.constant(rat(v)))

@@ -107,6 +107,7 @@ class LaguerreExcFamily:
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
         self._op_nums = None  # _operator_numerators, once needed
+        self._darboux = None  # darboux_pair, once needed
 
     def __repr__(self):
         return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
@@ -218,9 +219,10 @@ def orthogonality_premises(fam: LaguerreExcFamily) -> dict:
     }
 
 
-def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
-    """pi(n-u) Gamma(n-u+alpha+1) / (n-u)! with pi the paired root product,
-    as an mpf.
+def norm_quotient(n: int, fam: LaguerreExcFamily):
+    """The closed-form squared norm of member n over the classical one at
+    degree d = n - u, a rational: the paired root product
+    prod_F1 (d-f) prod_F2 (d+alpha+f+1), as both share Gamma(d+alpha+1) / d!.
 
     The form holds for a positive weight only; refuses otherwise.
     """
@@ -230,12 +232,23 @@ def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
     _refuse_unless_positive(fam)
     alpha = fam.params.alpha
     d = n - pair.u
-    val = rat(1, math.factorial(d))
+    val = rat(1)
     for f in pair.F1:
         val *= d - f
     for f in pair.F2:
         val *= d + alpha + f + 1
-    return to_mpf(val) * gamma_rational(d + alpha + 1)
+    return val
+
+
+def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
+    """pi(n-u) Gamma(n-u+alpha+1) / (n-u)! with pi the paired root product
+    of norm_quotient, as an mpf.
+
+    The form holds for a positive weight only; refuses otherwise.
+    """
+    d = n - fam.pair.u
+    val = norm_quotient(n, fam) / math.factorial(d)
+    return to_mpf(val) * gamma_rational(d + fam.params.alpha + 1)
 
 
 def norm_identity(ns, fam: LaguerreExcFamily) -> list[NormCheck]:
@@ -267,8 +280,14 @@ def darboux_pair(fam: LaguerreExcFamily):
     A raises from the lower family (the pair without the largest element of
     F2) into this one; B goes back down.  Their two compositions reproduce
     the second order operators of the two families up to explicit constant
-    shifts, which darboux_identities checks exactly.
+    shifts, which darboux_identities checks exactly.  Built once per family.
     """
+    if fam._darboux is None:
+        fam._darboux = _darboux_pair(fam)
+    return fam._darboux
+
+
+def _darboux_pair(fam: LaguerreExcFamily):
     _, low_pair = fam.pair.remove_f2_max()
     alpha = fam.params.alpha
     k = fam.pair.k
@@ -310,6 +329,82 @@ def darboux_intertwining(fam: LaguerreExcFamily, n: int) -> bool:
     if shift < 0:
         return fam.member(n).is_zero
     return A.apply(low.member(shift)) == RatFunc(fam.member(n))
+
+
+# -- the Darboux chain of the norms ------------------------------------------
+
+
+def f1_pair(fam: LaguerreExcFamily, f: int):
+    """(A, lower_family) stripping f from F1.
+
+    Sylvester's identity on the block with the top row and the row of f
+    gives, with s = n - u + u_low and Omega_low the lower family's Omega,
+      L_n Omega_low = Omega' L_s^low - Omega (L_s^low)',
+    so A = -(Omega/Omega_low) d + Omega'/Omega_low takes L_s^low to L_n.
+    The identity is homogeneous in the order of each block's rows, so f
+    need not be the largest element.
+    """
+    low = LaguerreExcFamily(fam.params, PairSpec([e for e in fam.pair.F1 if e != f], fam.pair.F2))
+    om, om_lo = fam.omega, low.omega
+    A = DifferentialOperator({1: -RatFunc(om, om_lo), 0: RatFunc(om.derivative(), om_lo)})
+    return A, low
+
+
+def down_operator(A: DifferentialOperator, op: DifferentialOperator) -> DifferentialOperator:
+    """The B = b_1 d + b_0 with B A = op + const, if any, for op the lower
+    family's operator.
+
+    With A = a_1 d + a_0 and op = x d^2 + h_1 d + h_0, B A has
+    the d^2 coefficient b_1 a_1 and the d coefficient
+    b_1 (a_1' + a_0) + b_0 a_1, so b_1 = x / a_1 and
+    b_0 = (h_1 - b_1 (a_1' + a_0)) / a_1.  Whether the d^0 coefficient
+    b_1 a_0' + b_0 a_0 - h_0 is a constant is the caller's check.
+    """
+    a1, a0 = A.coeff(1), A.coeff(0)
+    b1 = op.coeff(2) / a1
+    return DifferentialOperator({1: b1, 0: (op.coeff(1) - b1 * (a1.derivative() + a0)) / a1})
+
+
+def adjoint(A: DifferentialOperator, fam: LaguerreExcFamily, low: LaguerreExcFamily):
+    """The adjoint A* of A = a_1 d + a_0 from low's weight to fam's.
+
+    With the weights w = x^(alpha+k) e^-x / Omega^2 of the two families,
+    k = k_low + 1 above, integrating the d of int (A f) g w by parts gives
+    int f (A* g) w_low with
+      A* = -a_1 rho d + (a_0 - a_1' - a_1 w'/w) rho,
+      rho = w / w_low = x Omega_low^2 / Omega^2,
+      w'/w = (alpha+k)/x - 1 - 2 Omega'/Omega,
+    and the boundary term [a_1 f g w] from 0 to inf, which vanishes once
+    low's weight is defined (boundary_refusal).
+    """
+    om, om_lo = fam.omega, low.omega
+    x = Poly.x()
+    rho = RatFunc(x * om_lo * om_lo, om * om)
+    log_w = RatFunc(Poly([fam.params.alpha + fam.pair.k, -1]), x) - RatFunc(2 * om.derivative(), om)
+    a1, a0 = A.coeff(1), A.coeff(0)
+    return DifferentialOperator({1: -a1 * rho, 0: (a0 - a1.derivative() - a1 * log_w) * rho})
+
+
+def weight_refusal(fam: LaguerreExcFamily):
+    """Why fam's weight integrals are not defined, or None: they need
+    alpha + k > -1 and no root of Omega on [0, inf)."""
+    alpha_k = fam.params.alpha + fam.pair.k
+    if not alpha_k > -1:
+        return f"the weight of {fam.pair!r} needs alpha + k > -1, got {alpha_k}"
+    if not nonvanishing(fam):
+        return f"Omega of {fam.pair!r} vanishes on [0, inf)"
+    return None
+
+
+def boundary_refusal(A_star: DifferentialOperator, fam: LaguerreExcFamily, low: LaguerreExcFamily):
+    """Why the boundary term of `adjoint` does not vanish: never, once low's
+    weight is defined (weight_refusal).
+
+    [a_1 f g w] tends to 0 at inf by e^-x.  At 0, a_1 = -Omega/Omega_low is
+    finite, as Omega_low has no root there, and w ~ x^(alpha+k) tends to 0,
+    as alpha + k = alpha + k_low + 1 > 0.
+    """
+    return None
 
 
 # -- alternative representation and invariance -------------------------------

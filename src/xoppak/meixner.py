@@ -35,6 +35,7 @@ from .exact import (
     pochhammer_poly,
     rational_det,
     root_bound,
+    sturm_nonneg_roots,
     top_row_minors,
 )
 from .numerics import DPS, certified_sum, gamma_rational, to_mpf
@@ -89,6 +90,7 @@ class MeixnerExcFamily:
         self._members = {}
         self._dual_cache = {}
         self._op_nums = None  # _operator_numerators, once needed
+        self._darboux = None  # darboux_pair, once needed
 
     def __repr__(self):
         return f"MeixnerExcFamily({self.params!r}, {self.pair!r})"
@@ -406,28 +408,41 @@ def orthogonality_premises(fam: MeixnerExcFamily) -> dict:
     }
 
 
-def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
-    """Squared norm of member r in closed form, as an mpf.
+def norm_quotient(r: int, fam: MeixnerExcFamily):
+    """The closed-form squared norm of member r over the classical one at
+    degree d = r - u, a rational.
 
-    The form holds for a positive weight only; refuses otherwise.  rho is
-    prod_F1 (r-f-u) prod_F2 (r+c+f-u) a^(r-u) Gamma(r+c-u) / (r-u)!.
+    The closed form is a^(k1-2k) (1-a)^-(c+2d-k) prod_F1 (d-f)
+    prod_F2 (d+c+f) a^d Gamma(d+c) / d!, the classical one the same with
+    k1 = k = 0 and empty products, so the Gamma, the factorial and the
+    powers of 1 - a cancel up to (1-a)^k.  The form holds for a positive
+    weight only; refuses otherwise.
     """
     pair = fam.pair
     if not pair.sigma_contains(r):
         raise DomainError(f"degree {r} is outside the index set of {pair!r}")
     _refuse_unless_positive(fam)
     a, c = fam.params.a, fam.params.c
-    u, k = pair.u, pair.k
-    r = int(r)
-    pref = rat(1)
+    d = int(r) - pair.u
+    out = rat_pow(a, pair.k1 - 2 * pair.k) * rat_pow(1 - a, pair.k)
     for f in pair.F1:
-        pref *= r - f - u
+        out *= d - f
     for f in pair.F2:
-        pref *= r + c + f - u
-    pref = pref * rat_pow(a, r - u) / math.factorial(r - u)
-    rho = to_mpf(pref) * gamma_rational(r + c - u)
-    closed = to_mpf(rat_pow(a, pair.k1 - 2 * k)) * rho
-    return closed * mp.power(to_mpf(1 - a), to_mpf(-(c + 2 * r - 2 * u - k)))
+        out *= d + c + f
+    return out
+
+
+def norm_closed_form(r: int, fam: MeixnerExcFamily) -> mp.mpf:
+    """Squared norm of member r in closed form, as an mpf: norm_quotient
+    times the classical a^d Gamma(d+c) / (d! (1-a)^(c+2d)), d = r - u.
+
+    The form holds for a positive weight only; refuses otherwise.
+    """
+    quotient = norm_quotient(r, fam)
+    a, c = fam.params.a, fam.params.c
+    d = int(r) - fam.pair.u
+    classical = to_mpf(rat_pow(a, d) / math.factorial(d)) * gamma_rational(d + c)
+    return to_mpf(quotient) * classical * mp.power(to_mpf(1 - a), to_mpf(-(c + 2 * d)))
 
 
 def norm_identity(rs, fam: MeixnerExcFamily) -> list[NormCheck]:
@@ -456,8 +471,14 @@ def darboux_pair(fam: MeixnerExcFamily):
     A raises from the lower family (the pair without the largest element of
     F2) into this one; B goes back down.  Their two compositions reproduce
     the second order operators of the two families up to explicit constant
-    shifts, which darboux_identities checks exactly.
+    shifts, which darboux_identities checks exactly.  Built once per family.
     """
+    if fam._darboux is None:
+        fam._darboux = _darboux_pair(fam)
+    return fam._darboux
+
+
+def _darboux_pair(fam: MeixnerExcFamily):
     _, low_pair = fam.pair.remove_f2_max()
     a, c = fam.params.a, fam.params.c
     k = fam.pair.k
@@ -498,6 +519,82 @@ def darboux_intertwining(fam: MeixnerExcFamily, n: int) -> bool:
     if shift < 0:
         return fam.member(n).is_zero
     return A.apply(low.member(shift)) == RatFunc(fam.member(n))
+
+
+# -- the Darboux chain of the norms ------------------------------------------
+
+
+def f1_pair(fam: MeixnerExcFamily, f: int):
+    """(A, lower_family) stripping f from F1.
+
+    Sylvester's identity on the block with the top row and the row of f
+    gives, with s = n - u + u_low and Omega_low the lower family's Omega,
+      m_n(x) Omega_low(x+1) = Omega(x+1) m_s^low(x) - Omega(x) m_s^low(x+1),
+    so A = Omega(x+1)/Omega_low(x+1) - Omega(x)/Omega_low(x+1) Sh_1 takes
+    m_s^low to m_n.  The identity is homogeneous in the order of each
+    block's rows, so f need not be the largest element.
+    """
+    low = MeixnerExcFamily(fam.params, PairSpec([e for e in fam.pair.F1 if e != f], fam.pair.F2))
+    om, om_lo1 = fam.omega, low.omega.shift(1)
+    A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1), 1: -RatFunc(om, om_lo1)})
+    return A, low
+
+
+def down_operator(A: DifferenceOperator, op: DifferenceOperator) -> DifferenceOperator:
+    """The B = b_-1 Sh_-1 + b_0 with B A = op + const, if any, for op the
+    lower family's operator.
+
+    With A = a_0 + a_1 Sh_1 and op = d_-1 Sh_-1 + d_0 + d_1 Sh_1,
+    B A has the Sh_1 coefficient b_0 a_1 and the Sh_-1 coefficient
+    b_-1 a_0(x-1), so b_0 = d_1 / a_1 and b_-1 = d_-1 / a_0(x-1).  Whether
+    the Sh_0 coefficient b_-1 a_1(x-1) + b_0 a_0 - d_0 is a constant is the
+    caller's check.
+    """
+    return DifferenceOperator(
+        {-1: op.coeff(-1) / A.coeff(0).shift(-1), 0: op.coeff(1) / A.coeff(1)})
+
+
+def adjoint(A: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily):
+    """The adjoint A* of A = a_0 + a_1 Sh_1 from low's weight to fam's.
+
+    With the weights w(x) = a^x Gamma(x+c+k) / (x! Omega(x) Omega(x+1)) of
+    the two families, k = k_low + 1 above, moving the shift of
+    sum_x (A f)(x) g(x) w(x) onto g gives sum_x f(x) (A* g)(x) w_low(x) with
+      A* = rho a_0 + sigma a_1(x-1) Sh_-1,
+      rho = w / w_low = (x+c+k_low) Omega_low(x) Omega_low(x+1) / (Omega(x) Omega(x+1)),
+      sigma = w(x-1) / w_low(x) = x Omega_low(x) Omega_low(x+1) / (a Omega(x-1) Omega(x)),
+    less the boundary term f(0) A*_-1(0) g(-1) w_low(0) of the reindexed
+    sum, which boundary_refusal requires to be 0.
+    """
+    a, c = fam.params.a, fam.params.c
+    om, om_lo = fam.omega, low.omega
+    both_lo = om_lo * om_lo.shift(1)
+    rho = RatFunc(Poly([c + low.pair.k, 1]) * both_lo, om * om.shift(1))
+    sigma = RatFunc(Poly.x() * both_lo, om.shift(-1) * om * a)
+    return DifferenceOperator({0: rho * A.coeff(0), -1: sigma * A.coeff(1).shift(-1)})
+
+
+def weight_refusal(fam: MeixnerExcFamily):
+    """Why fam's weight sums are not defined, or None: they need 0 < a < 1
+    and no zero of Omega at an integer x >= 0 (Sturm counts the roots on
+    [0, inf); only when there are some are the integers up to the root
+    bound scanned)."""
+    a = fam.params.a
+    if not 0 < a < 1:
+        return f"the weight sums need 0 < a < 1, got a={a}"
+    om = fam.omega
+    if sturm_nonneg_roots(om):
+        for x in range(rat_ceil(root_bound(om)) + 1):
+            if om(x) == 0:
+                return f"Omega of {fam.pair!r} vanishes at x={x}"
+    return None
+
+
+def boundary_refusal(A_star: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily):
+    """Why the boundary term of `adjoint` at x = 0 is not 0, or None."""
+    if A_star.coeff(-1).num(0) != 0:
+        return f"the boundary term at x=0 of the step from {fam.pair!r} to {low.pair!r} is not 0"
+    return None
 
 
 # -- alternative representation and invariance -------------------------------

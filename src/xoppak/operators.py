@@ -59,14 +59,23 @@ class _OperatorBase:
         return not self.coeffs
 
 
+def _combination(terms) -> RatFunc:
+    """sum of a * q over the (RatFunc a, Poly q) of terms, over the product
+    of the distinct denominators, reduced once."""
+    num, den = Poly.zero(), Poly.one()
+    for a, q in terms:
+        if a.den == den:
+            num = num + a.num * q
+        else:
+            num, den = num * a.den + a.num * q * den, den * a.den
+    return RatFunc(num, den)
+
+
 class DifferenceOperator(_OperatorBase):
     """sum_j a_j(x) Sh_j with (Sh_j f)(x) = f(x+j)."""
 
     def apply(self, p: Poly) -> RatFunc:
-        out = RatFunc(Poly.zero())
-        for j, a in self.coeffs.items():
-            out = out + a * p.shift(j)
-        return out
+        return _combination((a, p.shift(j)) for j, a in self.coeffs.items())
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
         out = {}
@@ -87,16 +96,11 @@ class DifferenceOperator(_OperatorBase):
 class DifferentialOperator(_OperatorBase):
     """sum_i a_i(x) d^i/dx^i."""
 
-    def apply(self, p) -> RatFunc:
-        if isinstance(p, Poly):
-            p = RatFunc(p)
-        out = RatFunc(Poly.zero())
-        for i, a in sorted(self.coeffs.items()):
-            d = p
-            for _ in range(i):
-                d = d.derivative()
-            out = out + a * d
-        return out
+    def apply(self, p: Poly) -> RatFunc:
+        derivs = [p]
+        while len(derivs) <= max(self.coeffs, default=0):
+            derivs.append(derivs[-1].derivative())
+        return _combination((a, derivs[i]) for i, a in sorted(self.coeffs.items()))
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         out = {}

@@ -1,0 +1,28 @@
+"""Fixtures shared by the test modules."""
+import pytest
+
+from xoppak import chain
+from xoppak.exact import rat
+
+
+@pytest.fixture
+def perturb_chain(monkeypatch):
+    """perturb(mod, what) puts every Darboux chain row of kind module mod off
+    by 10^-30 of one ingredient: each step's kappa or shift, or the
+    closed-form quotient."""
+    eps = rat(1, 10**30)
+
+    def perturb(mod, what):
+        if what == "quotient":
+            original = mod.norm_quotient
+            monkeypatch.setattr(mod, "norm_quotient", lambda n, fam: original(n, fam) * (1 + eps))
+            return
+        constants = chain.step_constants
+
+        def perturbed(mod, step):
+            kappa, shift = constants(mod, step)
+            return (kappa * (1 + eps), shift) if what == "kappa" else (kappa, shift + eps)
+
+        monkeypatch.setattr(chain, "step_constants", perturbed)
+
+    return perturb

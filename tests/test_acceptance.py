@@ -11,6 +11,7 @@ from functools import lru_cache
 
 import mpmath as mp
 
+from xoppak import chain
 from xoppak import laguerre as lag
 from xoppak import meixner as mex
 from xoppak.classical import LaguerreParams, MeixnerParams
@@ -240,11 +241,21 @@ def test_criterion_07_alternative_representations():
     )
 
 
+def chain_disagrees(mod, fam, numeric):
+    """Whether the exact Darboux chain reaches fam, and whether it then
+    gives any of the numeric rows another verdict."""
+    norms, _ = chain.norms(mod, fam, [chk.r for chk in numeric])
+    if norms is None:
+        return False, False
+    return True, [norm.ok for norm in norms] != [chk.ok for chk in numeric]
+
+
 def test_criterion_08_norms():
     # each row passes on its own bound: the certified tail (and for Laguerre
-    # the quadrature's error estimate) plus a 1e-40 relative rounding allowance
+    # the quadrature's error estimate) plus a 1e-40 relative rounding allowance;
+    # wherever the Darboux chain applies, its exact verdict is the same
     bad = []
-    mex_count = lag_count = 0
+    mex_count = lag_count = chained = 0
     for pair in enumerate_pairs(3, 2):
         f1, f2 = pair.F1.elems, pair.F2.elems
         for a, c in ((rat(1, 2), rat(3)), (rat(1, 3), rat(5, 2)),
@@ -252,18 +263,28 @@ def test_criterion_08_norms():
             if not is_admissible(c, pair):
                 continue
             fam = mex_fam(f1, f2, a, c)
-            for chk in mex.norm_identity(pair.sigma_first(2), fam):
+            numeric = mex.norm_identity(pair.sigma_first(2), fam)
+            for chk in numeric:
                 mex_count += 1
                 if not chk.ok:
                     bad.append(("meixner", f1, f2, str(a), str(c), chk.r))
+            reached, differs = chain_disagrees(mex, fam, numeric)
+            chained += reached
+            if differs:
+                bad.append(("meixner chain", f1, f2, str(a), str(c)))
         for alpha in ALPHA_GRID:
             if not is_admissible(alpha + 1, pair):
                 continue
             fam = lag_fam(f1, f2, alpha)
-            for chk in lag.norm_identity(pair.sigma_first(2), fam):
+            numeric = lag.norm_identity(pair.sigma_first(2), fam)
+            for chk in numeric:
                 lag_count += 1
                 if not chk.ok:
                     bad.append(("laguerre", f1, f2, str(alpha), chk.r))
+            reached, differs = chain_disagrees(lag, fam, numeric)
+            chained += reached
+            if differs:
+                bad.append(("laguerre chain", f1, f2, str(alpha)))
     # the closed-form value of the lowest squared norm in one family
     fam = lag_fam((1,), (), rat(-3, 2))
     [chk0] = lag.norm_identity([0], fam)
@@ -271,12 +292,12 @@ def test_criterion_08_norms():
     value_ok = chk0.ok and mp.almosteq(chk0.rhs, two_sqrt_pi, rel_eps=mp.mpf("1e-12"))
     if not value_ok:
         bad.append(("laguerre-2-sqrt-pi", float(chk0.rhs)))
-    ok = not bad and mex_count > 0 and lag_count > 0
+    ok = not bad and mex_count > 0 and lag_count > 0 and chained > 0
     verdict(
         8, "norms", ok,
         f"{mex_count} certified sums and {lag_count} certified quadratures within "
-        f"their own error bounds, including the 2 sqrt(pi) lowest norm; "
-        f"{len(bad)} failures",
+        f"their own error bounds, including the 2 sqrt(pi) lowest norm, the exact "
+        f"Darboux chain agreeing on the {chained} families it reaches; {len(bad)} failures",
     )
 
 

@@ -4,7 +4,7 @@ import json
 import mpmath as mp
 import pytest
 
-from xoppak import cli, laguerre, meixner, numerics
+from xoppak import chain, cli, laguerre, meixner, numerics
 from xoppak.classical import LaguerreParams
 from xoppak.exact import InternalInconsistencyError, PoleError, Poly, rat
 from xoppak.laguerre import LaguerreExcFamily
@@ -430,6 +430,12 @@ def test_orthogonality_takes_norms_from_the_closed_form(capsys, monkeypatch, fla
 MEIXNER_FLAGS = ["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"]
 
 
+def numeric_norms(monkeypatch):
+    """Send the norms check to norm_identity, as for a family no Darboux chain
+    reaches: the chain reaches every Meixner family here and Laguerre (-; 1)."""
+    monkeypatch.setattr(chain, "find_route", lambda mod, fam: (None, "no chain in this test"))
+
+
 @pytest.mark.parametrize(
     "flags",
     [
@@ -439,9 +445,10 @@ MEIXNER_FLAGS = ["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", 
     ],
     ids=["laguerre", "laguerre-minus-7_4", "meixner"],
 )
-def test_norms_rows_report_convergence(capsys, flags):
+def test_norms_rows_report_convergence(capsys, monkeypatch, flags):
     # the quadrature meets its target at alpha + k = -1/2 and -3/4, where the
     # weight is singular at 0; certified sums always do
+    numeric_norms(monkeypatch)
     code, doc = run_json(capsys, "verify", *flags, "--checks", "norms")
     assert code == 0
     row = doc["checks"][0]
@@ -466,6 +473,7 @@ def test_norms_rows_report_convergence(capsys, flags):
 def test_norms_fail_on_a_perturbed_closed_form(capsys, monkeypatch, mod, flags, scale):
     # a closed form off by far less than the old default tolerances (1e-10
     # for Meixner, 1e-8 for Laguerre) lies outside every row's own bound
+    numeric_norms(monkeypatch)
     original = mod.norm_closed_form
     monkeypatch.setattr(mod, "norm_closed_form",
                         lambda n, fam: original(n, fam) * (1 + mp.mpf(scale)))
@@ -484,12 +492,48 @@ def test_norms_fail_on_a_perturbed_closed_form(capsys, monkeypatch, mod, flags, 
 
 def test_norms_out_of_terms_are_refused(capsys, monkeypatch):
     # a certified sum that runs out of terms refuses its row; no traceback
+    numeric_norms(monkeypatch)
     monkeypatch.setattr(numerics, "MAX_SUM_TERMS", 5)
     code, doc = run_json(capsys, "verify", *MEIXNER_FLAGS, "--checks", "norms")
     assert code == 0
     row = doc["checks"][0]
     assert row["status"] == "refused" and row["witness"] is None
     assert row["detail"] == {"reason": "tolerance not reached after 5 terms"}
+
+
+def test_norms_take_the_chain_with_exact_rows(capsys):
+    # every field of a chain row is exact: integers, booleans, "p/q" strings
+    code, doc = run_json(capsys, "verify", "--kind", "meixner", "--F2", "2,4", "--a", "99/100",
+                         "--c", "3", "--checks", "norms")
+    assert code == 0
+    [row] = doc["checks"]
+    assert row["status"] == "pass" and row["witness"] is None
+    first = row["detail"]["results"][0]
+    assert first == {
+        "n": 5, "method": "chain", "ok": True, "base_degree": 0,
+        "steps": [
+            {"set": "F2", "f": 4, "kappa": "100/9801", "shift": "5", "factor": "700/9801",
+             "holds": True},
+            {"set": "F2", "f": 2, "kappa": "100/9801", "shift": "5", "factor": "500/9801",
+             "holds": True},
+        ],
+        "product": "350000/96059601", "quotient": "350000/96059601",
+    }
+    assert not any(isinstance(leaf, float) for leaf in walk_leaves(row["detail"]))
+
+
+def test_chain_norms_fail_with_product_and_quotient(capsys, monkeypatch):
+    original = meixner.norm_quotient
+    monkeypatch.setattr(meixner, "norm_quotient", lambda n, fam: original(n, fam) * 2)
+    code, doc = run_json(capsys, "verify", *MEIXNER_FLAGS, "--checks", "norms")
+    assert code == 4
+    [row] = doc["checks"]
+    assert row["status"] == "fail"
+    results = row["detail"]["results"]
+    assert all(res["method"] == "chain" and res["ok"] is False for res in results)
+    assert row["witness"] == [
+        {key: res[key] for key in ("n", "product", "quotient")} for res in results]
+    assert all(rat(res["quotient"]) == 2 * rat(res["product"]) for res in results)
 
 
 LAGUERRE_FLAGS = ["--kind", "laguerre", "--F1", "1,2", "--F2", "3", "--alpha", "1/2"]

@@ -3,7 +3,8 @@
 Each case runs through `python -m xoppak` and must print exactly the
 committed `tests/golden/<name>.out` with the committed exit code, once the
 `seconds` fields (wall-clock timings) are dropped.  The verify cases run the
-exact checks only, so the bytes do not depend on the mpmath version.
+exact checks only, so the bytes do not depend on the mpmath version: their
+norms rows come from the exact Darboux chain.
 
 `python tests/test_golden.py` rewrites the corpus from the current code.
 """
@@ -50,6 +51,13 @@ CASES = {
     "verify-laguerre-inadmissible": [
         "verify", "--kind", "laguerre", "--F1", "1", "--F2", "2", "--alpha", "1/2",
         "--checks", "eigen,darboux,altrep,admissible,nonvanish",
+    ],
+    "verify-norms-meixner": [
+        "verify", "--kind", "meixner", "--F2", "2,4", "--a", "99/100", "--c", "3",
+        "--checks", "norms",
+    ],
+    "verify-norms-laguerre": [
+        "verify", "--kind", "laguerre", "--F2", "1", "--alpha", "1/2", "--checks", "norms",
     ],
     "admissible-meixner": [
         "admissible", "--kind", "meixner", "--F1", "1", "--c", "-7/2",

@@ -337,6 +337,7 @@ def test_integer_scalars_agree_with_the_rational_path(p):
         q = Fraction(j)
         assert p.shift(j) == p.shift(q)
         assert p * j == p * q == j * p == q * p
+        assert p + j == p + q == j + p and p - j == p - q and j - p == q - p
         assert agree(p * j, to_sympy(p) * j)
         value = p(j)
         assert type(value) is Rational
@@ -347,3 +348,16 @@ def test_integer_scalars_agree_with_the_rational_path(p):
     # bool is not int, so True takes the rational path and means 1
     assert p(True) == p(1) and p * True == p and p.shift(True) == p.shift(1)
     assert p(False) == p(0) and (p * False).is_zero and p.shift(False) == p
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(numerators(), max_size=9))
+def test_integer_coefficients_agree_with_the_rational_path(ints):
+    # an all-int coefficient list and the int constructors skip the Rationals
+    # and give the same fields as the rational path
+    assert Poly(ints) == Poly([Fraction(c) for c in ints])
+    for j in ints:
+        assert Poly.constant(j) == Poly([Fraction(j)])
+    assert Poly.monomial(len(ints)) == Poly([Fraction(0)] * len(ints) + [Fraction(1)])
+    for made, want in ((Poly.zero(), []), (Poly.one(), [1]), (Poly.x(), [0, 1])):
+        assert made == Poly([Fraction(c) for c in want])

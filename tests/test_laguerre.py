@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xoppak import cli
+from xoppak import chain, cli
 from xoppak import laguerre as lag
 from xoppak.classical import LaguerreParams, laguerre
 from xoppak.exact import (
@@ -16,15 +16,19 @@ from xoppak.exact import (
     ParameterError,
     PoleError,
     Poly,
+    RatFunc,
     rat,
 )
 from xoppak.laguerre import (
     LaguerreExcFamily,
+    adjoint,
     alt_representation,
     darboux_identities,
     darboux_intertwining,
     darboux_pair,
+    down_operator,
     eigen_residual,
+    f1_pair,
     inner_product,
     invariance_conjecture,
     limit_from_meixner,
@@ -320,13 +324,19 @@ def test_default_verify_makes_one_quadrature_per_family(monkeypatch, capsys):
         return quad(*args)
 
     monkeypatch.setattr(lag, "laguerre_type_integral", counted)
-    for flags in (["--F2", "1", "--alpha", "1/2"], ["--F1", "1", "--alpha", "-3/2"]):
+    # in numeric norms; the Darboux chain reaches (-; 1) and integrates nothing
+    for flags, method, quadratures in ((["--F2", "1", "--alpha", "1/2"], "chain", 0),
+                                       (["--F1", "1", "--alpha", "-3/2"], "numeric", 1)):
         calls.clear()
         assert cli.main(["verify", "--kind", "laguerre"] + flags) == 0
         rows = {row["check"]: row for row in json.loads(capsys.readouterr().out)["checks"]}
         assert rows["norms"]["status"] == rows["orthogonality"]["status"] == "pass"
-        ns = [res["n"] for res in rows["norms"]["detail"]["results"]]
-        assert len(ns) == 2 and len(calls) == 1, flags
+        results = rows["norms"]["detail"]["results"]
+        ns = [res["n"] for res in results]
+        assert {res["method"] for res in results} == {method}, flags
+        assert len(ns) == 2 and len(calls) == quadratures, flags
+        if not quadratures:
+            continue
         members, _, _, pairs = calls[0]
         assert pairs == [(n, n) for n in ns] and set(members) == set(ns), flags
 
@@ -370,6 +380,98 @@ def test_darboux_descends_to_classical():
 def test_darboux_needs_nonempty_f2():
     with pytest.raises(DomainError):
         darboux_pair(family([1, 2], [], rat(1, 2)))
+
+
+def test_darboux_pair_is_built_once():
+    fam = family([1], [2], rat(1, 2))
+    assert darboux_pair(fam) is darboux_pair(fam)
+
+
+@pytest.mark.parametrize("f1, f2, alpha", [
+    ([], [1], rat(1, 2)),
+    ([1], [2], rat(-1, 2)),
+    ([2, 3], [1, 2], rat(5, 2)),
+])
+def test_solved_b_is_the_darboux_b(f1, f2, alpha):
+    # B solved from A and the lower operator is darboux_pair's B, and B A
+    # leaves darboux_identities' shift -(alpha + f - u_low + 1)
+    fam = family(f1, f2, alpha)
+    A, B, low = darboux_pair(fam)
+    op = operator(low)
+    solved = down_operator(A, op)
+    assert solved == B
+    assert (solved @ A - (op - rat(alpha + f2[-1] - low.pair.u + 1))).is_zero
+
+
+@pytest.mark.parametrize("f1, f2, alpha", [
+    ([1, 2], [1], rat(1, 2)),
+    ([2, 3], [1, 2], rat(5, 2)),
+    ([1, 3], [], rat(-1, 3)),
+])
+def test_f1_step_intertwines_and_its_adjoint_is_minus_b(f1, f2, alpha):
+    # stripping any f of F1: A L_s^low = L_n with s = n - u + u_low,
+    # B A = op_low + f + u_low, and A* = -B, as for the F2 step
+    fam = family(f1, f2, alpha)
+    for f in f1:
+        A, low = f1_pair(fam, f)
+        assert low.pair == PairSpec([e for e in f1 if e != f], f2)
+        op = operator(low)
+        B = down_operator(A, op)
+        assert (B @ A - (op + rat(f + low.pair.u))).is_zero
+        assert adjoint(A, fam, low).coeffs == {key: -coeff for key, coeff in B.coeffs.items()}
+        for n in fam.pair.sigma_first(3):
+            s = n - fam.pair.u + low.pair.u
+            assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
+    if f2:
+        A, B, low = darboux_pair(fam)
+        assert adjoint(A, fam, low).coeffs == {key: -coeff for key, coeff in B.coeffs.items()}
+
+
+@pytest.mark.parametrize("f1, f2, alpha", [
+    ([], [1], rat(1, 2)),
+    ([], [1, 2], rat(-1, 2)),
+    ([], [2, 3], rat(1, 2)),
+    ([], [1, 3], rat(5, 2)),
+    ([], [3], rat(-1, 2)),
+])
+def test_chain_products_equal_the_closed_form_quotients(f1, f2, alpha):
+    fam = family(f1, f2, alpha)
+    ns = fam.pair.sigma_first(2)
+    norms, why = chain.norms(lag, fam, ns)
+    assert why is None
+    for norm in norms:
+        assert norm.ok and norm.product == norm.quotient
+        assert [(step["set"], step["f"], step["kappa"]) for step in norm.steps] == [
+            ("F2", f, -1) for f in reversed(f2)]
+
+
+@pytest.mark.parametrize("what", ["kappa", "shift", "quotient"])
+def test_chain_rows_fail_on_a_perturbation(perturb_chain, what):
+    perturb_chain(lag, what)
+    fam = family([], [1, 2], rat(1, 2))
+    norms, why = chain.norms(lag, fam, fam.pair.sigma_first(2))
+    assert why is None
+    assert norms and not any(norm.ok for norm in norms)
+
+
+def test_norms_fall_back_to_numerics_where_no_chain_applies(capsys):
+    # the only step of (1; -) at alpha = -3/2 reaches the classical weight
+    # at alpha = -3/2, which is not integrable at 0
+    fam = family([1], [], rat(-3, 2))
+    assert chain.norms(lag, fam, [0, 2]) == (
+        None, "no step order to the classical family meets its premises: "
+        "the weight of PairSpec([], []) needs alpha + k > -1, got -3/2")
+    assert cli.main(["verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
+                     "--checks", "norms"]) == 0
+    [row] = json.loads(capsys.readouterr().out)["checks"]
+    assert row["status"] == "pass"
+    for res in row["detail"]["results"]:
+        assert res["method"] == "numeric" and res["ok"] and res["converged"]
+        assert res["chain_refusal"].endswith("needs alpha + k > -1, got -3/2")
+    # with F1 nonempty every route passes a family with one F1 element,
+    # whose Omega has a root on (0, inf) when alpha > -1
+    _, why = chain.norms(lag, family([1, 2], [], rat(1, 2)), [3])
+    assert "Omega of PairSpec([1], []) vanishes on [0, inf)" in why
 
 
 # -- alternative representation -------------------------------------------------

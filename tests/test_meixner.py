@@ -7,7 +7,7 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xoppak import cli, meixner
+from xoppak import chain, cli, meixner
 from xoppak.classical import MeixnerParams, meixner_raw
 from xoppak.exact import (
     AdmissibilityRefusal,
@@ -25,12 +25,15 @@ from xoppak.meixner import (
     DualityConstants,
     MeixnerExcFamily,
     ROUNDING,
+    adjoint,
     alt_representation,
     darboux_identities,
     darboux_intertwining,
     darboux_pair,
+    down_operator,
     duality_check,
     eigen_residual,
+    f1_pair,
     inner_product,
     invariance_conjecture,
     norm_check,
@@ -38,6 +41,7 @@ from xoppak.meixner import (
     norm_identity,
     operator,
     positivity_by_signs,
+    weight_refusal,
 )
 from xoppak.numerics import certified_sum, to_mpf
 from xoppak.pairs import PairSpec, is_admissible
@@ -411,6 +415,106 @@ def test_darboux_descends_to_classical():
     _, _, low = darboux_pair(family([], [1], rat(1, 2), rat(3)))
     assert low.pair.is_trivial
     assert low.omega == Poly.one()
+
+
+def test_darboux_pair_is_built_once():
+    fam = family([1], [2], rat(1, 2), rat(3))
+    assert darboux_pair(fam) is darboux_pair(fam)
+
+
+@pytest.mark.parametrize("f1, f2, a, c", [
+    ([], [1], rat(1, 2), rat(3)),
+    ([1], [2], rat(2, 5), rat(7, 3)),
+    ([2, 3], [1, 2], rat(3, 4), rat(5, 2)),
+])
+def test_solved_b_is_the_darboux_b(f1, f2, a, c):
+    # B solved from A and the lower operator is darboux_pair's B, and B A
+    # leaves darboux_identities' shift c + f - u_low
+    fam = family(f1, f2, a, c)
+    A, B, low = darboux_pair(fam)
+    op = operator(low)
+    solved = down_operator(A, op)
+    assert solved == B
+    assert (solved @ A - (op + rat(c + f2[-1] - low.pair.u))).is_zero
+
+
+def scaled(op, kappa):
+    return {key: coeff * kappa for key, coeff in op.coeffs.items()}
+
+
+@pytest.mark.parametrize("f1, f2, a, c", [
+    ([1, 2], [1], rat(1, 2), rat(3)),
+    ([2, 3], [1, 2], rat(3, 4), rat(5, 2)),
+    ([1, 2], [], rat(99, 100), rat(3)),
+])
+def test_f1_step_intertwines_and_its_adjoint_is_kappa_b(f1, f2, a, c):
+    # stripping any f of F1: A m_s^low = m_n with s = n - u + u_low,
+    # B A = op_low - f - u_low, and A* = (1-a)/a B; the F2 step has
+    # A* = (1-a)/a^2 B
+    fam = family(f1, f2, a, c)
+    for f in f1:
+        A, low = f1_pair(fam, f)
+        assert low.pair == PairSpec([e for e in f1 if e != f], f2)
+        op = operator(low)
+        B = down_operator(A, op)
+        assert (B @ A - (op - rat(f + low.pair.u))).is_zero
+        assert adjoint(A, fam, low).coeffs == scaled(B, (1 - a) / a)
+        for n in fam.pair.sigma_first(3):
+            s = n - fam.pair.u + low.pair.u
+            assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
+    if f2:
+        A, B, low = darboux_pair(fam)
+        assert adjoint(A, fam, low).coeffs == scaled(B, (1 - a) / a**2)
+
+
+CHAIN_FAMILIES = [
+    ([2, 3], [1, 2], rat(3, 4), rat(5, 2)),
+    ([1, 2], [1], rat(1, 2), rat(3)),
+    ([1, 2], [1], rat(4, 5), rat(3)),
+    ([], [2, 4], rat(99, 100), rat(3)),
+    ([1, 2], [], rat(99, 100), rat(3)),
+    ([1], [], rat(1, 2), rat(-1, 2)),
+    ([], [1, 2], rat(3, 4), rat(5, 2)),
+]
+
+
+@pytest.mark.parametrize("f1, f2, a, c", CHAIN_FAMILIES)
+def test_chain_products_equal_the_closed_form_quotients(f1, f2, a, c):
+    fam = family(f1, f2, a, c)
+    ns = fam.pair.sigma_first(2)
+    norms, why = chain.norms(meixner, fam, ns)
+    assert why is None
+    assert [norm.n for norm in norms] == ns
+    for norm in norms:
+        assert norm.ok and norm.product == norm.quotient
+        assert norm.base_degree == norm.n - fam.pair.u
+        assert len(norm.steps) == fam.pair.k
+        assert all(step["holds"] for step in norm.steps)
+
+
+def test_chain_steps_around_integer_zeros_of_omega():
+    # with c = 3, Omega of (1; -) vanishes at x = 3, 12 and 297 for a = 1/2,
+    # 4/5 and 99/100, so no route passes through (1; -)
+    for a, x in ((rat(1, 2), 3), (rat(4, 5), 12), (rat(99, 100), 297)):
+        assert weight_refusal(family([1], [], a, rat(3))) == (
+            f"Omega of PairSpec([1], []) vanishes at x={x}")
+    fam = family([1, 2], [1], rat(1, 2), rat(3))
+    norms, _ = chain.norms(meixner, fam, fam.pair.sigma_first(1))
+    assert [(step["set"], step["f"]) for step in norms[0].steps] == [
+        ("F1", 2), ("F1", 1), ("F2", 1)]
+    fam = family([1, 2], [], rat(99, 100), rat(3))
+    norms, _ = chain.norms(meixner, fam, fam.pair.sigma_first(1))
+    assert [(step["set"], step["f"]) for step in norms[0].steps] == [("F1", 1), ("F1", 2)]
+
+
+@pytest.mark.parametrize("what", ["kappa", "shift", "quotient"])
+def test_chain_rows_fail_on_a_perturbation(perturb_chain, what):
+    perturb_chain(meixner, what)
+    fam = family([1, 2], [1], rat(1, 2), rat(3))
+    norms, why = chain.norms(meixner, fam, fam.pair.sigma_first(2))
+    assert why is None
+    assert norms and not any(norm.ok for norm in norms)
+    assert all(norm.product != norm.quotient for norm in norms)
 
 
 def test_alt_representation_examples():
