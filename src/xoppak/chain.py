@@ -65,10 +65,6 @@ def _constant(r: RatFunc):
     return r.num.coeff(0) if r.num.degree <= 0 and r.den.degree == 0 else None
 
 
-def _multiple_of_identity(op):
-    return None if set(op.coeffs) - {0} else _constant(op.coeff(0))
-
-
 def _ratio(P, Q):
     """The constant kappa with P = kappa Q, or None."""
     if set(P.coeffs) != set(Q.coeffs) or not P.coeffs:
@@ -126,10 +122,17 @@ def find_route(mod, fam):
 def step_constants(mod, step):
     """(kappa, shift) of one step: A* = kappa B and B A = op_low + shift for
     the B of `down_operator`; either is None when no constant does."""
-    op = mod.operator(step.low)
-    B = mod.down_operator(step.A, op)
-    shift = _multiple_of_identity(B @ step.A - op)
-    return _ratio(step.A_star, B), shift
+    B, rest = mod.down_operator(step.A, mod.operator(step.low))
+    return _ratio(step.A_star, B), _constant(rest)
+
+
+def lifts(A, low, fam, n):
+    """Whether A takes low's member s = n - u + u_low to fam's member n;
+    below degree 0 member n must vanish."""
+    s = n - fam.pair.u + low.pair.u
+    if s < 0:
+        return fam.member(n).is_zero
+    return A.apply(low.member(s)) == RatFunc(fam.member(n))
 
 
 def norms(mod, fam, ns):
@@ -150,8 +153,7 @@ def norms(mod, fam, ns):
         steps, product = [], rat(1)
         for step, (kappa, shift) in zip(route, constants):
             s = d + step.low.pair.u
-            lifted = step.A.apply(step.low.member(s))
-            holds = (lifted == RatFunc(step.fam.member(d + step.fam.pair.u))
+            holds = (lifts(step.A, step.low, step.fam, d + step.fam.pair.u)
                      and mod.eigen_residual(s, step.low).is_zero)
             factor = None
             if kappa is not None and shift is not None:

@@ -23,6 +23,7 @@ from math import comb
 
 import mpmath as mp
 
+from . import chain
 from .classical import LaguerreParams, MeixnerParams, laguerre
 from .exact import (
     AdmissibilityRefusal,
@@ -289,34 +290,21 @@ def darboux_pair(fam: LaguerreExcFamily):
 
 def _darboux_pair(fam: LaguerreExcFamily):
     _, low_pair = fam.pair.remove_f2_max()
-    alpha = fam.params.alpha
-    k = fam.pair.k
     low = LaguerreExcFamily(fam.params, low_pair)
-    om_up, om_lo = fam.omega, low.omega
-    x = Poly.x()
-    A = DifferentialOperator(
-        {
-            1: -RatFunc(om_up, om_lo),
-            0: RatFunc(om_up.derivative() + om_up, om_lo),
-        }
-    )
-    B = DifferentialOperator(
-        {
-            1: -RatFunc(x * om_lo, om_up),
-            0: RatFunc(x * om_lo.derivative() - (alpha + k) * om_lo, om_up),
-        }
-    )
-    return A, B, low
+    om, om_lo = fam.omega, low.omega
+    A = DifferentialOperator({1: -RatFunc(om, om_lo), 0: RatFunc(om.derivative() + om, om_lo)})
+    return A, down_operator(A, operator(low))[0], low
 
 
 def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
-    """Exact operator identities for the two compositions of the Darboux pair."""
+    """Exact operator identities for the two compositions of the Darboux
+    pair; B is solved from A, so B A - op_low is down_operator's rest."""
     A, B, low = darboux_pair(fam)
     alpha = fam.params.alpha
     f = fam.pair.F2.max_elem
     # the shift constants carry the sign of the eigenvalue convention: with
     # D(member n) = -n * member n the compositions subtract the constants
-    down_ok = (B @ A - (operator(low) - rat(alpha + f - low.pair.u + 1))).is_zero
+    down_ok = down_operator(A, operator(low))[1] == RatFunc(rat(-(alpha + f - low.pair.u + 1)))
     up_ok = (A @ B - (operator(fam) - rat(alpha + f - fam.pair.u + 1))).is_zero
     return down_ok, up_ok
 
@@ -324,11 +312,7 @@ def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
 def darboux_intertwining(fam: LaguerreExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
     A, _, low = darboux_pair(fam)
-    f = fam.pair.F2.max_elem
-    shift = n - f + fam.pair.k2 - 1
-    if shift < 0:
-        return fam.member(n).is_zero
-    return A.apply(low.member(shift)) == RatFunc(fam.member(n))
+    return chain.lifts(A, low, fam, n)
 
 
 # -- the Darboux chain of the norms ------------------------------------------
@@ -350,19 +334,21 @@ def f1_pair(fam: LaguerreExcFamily, f: int):
     return A, low
 
 
-def down_operator(A: DifferentialOperator, op: DifferentialOperator) -> DifferentialOperator:
-    """The B = b_1 d + b_0 with B A = op + const, if any, for op the lower
-    family's operator.
+def down_operator(A: DifferentialOperator, op: DifferentialOperator):
+    """(B, rest): the B = b_1 d + b_0 with B A - op = rest, a multiple of
+    the identity, for op the lower family's operator.
 
     With A = a_1 d + a_0 and op = x d^2 + h_1 d + h_0, B A has
     the d^2 coefficient b_1 a_1 and the d coefficient
     b_1 (a_1' + a_0) + b_0 a_1, so b_1 = x / a_1 and
-    b_0 = (h_1 - b_1 (a_1' + a_0)) / a_1.  Whether the d^0 coefficient
-    b_1 a_0' + b_0 a_0 - h_0 is a constant is the caller's check.
+    b_0 = (h_1 - b_1 (a_1' + a_0)) / a_1 cancel op's exactly.  rest is the
+    d^0 coefficient b_1 a_0' + b_0 a_0 - h_0; whether it is a constant is
+    the caller's check.
     """
     a1, a0 = A.coeff(1), A.coeff(0)
     b1 = op.coeff(2) / a1
-    return DifferentialOperator({1: b1, 0: (op.coeff(1) - b1 * (a1.derivative() + a0)) / a1})
+    b0 = (op.coeff(1) - b1 * (a1.derivative() + a0)) / a1
+    return DifferentialOperator({1: b1, 0: b0}), b1 * a0.derivative() + b0 * a0 - op.coeff(0)
 
 
 def adjoint(A: DifferentialOperator, fam: LaguerreExcFamily, low: LaguerreExcFamily):

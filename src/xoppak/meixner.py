@@ -19,6 +19,7 @@ from math import comb
 
 import mpmath as mp
 
+from . import chain
 from .classical import MeixnerParams, meixner_raw
 from .exact import (
     AdmissibilityRefusal,
@@ -480,33 +481,20 @@ def darboux_pair(fam: MeixnerExcFamily):
 
 def _darboux_pair(fam: MeixnerExcFamily):
     _, low_pair = fam.pair.remove_f2_max()
-    a, c = fam.params.a, fam.params.c
-    k = fam.pair.k
     low = MeixnerExcFamily(fam.params, low_pair)
-    om_up, om_up1 = fam.omega, fam.omega.shift(1)
-    om_lo, om_lo1 = low.omega, low.omega.shift(1)
-    x = Poly.x()
-    A = DifferenceOperator(
-        {
-            0: RatFunc(om_up1, om_lo1 * a),
-            1: -RatFunc(om_up, om_lo1),
-        }
-    )
-    B = DifferenceOperator(
-        {
-            -1: RatFunc(x * om_lo1 * a, om_up * (a - 1)),
-            0: -RatFunc((x + (c + k - 1)) * om_lo * a, om_up * (a - 1)),
-        }
-    )
-    return A, B, low
+    om, om_lo1 = fam.omega, low.omega.shift(1)
+    A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1 * fam.params.a),
+                            1: -RatFunc(om, om_lo1)})
+    return A, down_operator(A, operator(low))[0], low
 
 
 def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
-    """Exact operator identities for the two compositions of the Darboux pair."""
+    """Exact operator identities for the two compositions of the Darboux
+    pair; B is solved from A, so B A - op_low is down_operator's rest."""
     A, B, low = darboux_pair(fam)
     c = fam.params.c
     f = fam.pair.F2.max_elem
-    down_ok = (B @ A - (operator(low) + rat(c + f - low.pair.u))).is_zero
+    down_ok = down_operator(A, operator(low))[1] == RatFunc(rat(c + f - low.pair.u))
     up_ok = (A @ B - (operator(fam) + rat(c + f - fam.pair.u))).is_zero
     return down_ok, up_ok
 
@@ -514,11 +502,7 @@ def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
 def darboux_intertwining(fam: MeixnerExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
     A, _, low = darboux_pair(fam)
-    f = fam.pair.F2.max_elem
-    shift = n - f + fam.pair.k2 - 1
-    if shift < 0:
-        return fam.member(n).is_zero
-    return A.apply(low.member(shift)) == RatFunc(fam.member(n))
+    return chain.lifts(A, low, fam, n)
 
 
 # -- the Darboux chain of the norms ------------------------------------------
@@ -540,18 +524,20 @@ def f1_pair(fam: MeixnerExcFamily, f: int):
     return A, low
 
 
-def down_operator(A: DifferenceOperator, op: DifferenceOperator) -> DifferenceOperator:
-    """The B = b_-1 Sh_-1 + b_0 with B A = op + const, if any, for op the
-    lower family's operator.
+def down_operator(A: DifferenceOperator, op: DifferenceOperator):
+    """(B, rest): the B = b_-1 Sh_-1 + b_0 with B A - op = rest, a multiple
+    of the identity, for op the lower family's operator.
 
     With A = a_0 + a_1 Sh_1 and op = d_-1 Sh_-1 + d_0 + d_1 Sh_1,
     B A has the Sh_1 coefficient b_0 a_1 and the Sh_-1 coefficient
-    b_-1 a_0(x-1), so b_0 = d_1 / a_1 and b_-1 = d_-1 / a_0(x-1).  Whether
-    the Sh_0 coefficient b_-1 a_1(x-1) + b_0 a_0 - d_0 is a constant is the
-    caller's check.
+    b_-1 a_0(x-1), so b_0 = d_1 / a_1 and b_-1 = d_-1 / a_0(x-1) cancel
+    op's exactly.  rest is the Sh_0 coefficient b_-1 a_1(x-1) + b_0 a_0 - d_0;
+    whether it is a constant is the caller's check.
     """
-    return DifferenceOperator(
-        {-1: op.coeff(-1) / A.coeff(0).shift(-1), 0: op.coeff(1) / A.coeff(1)})
+    a0, a1 = A.coeff(0), A.coeff(1)
+    b_minus, b0 = op.coeff(-1) / a0.shift(-1), op.coeff(1) / a1
+    rest = b_minus * a1.shift(-1) + b0 * a0 - op.coeff(0)
+    return DifferenceOperator({-1: b_minus, 0: b0}), rest
 
 
 def adjoint(A: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily):
@@ -582,12 +568,14 @@ def weight_refusal(fam: MeixnerExcFamily):
     a = fam.params.a
     if not 0 < a < 1:
         return f"the weight sums need 0 < a < 1, got a={a}"
-    om = fam.omega
-    if sturm_nonneg_roots(om):
-        for x in range(rat_ceil(root_bound(om)) + 1):
-            if om(x) == 0:
-                return f"Omega of {fam.pair!r} vanishes at x={x}"
-    return None
+    x = _integer_zero(fam.omega) if sturm_nonneg_roots(fam.omega) else None
+    return None if x is None else f"Omega of {fam.pair!r} vanishes at x={x}"
+
+
+def _integer_zero(om: Poly):
+    """The least integer x >= 0 with Omega(x) = 0, or None.  Every root lies
+    within Omega's root bound, so 0..ceil(bound) is enough."""
+    return next((x for x in range(rat_ceil(root_bound(om)) + 1) if om(x) == 0), None)
 
 
 def boundary_refusal(A_star: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily):
@@ -634,11 +622,9 @@ def alt_representation(n: int, fam: MeixnerExcFamily) -> AltRepReport:
     v = pair.v
     if n < v:
         raise DomainError(f"alternative representation needs n >= {v}, got {n}")
-    om = fam.omega
-    bound = rat_ceil(root_bound(om)) + 1
-    for x in range(bound + 1):
-        if om(x) == 0:
-            raise DomainError(f"Omega vanishes at x={x}; representation undefined")
+    x = _integer_zero(fam.omega)
+    if x is not None:
+        raise DomainError(f"Omega vanishes at x={x}; representation undefined")
     G1, G2 = involute(pair.F1), involute(pair.F2)
     m_ord = G1.card + G2.card
     ctil = c + pair.F1.max_elem + pair.F2.max_elem + 2

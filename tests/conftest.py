@@ -8,11 +8,20 @@ from xoppak.exact import rat
 @pytest.fixture
 def perturb_chain(monkeypatch):
     """perturb(mod, what) puts every Darboux chain row of kind module mod off
-    by 10^-30 of one ingredient: each step's kappa or shift, or the
-    closed-form quotient."""
+    by 10^-30 of one ingredient: each step's kappa or shift, the closed-form
+    quotient, or the zeroth coefficient of each `darboux_pair`'s A."""
     eps = rat(1, 10**30)
 
     def perturb(mod, what):
+        if what == "A":
+            pair = mod.darboux_pair
+
+            def planted(fam):
+                A, B, low = pair(fam)
+                return type(A)({**A.coeffs, 0: A.coeff(0) * (1 + eps)}), B, low
+
+            monkeypatch.setattr(mod, "darboux_pair", planted)
+            return
         if what == "quotient":
             original = mod.norm_quotient
             monkeypatch.setattr(mod, "norm_quotient", lambda n, fam: original(n, fam) * (1 + eps))

@@ -39,6 +39,7 @@ from xoppak.laguerre import (
     orthogonality_premises,
 )
 from xoppak.numerics import to_mpf
+from xoppak.operators import DifferentialOperator
 from xoppak.pairs import PairSpec, involute, is_admissible
 
 
@@ -393,14 +394,18 @@ def test_darboux_pair_is_built_once():
     ([2, 3], [1, 2], rat(5, 2)),
 ])
 def test_solved_b_is_the_darboux_b(f1, f2, alpha):
-    # B solved from A and the lower operator is darboux_pair's B, and B A
-    # leaves darboux_identities' shift -(alpha + f - u_low + 1)
+    # darboux_pair's B, solved from A and the lower operator, is the paper's
+    # B, and B A leaves darboux_identities' shift -(alpha + f - u_low + 1)
     fam = family(f1, f2, alpha)
-    A, B, low = darboux_pair(fam)
+    A, solved, low = darboux_pair(fam)
     op = operator(low)
-    solved = down_operator(A, op)
+    x, k = Poly.x(), fam.pair.k
+    B = DifferentialOperator({
+        1: -RatFunc(x * low.omega, fam.omega),
+        0: RatFunc(x * low.omega.derivative() - (alpha + k) * low.omega, fam.omega),
+    })
     assert solved == B
-    assert (solved @ A - (op - rat(alpha + f2[-1] - low.pair.u + 1))).is_zero
+    assert (B @ A - (op - rat(alpha + f2[-1] - low.pair.u + 1))).is_zero
 
 
 @pytest.mark.parametrize("f1, f2, alpha", [
@@ -416,8 +421,9 @@ def test_f1_step_intertwines_and_its_adjoint_is_minus_b(f1, f2, alpha):
         A, low = f1_pair(fam, f)
         assert low.pair == PairSpec([e for e in f1 if e != f], f2)
         op = operator(low)
-        B = down_operator(A, op)
+        B, rest = down_operator(A, op)
         assert (B @ A - (op + rat(f + low.pair.u))).is_zero
+        assert rest == RatFunc(rat(f + low.pair.u))
         assert adjoint(A, fam, low).coeffs == {key: -coeff for key, coeff in B.coeffs.items()}
         for n in fam.pair.sigma_first(3):
             s = n - fam.pair.u + low.pair.u
@@ -427,13 +433,27 @@ def test_f1_step_intertwines_and_its_adjoint_is_minus_b(f1, f2, alpha):
         assert adjoint(A, fam, low).coeffs == {key: -coeff for key, coeff in B.coeffs.items()}
 
 
-@pytest.mark.parametrize("f1, f2, alpha", [
+CHAIN_FAMILIES = [
     ([], [1], rat(1, 2)),
     ([], [1, 2], rat(-1, 2)),
     ([], [2, 3], rat(1, 2)),
     ([], [1, 3], rat(5, 2)),
     ([], [3], rat(-1, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("f1, f2, alpha", CHAIN_FAMILIES)
+def test_every_step_leaves_only_the_rest(f1, f2, alpha):
+    # B is solved from A, so B A - op_low is down_operator's rest at d^0
+    route, why = chain.find_route(lag, family(f1, f2, alpha))
+    assert why is None and route
+    for step in route:
+        op = operator(step.low)
+        B, rest = down_operator(step.A, op)
+        assert B @ step.A - op == DifferentialOperator({0: rest}), (step.set_name, step.f)
+
+
+@pytest.mark.parametrize("f1, f2, alpha", CHAIN_FAMILIES)
 def test_chain_products_equal_the_closed_form_quotients(f1, f2, alpha):
     fam = family(f1, f2, alpha)
     ns = fam.pair.sigma_first(2)
@@ -472,6 +492,15 @@ def test_norms_fall_back_to_numerics_where_no_chain_applies(capsys):
     # whose Omega has a root on (0, inf) when alpha > -1
     _, why = chain.norms(lag, family([1, 2], [], rat(1, 2)), [3])
     assert "Omega of PairSpec([1], []) vanishes on [0, inf)" in why
+
+
+def test_a_planted_error_in_a_fails_darboux_and_the_chain(perturb_chain):
+    perturb_chain(lag, "A")
+    fam = family([], [1, 2], rat(1, 2))
+    assert not darboux_identities(fam)[0]
+    norms, why = chain.norms(lag, fam, fam.pair.sigma_first(2))
+    assert why is None
+    assert norms and not any(norm.ok for norm in norms)
 
 
 # -- alternative representation -------------------------------------------------

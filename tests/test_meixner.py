@@ -44,6 +44,7 @@ from xoppak.meixner import (
     weight_refusal,
 )
 from xoppak.numerics import certified_sum, to_mpf
+from xoppak.operators import DifferenceOperator
 from xoppak.pairs import PairSpec, is_admissible
 
 
@@ -428,14 +429,18 @@ def test_darboux_pair_is_built_once():
     ([2, 3], [1, 2], rat(3, 4), rat(5, 2)),
 ])
 def test_solved_b_is_the_darboux_b(f1, f2, a, c):
-    # B solved from A and the lower operator is darboux_pair's B, and B A
-    # leaves darboux_identities' shift c + f - u_low
+    # darboux_pair's B, solved from A and the lower operator, is the paper's
+    # B, and B A leaves darboux_identities' shift c + f - u_low
     fam = family(f1, f2, a, c)
-    A, B, low = darboux_pair(fam)
+    A, solved, low = darboux_pair(fam)
     op = operator(low)
-    solved = down_operator(A, op)
+    x, k = Poly.x(), fam.pair.k
+    B = DifferenceOperator({
+        -1: RatFunc(x * low.omega.shift(1) * a, fam.omega * (a - 1)),
+        0: -RatFunc((x + (c + k - 1)) * low.omega * a, fam.omega * (a - 1)),
+    })
     assert solved == B
-    assert (solved @ A - (op + rat(c + f2[-1] - low.pair.u))).is_zero
+    assert (B @ A - (op + rat(c + f2[-1] - low.pair.u))).is_zero
 
 
 def scaled(op, kappa):
@@ -456,8 +461,9 @@ def test_f1_step_intertwines_and_its_adjoint_is_kappa_b(f1, f2, a, c):
         A, low = f1_pair(fam, f)
         assert low.pair == PairSpec([e for e in f1 if e != f], f2)
         op = operator(low)
-        B = down_operator(A, op)
+        B, rest = down_operator(A, op)
         assert (B @ A - (op - rat(f + low.pair.u))).is_zero
+        assert rest == RatFunc(rat(-(f + low.pair.u)))
         assert adjoint(A, fam, low).coeffs == scaled(B, (1 - a) / a)
         for n in fam.pair.sigma_first(3):
             s = n - fam.pair.u + low.pair.u
@@ -476,6 +482,17 @@ CHAIN_FAMILIES = [
     ([1], [], rat(1, 2), rat(-1, 2)),
     ([], [1, 2], rat(3, 4), rat(5, 2)),
 ]
+
+
+@pytest.mark.parametrize("f1, f2, a, c", CHAIN_FAMILIES)
+def test_every_step_leaves_only_the_rest(f1, f2, a, c):
+    # B is solved from A, so B A - op_low is down_operator's rest at Sh_0
+    route, why = chain.find_route(meixner, family(f1, f2, a, c))
+    assert why is None and route
+    for step in route:
+        op = operator(step.low)
+        B, rest = down_operator(step.A, op)
+        assert B @ step.A - op == DifferenceOperator({0: rest}), (step.set_name, step.f)
 
 
 @pytest.mark.parametrize("f1, f2, a, c", CHAIN_FAMILIES)
@@ -515,6 +532,15 @@ def test_chain_rows_fail_on_a_perturbation(perturb_chain, what):
     assert why is None
     assert norms and not any(norm.ok for norm in norms)
     assert all(norm.product != norm.quotient for norm in norms)
+
+
+def test_a_planted_error_in_a_fails_darboux_and_the_chain(perturb_chain):
+    perturb_chain(meixner, "A")
+    fam = family([], [1, 2], rat(3, 4), rat(5, 2))
+    assert not darboux_identities(fam)[0]
+    norms, why = chain.norms(meixner, fam, fam.pair.sigma_first(2))
+    assert why is None
+    assert norms and not any(norm.ok for norm in norms)
 
 
 def test_alt_representation_examples():
