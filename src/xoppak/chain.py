@@ -78,7 +78,7 @@ def _candidates(mod, fam):
     for f in reversed(fam.pair.F1.elems):
         yield ("F1", f, *mod.f1_pair(fam, f))
     if fam.pair.F2.elems:
-        A, _, low = mod.darboux_pair(fam)
+        A, *_, low = mod.darboux_pair(fam)
         yield "F2", fam.pair.F2.max_elem, A, low
 
 

@@ -276,12 +276,14 @@ norm_formula = norm_identity  # the benchmark traces the norm check under this n
 
 
 def darboux_pair(fam: LaguerreExcFamily):
-    """First order operators (A, B, lower_family) stripping max(F2).
+    """First order operators (A, B, rest, lower_family) stripping max(F2).
 
     A raises from the lower family (the pair without the largest element of
     F2) into this one; B goes back down.  Their two compositions reproduce
     the second order operators of the two families up to explicit constant
-    shifts, which darboux_identities checks exactly.  Built once per family.
+    shifts, which darboux_identities checks exactly; rest is the one
+    coefficient of B A - op_low that `down_operator` leaves free.  Built
+    once per family.
     """
     if fam._darboux is None:
         fam._darboux = _darboux_pair(fam)
@@ -293,25 +295,25 @@ def _darboux_pair(fam: LaguerreExcFamily):
     low = LaguerreExcFamily(fam.params, low_pair)
     om, om_lo = fam.omega, low.omega
     A = DifferentialOperator({1: -RatFunc(om, om_lo), 0: RatFunc(om.derivative() + om, om_lo)})
-    return A, down_operator(A, operator(low))[0], low
+    return (A, *down_operator(A, operator(low)), low)
 
 
 def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
     """Exact operator identities for the two compositions of the Darboux
     pair; B is solved from A, so B A - op_low is down_operator's rest."""
-    A, B, low = darboux_pair(fam)
+    A, B, rest, low = darboux_pair(fam)
     alpha = fam.params.alpha
     f = fam.pair.F2.max_elem
     # the shift constants carry the sign of the eigenvalue convention: with
     # D(member n) = -n * member n the compositions subtract the constants
-    down_ok = down_operator(A, operator(low))[1] == RatFunc(rat(-(alpha + f - low.pair.u + 1)))
+    down_ok = rest == RatFunc(rat(-(alpha + f - low.pair.u + 1)))
     up_ok = (A @ B - (operator(fam) - rat(alpha + f - fam.pair.u + 1))).is_zero
     return down_ok, up_ok
 
 
 def darboux_intertwining(fam: LaguerreExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
-    A, _, low = darboux_pair(fam)
+    A, *_, low = darboux_pair(fam)
     return chain.lifts(A, low, fam, n)
 
 

@@ -467,12 +467,14 @@ def norm_identity(rs, fam: MeixnerExcFamily) -> list[NormCheck]:
 
 
 def darboux_pair(fam: MeixnerExcFamily):
-    """First order operators (A, B, lower_family) stripping max(F2).
+    """First order operators (A, B, rest, lower_family) stripping max(F2).
 
     A raises from the lower family (the pair without the largest element of
     F2) into this one; B goes back down.  Their two compositions reproduce
     the second order operators of the two families up to explicit constant
-    shifts, which darboux_identities checks exactly.  Built once per family.
+    shifts, which darboux_identities checks exactly; rest is the one
+    coefficient of B A - op_low that `down_operator` leaves free.  Built
+    once per family.
     """
     if fam._darboux is None:
         fam._darboux = _darboux_pair(fam)
@@ -485,23 +487,23 @@ def _darboux_pair(fam: MeixnerExcFamily):
     om, om_lo1 = fam.omega, low.omega.shift(1)
     A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1 * fam.params.a),
                             1: -RatFunc(om, om_lo1)})
-    return A, down_operator(A, operator(low))[0], low
+    return (A, *down_operator(A, operator(low)), low)
 
 
 def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
     """Exact operator identities for the two compositions of the Darboux
     pair; B is solved from A, so B A - op_low is down_operator's rest."""
-    A, B, low = darboux_pair(fam)
+    A, B, rest, low = darboux_pair(fam)
     c = fam.params.c
     f = fam.pair.F2.max_elem
-    down_ok = down_operator(A, operator(low))[1] == RatFunc(rat(c + f - low.pair.u))
+    down_ok = rest == RatFunc(rat(c + f - low.pair.u))
     up_ok = (A @ B - (operator(fam) + rat(c + f - fam.pair.u))).is_zero
     return down_ok, up_ok
 
 
 def darboux_intertwining(fam: MeixnerExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
-    A, _, low = darboux_pair(fam)
+    A, *_, low = darboux_pair(fam)
     return chain.lifts(A, low, fam, n)
 
 

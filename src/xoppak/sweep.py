@@ -1,13 +1,16 @@
 """Conjecture sweeps over enumerated pairs.
 
-Each cell is pure: it builds one family at fixed parameters, runs one check
-(the reflection invariance of Omega or the involuted-representation
-equality), and returns a plain dict of primitives.  Cells can therefore run
-in a worker pool, and the aggregate report stays deterministic because the
-cell order is fixed by the pair enumeration.
+Each cell runs one check (the reflection invariance of Omega or the
+involuted-representation equality) on one family at fixed parameters, and
+returns a plain dict of primitives.  The two cells of a (kind, pair) run one
+after the other and share one build of their family.  Cells can run in a
+worker pool, and the report is the same with or without it: the cell order
+is fixed by the pair enumeration, and a cell's result does not depend on
+which cell built its family.
 """
 from __future__ import annotations
 
+import functools
 import os
 
 from . import laguerre as _lag
@@ -50,15 +53,25 @@ def _cell_id(kind, check, pair: PairSpec):
     }
 
 
+@functools.lru_cache(maxsize=1)
+def _family(kind, f1, f2, values):
+    """The family of one (kind, F1, F2, parameter values): the invariance
+    cell and the altrep cell that follows it read the same build.  A build
+    that raises is not kept, so both cells skip with its reason."""
+    _, build, _ = KINDS[kind]
+    return build(PairSpec(f1, f2), *values)
+
+
 def run_cell(spec: tuple) -> dict:
     """One (check, kind, F1, F2, parameter values) cell; everything in the
-    cell tuple is a primitive so the pool can ship it between processes."""
+    cell tuple is a primitive so the pool can ship it between processes.
+    The family comes from `_family`, shared with the other cell of its pair."""
     check, kind, f1, f2, values = spec
     pair = PairSpec(f1, f2)
     out = _cell_id(kind, check, pair)
-    mod, build, _ = KINDS[kind]
+    mod = KINDS[kind][0]
     try:
-        fam = build(pair, *values)
+        fam = _family(kind, f1, f2, values)
         if check == "invariance":
             rep = mod.invariance_conjecture(fam)
         else:
@@ -95,6 +108,7 @@ def run_sweep(max_elem, max_card, params: dict, jobs=1) -> dict:
     check's precondition failed, or the pole the check ran into.
     """
     specs = sweep_specs(max_elem, max_card, params)
+    _family.cache_clear()  # every sweep builds its families afresh
     # a worker beyond the cores or the cells would only sit idle
     workers = min(jobs, os.cpu_count() or 1, len(specs))
     if workers > 1:

@@ -9,7 +9,8 @@ from xoppak.exact import rat
 def perturb_chain(monkeypatch):
     """perturb(mod, what) puts every Darboux chain row of kind module mod off
     by 10^-30 of one ingredient: each step's kappa or shift, the closed-form
-    quotient, or the zeroth coefficient of each `darboux_pair`'s A."""
+    quotient, or the zeroth coefficient of each `darboux_pair`'s A, with B and
+    rest solved again from the planted A."""
     eps = rat(1, 10**30)
 
     def perturb(mod, what):
@@ -17,8 +18,9 @@ def perturb_chain(monkeypatch):
             pair = mod.darboux_pair
 
             def planted(fam):
-                A, B, low = pair(fam)
-                return type(A)({**A.coeffs, 0: A.coeff(0) * (1 + eps)}), B, low
+                A, *_, low = pair(fam)
+                A = type(A)({**A.coeffs, 0: A.coeff(0) * (1 + eps)})
+                return (A, *mod.down_operator(A, mod.operator(low)), low)
 
             monkeypatch.setattr(mod, "darboux_pair", planted)
             return

@@ -373,7 +373,7 @@ def test_darboux_identities_and_intertwining():
 
 def test_darboux_descends_to_classical():
     fam = family([], [1], rat(1, 2))
-    _, _, low = darboux_pair(fam)
+    *_, low = darboux_pair(fam)
     assert low.pair.is_trivial
     assert darboux_identities(fam) == (True, True)
 
@@ -383,9 +383,15 @@ def test_darboux_needs_nonempty_f2():
         darboux_pair(family([1, 2], [], rat(1, 2)))
 
 
-def test_darboux_pair_is_built_once():
+def test_darboux_pair_is_built_once(monkeypatch):
+    # B is solved once per family: darboux_identities reads rest from the memo
+    solves = []
+    solve = lag.down_operator
+    monkeypatch.setattr(lag, "down_operator", lambda A, op: solves.append(1) or solve(A, op))
     fam = family([1], [2], rat(1, 2))
     assert darboux_pair(fam) is darboux_pair(fam)
+    assert darboux_identities(fam) == (True, True)
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("f1, f2, alpha", [
@@ -397,7 +403,7 @@ def test_solved_b_is_the_darboux_b(f1, f2, alpha):
     # darboux_pair's B, solved from A and the lower operator, is the paper's
     # B, and B A leaves darboux_identities' shift -(alpha + f - u_low + 1)
     fam = family(f1, f2, alpha)
-    A, solved, low = darboux_pair(fam)
+    A, solved, rest, low = darboux_pair(fam)
     op = operator(low)
     x, k = Poly.x(), fam.pair.k
     B = DifferentialOperator({
@@ -406,6 +412,7 @@ def test_solved_b_is_the_darboux_b(f1, f2, alpha):
     })
     assert solved == B
     assert (B @ A - (op - rat(alpha + f2[-1] - low.pair.u + 1))).is_zero
+    assert rest == RatFunc(rat(-(alpha + f2[-1] - low.pair.u + 1)))
 
 
 @pytest.mark.parametrize("f1, f2, alpha", [
@@ -429,7 +436,7 @@ def test_f1_step_intertwines_and_its_adjoint_is_minus_b(f1, f2, alpha):
             s = n - fam.pair.u + low.pair.u
             assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
     if f2:
-        A, B, low = darboux_pair(fam)
+        A, B, _, low = darboux_pair(fam)
         assert adjoint(A, fam, low).coeffs == {key: -coeff for key, coeff in B.coeffs.items()}
 
 

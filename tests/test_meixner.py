@@ -413,14 +413,20 @@ def test_darboux_needs_second_set():
 
 
 def test_darboux_descends_to_classical():
-    _, _, low = darboux_pair(family([], [1], rat(1, 2), rat(3)))
+    *_, low = darboux_pair(family([], [1], rat(1, 2), rat(3)))
     assert low.pair.is_trivial
     assert low.omega == Poly.one()
 
 
-def test_darboux_pair_is_built_once():
+def test_darboux_pair_is_built_once(monkeypatch):
+    # B is solved once per family: darboux_identities reads rest from the memo
+    solves = []
+    solve = meixner.down_operator
+    monkeypatch.setattr(meixner, "down_operator", lambda A, op: solves.append(1) or solve(A, op))
     fam = family([1], [2], rat(1, 2), rat(3))
     assert darboux_pair(fam) is darboux_pair(fam)
+    assert darboux_identities(fam) == (True, True)
+    assert len(solves) == 1
 
 
 @pytest.mark.parametrize("f1, f2, a, c", [
@@ -432,7 +438,7 @@ def test_solved_b_is_the_darboux_b(f1, f2, a, c):
     # darboux_pair's B, solved from A and the lower operator, is the paper's
     # B, and B A leaves darboux_identities' shift c + f - u_low
     fam = family(f1, f2, a, c)
-    A, solved, low = darboux_pair(fam)
+    A, solved, rest, low = darboux_pair(fam)
     op = operator(low)
     x, k = Poly.x(), fam.pair.k
     B = DifferenceOperator({
@@ -441,6 +447,7 @@ def test_solved_b_is_the_darboux_b(f1, f2, a, c):
     })
     assert solved == B
     assert (B @ A - (op + rat(c + f2[-1] - low.pair.u))).is_zero
+    assert rest == RatFunc(rat(c + f2[-1] - low.pair.u))
 
 
 def scaled(op, kappa):
@@ -469,7 +476,7 @@ def test_f1_step_intertwines_and_its_adjoint_is_kappa_b(f1, f2, a, c):
             s = n - fam.pair.u + low.pair.u
             assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
     if f2:
-        A, B, low = darboux_pair(fam)
+        A, B, _, low = darboux_pair(fam)
         assert adjoint(A, fam, low).coeffs == scaled(B, (1 - a) / a**2)
 
 

@@ -3,10 +3,11 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import xoppak
-from xoppak import cli, meixner
+from xoppak import cli, meixner, sweep
 from xoppak.exact import PoleError, rat
 from xoppak.sweep import run_cell, run_sweep, sweep_specs
 
@@ -153,3 +154,91 @@ def test_a_pole_in_one_cell_skips_that_cell_only(capsys, monkeypatch):
     assert after["skipped"] == before["skipped"] + 1
     assert after["passed"] == before["passed"] - 1
     assert after["counterexamples"] == before["counterexamples"] == []
+
+
+def count_builds(monkeypatch, fail_on=None):
+    """Wrap every KINDS builder to count its builds per (kind, F1, F2); the
+    builder raises PoleError on the pair fail_on = (kind, F1, F2)."""
+    builds = Counter()
+    for kind, (mod, build, formal) in list(sweep.KINDS.items()):
+        def counted(pair, *values, kind=kind, build=build):
+            key = (kind, pair.F1.elems, pair.F2.elems)
+            builds[key] += 1
+            if key == fail_on:
+                raise PoleError("evaluation at pole 7")
+            return build(pair, *values)
+
+        monkeypatch.setitem(sweep.KINDS, kind, (mod, counted, formal))
+    return builds
+
+
+def test_each_family_is_built_once_per_sweep(monkeypatch):
+    builds = count_builds(monkeypatch)
+    rep = run_sweep(3, 3, BOTH)
+    # two checks per (kind, pair), one build
+    assert len(builds) == rep["total"] // 2
+    assert set(builds.values()) == {1}
+    specs = sweep_specs(3, 3, BOTH)
+    fresh = []
+    for spec in specs:  # every cell with a build of its own
+        sweep._family.cache_clear()
+        fresh.append(run_cell(spec))
+    assert rep["cells"] == fresh
+    # a second sweep starts cold: it builds every family again, even the one
+    # a cell run just before it left in the memo
+    builds.clear()
+    run_cell(specs[0])
+    assert run_sweep(3, 3, BOTH) == rep
+    assert len(builds) == rep["total"] // 2
+    first = (specs[0][1], specs[0][2], specs[0][3])
+    assert builds.pop(first) == 2 and set(builds.values()) == {1}
+
+
+class ReversedPool(RecordingPool):
+    """Maps the cells last to first."""
+
+    def map(self, func, items):
+        return [func(item) for item in reversed(items)][::-1]
+
+
+class ChunkedPool(RecordingPool):
+    """Maps the cells in chunks of 3, each as a fresh worker would, so the
+    two cells of a (kind, pair) may land in different chunks."""
+
+    def map(self, func, items):
+        out = []
+        for start in range(0, len(items), 3):
+            sweep._family.cache_clear()
+            out += [func(item) for item in items[start:start + 3]]
+        return out
+
+
+def test_cells_do_not_depend_on_how_the_pool_splits_them(monkeypatch):
+    import multiprocessing
+
+    serial = run_sweep(3, 3, BOTH)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for pool in (ReversedPool, ChunkedPool):
+        monkeypatch.setattr(multiprocessing, "Pool", pool)
+        assert run_sweep(3, 3, BOTH, jobs=2) == serial, pool.__name__
+    assert RecordingPool.sizes == [2, 2]
+
+
+def test_a_failed_build_skips_both_cells_of_its_pair(monkeypatch):
+    before = run_sweep(3, 3, BOTH)
+    hit = ("laguerre", (1,), (2,))
+    builds = count_builds(monkeypatch, fail_on=hit)
+    after = run_sweep(3, 3, BOTH)
+    # the failed build is not kept: each of the pair's two cells tries it
+    assert builds[hit] == 2
+    assert set(count for key, count in builds.items() if key != hit) == {1}
+    skipped = [i for i, c in enumerate(after["cells"])
+               if (c["kind"], tuple(c["f1"]), tuple(c["f2"])) == hit]
+    assert [after["cells"][i]["check"] for i in skipped] == ["invariance", "altrep"]
+    assert {after["cells"][i]["skipped"] for i in skipped} == {"evaluation at pole 7"}
+    assert all(after["cells"][i]["ok"] is None for i in skipped)
+    # every other cell, the next pair's included, is as before
+    assert [c for i, c in enumerate(after["cells"]) if i not in skipped] == [
+        c for i, c in enumerate(before["cells"]) if i not in skipped]
+    assert before["cells"][skipped[-1] + 1]["ok"] is True
