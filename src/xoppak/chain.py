@@ -1,7 +1,7 @@
 """Exact squared norms along a Darboux chain down to the classical family.
 
-A first order step takes a family to a lower one, without max(F2)
-(`darboux_pair`) or without an element f of F1 (`f1_pair`).  Its operator A
+A first order step takes a family to a lower one without an element f of F1
+or F2; each kind builds it with `step(fam, set_name, f)`.  Its operator A
 takes the lower member m_s, s = n - u + u_low, to the member m_n above, so
 the degree d = n - u is the same at every step.  B solves
 B A = op_low + C with a constant shift C (`down_operator`), and the adjoint
@@ -28,17 +28,30 @@ from .exact import RatFunc, rat
 
 
 class Step:
-    """One first order step from fam down to low, which lacks f of set_name."""
+    """One first order step from fam down to low, which lacks f of set_name.
 
-    __slots__ = ("set_name", "f", "fam", "low", "A", "A_star")
+    A takes low's members to fam's.  down, (B, rest) with B A = op_low + rest,
+    is solved when first read; A_star, the adjoint of A, is set by
+    `find_route` once low's weight is defined.
+    """
 
-    def __init__(self, set_name, f, fam, low, A, A_star):
+    __slots__ = ("set_name", "f", "fam", "low", "A", "A_star", "_solve", "_down")
+
+    def __init__(self, set_name, f, fam, low, A, solve):
         self.set_name = set_name
         self.f = f
         self.fam = fam
         self.low = low
         self.A = A
-        self.A_star = A_star
+        self.A_star = None
+        self._solve = solve
+        self._down = None
+
+    @property
+    def down(self):
+        if self._down is None:
+            self._down = self._solve()
+        return self._down
 
 
 class ChainNorm:
@@ -75,11 +88,9 @@ def _ratio(P, Q):
 
 def _candidates(mod, fam):
     # F1 from its largest element down, then max(F2); each built when tried
-    for f in reversed(fam.pair.F1.elems):
-        yield ("F1", f, *mod.f1_pair(fam, f))
-    if fam.pair.F2.elems:
-        A, *_, low = mod.darboux_pair(fam)
-        yield "F2", fam.pair.F2.max_elem, A, low
+    for set_name, elems in (("F1", fam.pair.F1.elems[::-1]), ("F2", fam.pair.F2.elems[-1:])):
+        for f in elems:
+            yield mod.step(fam, set_name, f)
 
 
 def find_route(mod, fam):
@@ -97,18 +108,18 @@ def find_route(mod, fam):
             return []
         if up.pair in dead:
             return None
-        for set_name, f, A, low in _candidates(mod, up):
-            why = mod.weight_refusal(low)
+        for step in _candidates(mod, up):
+            why = mod.weight_refusal(step.low)
             if why is None:
-                A_star = mod.adjoint(A, up, low)
-                why = mod.boundary_refusal(A_star, up, low)
+                step.A_star = mod.adjoint(step.A, up, step.low)
+                why = mod.boundary_refusal(step.A_star, up, step.low)
             if why is not None:
                 if why not in reasons:
                     reasons.append(why)
                 continue
-            rest = walk(low)
+            rest = walk(step.low)
             if rest is not None:
-                return [Step(set_name, f, up, low, A, A_star)] + rest
+                return [step] + rest
         dead.add(up.pair)
         return None
 
@@ -119,20 +130,21 @@ def find_route(mod, fam):
     return route, None
 
 
-def step_constants(mod, step):
+def step_constants(step):
     """(kappa, shift) of one step: A* = kappa B and B A = op_low + shift for
-    the B of `down_operator`; either is None when no constant does."""
-    B, rest = mod.down_operator(step.A, mod.operator(step.low))
+    the step's B; either is None when no constant does."""
+    B, rest = step.down
     return _ratio(step.A_star, B), _constant(rest)
 
 
-def lifts(A, low, fam, n):
-    """Whether A takes low's member s = n - u + u_low to fam's member n;
-    below degree 0 member n must vanish."""
+def lifts(step, n):
+    """Whether the step's A takes low's member s = n - u + u_low to fam's
+    member n; below degree 0 member n must vanish."""
+    fam, low = step.fam, step.low
     s = n - fam.pair.u + low.pair.u
     if s < 0:
         return fam.member(n).is_zero
-    return A.apply(low.member(s)) == RatFunc(fam.member(n))
+    return step.A.apply(low.member(s)) == RatFunc(fam.member(n))
 
 
 def norms(mod, fam, ns):
@@ -146,15 +158,14 @@ def norms(mod, fam, ns):
     if route is None:
         return None, why
     sign = mod.OPERATOR_PAYLOAD[1]  # op m_s = sign * s * m_s
-    constants = [step_constants(mod, step) for step in route]
+    constants = [step_constants(step) for step in route]
     out = []
     for n, quotient in zip(ns, quotients):
         d = n - fam.pair.u
         steps, product = [], rat(1)
         for step, (kappa, shift) in zip(route, constants):
             s = d + step.low.pair.u
-            holds = (lifts(step.A, step.low, step.fam, d + step.fam.pair.u)
-                     and mod.eigen_residual(s, step.low).is_zero)
+            holds = lifts(step, d + step.fam.pair.u) and mod.eigen_residual(s, step.low).is_zero
             factor = None
             if kappa is not None and shift is not None:
                 factor = kappa * (sign * s + shift)

@@ -108,7 +108,7 @@ class LaguerreExcFamily:
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
         self._op_nums = None  # _operator_numerators, once needed
-        self._darboux = None  # darboux_pair, once needed
+        self._steps = {}  # (set, element) -> its first order step
 
     def __repr__(self):
         return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
@@ -276,26 +276,10 @@ norm_formula = norm_identity  # the benchmark traces the norm check under this n
 
 
 def darboux_pair(fam: LaguerreExcFamily):
-    """First order operators (A, B, rest, lower_family) stripping max(F2).
-
-    A raises from the lower family (the pair without the largest element of
-    F2) into this one; B goes back down.  Their two compositions reproduce
-    the second order operators of the two families up to explicit constant
-    shifts, which darboux_identities checks exactly; rest is the one
-    coefficient of B A - op_low that `down_operator` leaves free.  Built
-    once per family.
-    """
-    if fam._darboux is None:
-        fam._darboux = _darboux_pair(fam)
-    return fam._darboux
-
-
-def _darboux_pair(fam: LaguerreExcFamily):
-    _, low_pair = fam.pair.remove_f2_max()
-    low = LaguerreExcFamily(fam.params, low_pair)
-    om, om_lo = fam.omega, low.omega
-    A = DifferentialOperator({1: -RatFunc(om, om_lo), 0: RatFunc(om.derivative() + om, om_lo)})
-    return (A, *down_operator(A, operator(low)), low)
+    """(A, B, rest, lower_family) of the `step` stripping max(F2), whose two
+    compositions darboux_identities checks; refuses an empty F2."""
+    top = step(fam, "F2", fam.pair.remove_f2_max()[0])
+    return (top.A, *top.down, top.low)
 
 
 def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
@@ -313,27 +297,32 @@ def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
 
 def darboux_intertwining(fam: LaguerreExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
-    A, *_, low = darboux_pair(fam)
-    return chain.lifts(A, low, fam, n)
+    return chain.lifts(step(fam, "F2", fam.pair.remove_f2_max()[0]), n)
 
 
 # -- the Darboux chain of the norms ------------------------------------------
 
 
-def f1_pair(fam: LaguerreExcFamily, f: int):
-    """(A, lower_family) stripping f from F1.
+def step(fam: LaguerreExcFamily, set_name: str, f: int) -> chain.Step:
+    """The first order step stripping f from set_name, "F1" or "F2", built
+    once per family, set and element; B and rest are solved when first read.
 
     Sylvester's identity on the block with the top row and the row of f
-    gives, with s = n - u + u_low and Omega_low the lower family's Omega,
-      L_n Omega_low = Omega' L_s^low - Omega (L_s^low)',
-    so A = -(Omega/Omega_low) d + Omega'/Omega_low takes L_s^low to L_n.
-    The identity is homogeneous in the order of each block's rows, so f
-    need not be the largest element.
+    gives A L_s^low = L_n, s = n - u + u_low, for
+      A = -(Omega/Omega_low) d + (Omega' + e Omega)/Omega_low,
+    e = 0 for an F1 row and e = 1 for an F2 row.  The identity is
+    homogeneous in the order of each block's rows, so f need not be the
+    largest element.
     """
-    low = LaguerreExcFamily(fam.params, PairSpec([e for e in fam.pair.F1 if e != f], fam.pair.F2))
-    om, om_lo = fam.omega, low.omega
-    A = DifferentialOperator({1: -RatFunc(om, om_lo), 0: RatFunc(om.derivative(), om_lo)})
-    return A, low
+    got = fam._steps.get((set_name, f))
+    if got is None:
+        low = LaguerreExcFamily(fam.params, fam.pair.without(set_name, f))
+        om, om_lo = fam.omega, low.omega
+        a0 = om.derivative() + om if set_name == "F2" else om.derivative()
+        A = DifferentialOperator({1: -RatFunc(om, om_lo), 0: RatFunc(a0, om_lo)})
+        got = fam._steps[set_name, f] = chain.Step(
+            set_name, f, fam, low, A, lambda: down_operator(A, operator(low)))
+    return got
 
 
 def down_operator(A: DifferentialOperator, op: DifferentialOperator):

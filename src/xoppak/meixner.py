@@ -90,8 +90,9 @@ class MeixnerExcFamily:
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
         self._dual_cache = {}
+        self._duality = None  # (DualityConstants, {n: (q_n, kappa xi(n))}), once needed
         self._op_nums = None  # _operator_numerators, once needed
-        self._darboux = None  # darboux_pair, once needed
+        self._steps = {}  # (set, element) -> its first order step
 
     def __repr__(self):
         return f"MeixnerExcFamily({self.params!r}, {self.pair!r})"
@@ -226,14 +227,15 @@ class DualityConstants:
 
 
 def duality_check(n: int, v: int, fam: MeixnerExcFamily) -> bool:
-    """Exact check of q_n(v) against the scaled primal value m_v(n)."""
+    """Exact check of q_n(v) against the scaled primal value m_v(n); the
+    constants, and q_n with kappa xi(n), are built once per family."""
     if n < 0:
         raise DomainError(f"dual degree must be nonnegative, got {n}")
-    consts = DualityConstants(fam)
-    combo = consts.kappa * consts.xi(n) * consts.zeta(v)
-    lhs = fam.q(n)(v)
-    rhs = combo * fam.member(v)(n)
-    return lhs == rhs
+    consts, duals = fam._duality = fam._duality or (DualityConstants(fam), {})
+    if n not in duals:
+        duals[n] = fam.q(n), consts.kappa * consts.xi(n)
+    q, scale = duals[n]
+    return q(v) == scale * consts.zeta(v) * fam.member(v)(n)
 
 
 # -- second order operator ---------------------------------------------------
@@ -467,27 +469,10 @@ def norm_identity(rs, fam: MeixnerExcFamily) -> list[NormCheck]:
 
 
 def darboux_pair(fam: MeixnerExcFamily):
-    """First order operators (A, B, rest, lower_family) stripping max(F2).
-
-    A raises from the lower family (the pair without the largest element of
-    F2) into this one; B goes back down.  Their two compositions reproduce
-    the second order operators of the two families up to explicit constant
-    shifts, which darboux_identities checks exactly; rest is the one
-    coefficient of B A - op_low that `down_operator` leaves free.  Built
-    once per family.
-    """
-    if fam._darboux is None:
-        fam._darboux = _darboux_pair(fam)
-    return fam._darboux
-
-
-def _darboux_pair(fam: MeixnerExcFamily):
-    _, low_pair = fam.pair.remove_f2_max()
-    low = MeixnerExcFamily(fam.params, low_pair)
-    om, om_lo1 = fam.omega, low.omega.shift(1)
-    A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1 * fam.params.a),
-                            1: -RatFunc(om, om_lo1)})
-    return (A, *down_operator(A, operator(low)), low)
+    """(A, B, rest, lower_family) of the `step` stripping max(F2), whose two
+    compositions darboux_identities checks; refuses an empty F2."""
+    top = step(fam, "F2", fam.pair.remove_f2_max()[0])
+    return (top.A, *top.down, top.low)
 
 
 def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
@@ -503,27 +488,32 @@ def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
 
 def darboux_intertwining(fam: MeixnerExcFamily, n: int) -> bool:
     """A applied to the right lower member reproduces member n exactly."""
-    A, *_, low = darboux_pair(fam)
-    return chain.lifts(A, low, fam, n)
+    return chain.lifts(step(fam, "F2", fam.pair.remove_f2_max()[0]), n)
 
 
 # -- the Darboux chain of the norms ------------------------------------------
 
 
-def f1_pair(fam: MeixnerExcFamily, f: int):
-    """(A, lower_family) stripping f from F1.
+def step(fam: MeixnerExcFamily, set_name: str, f: int) -> chain.Step:
+    """The first order step stripping f from set_name, "F1" or "F2", built
+    once per family, set and element; B and rest are solved when first read.
 
     Sylvester's identity on the block with the top row and the row of f
-    gives, with s = n - u + u_low and Omega_low the lower family's Omega,
-      m_n(x) Omega_low(x+1) = Omega(x+1) m_s^low(x) - Omega(x) m_s^low(x+1),
-    so A = Omega(x+1)/Omega_low(x+1) - Omega(x)/Omega_low(x+1) Sh_1 takes
-    m_s^low to m_n.  The identity is homogeneous in the order of each
-    block's rows, so f need not be the largest element.
+    gives A m_s^low = m_n, s = n - u + u_low, for
+      A = Omega(x+1)/(e Omega_low(x+1)) - Omega(x)/Omega_low(x+1) Sh_1,
+    e = 1 for an F1 row and e = a for an F2 row, whose column j carries
+    a^-j.  The identity is homogeneous in the order of each block's rows,
+    so f need not be the largest element.
     """
-    low = MeixnerExcFamily(fam.params, PairSpec([e for e in fam.pair.F1 if e != f], fam.pair.F2))
-    om, om_lo1 = fam.omega, low.omega.shift(1)
-    A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1), 1: -RatFunc(om, om_lo1)})
-    return A, low
+    got = fam._steps.get((set_name, f))
+    if got is None:
+        low = MeixnerExcFamily(fam.params, fam.pair.without(set_name, f))
+        om, om_lo1 = fam.omega, low.omega.shift(1)
+        e = fam.params.a if set_name == "F2" else 1
+        A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1 * e), 1: -RatFunc(om, om_lo1)})
+        got = fam._steps[set_name, f] = chain.Step(
+            set_name, f, fam, low, A, lambda: down_operator(A, operator(low)))
+    return got
 
 
 def down_operator(A: DifferenceOperator, op: DifferenceOperator):

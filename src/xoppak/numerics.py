@@ -23,6 +23,10 @@ DPS = 50
 mp.mp.dps = DPS
 # certified_sum gives up after this many terms
 MAX_SUM_TERMS = 200000
+# the tanh-sinh levels a pair short of its target may run past guess_degree(prec),
+# which "will sometimes be wrong" (mpmath; mp.quad takes maxdegree for that):
+# the [1, U] pass of some Laguerre norms meets eps/8 only one level later
+EXTRA_LEVELS = 1
 
 
 def to_mpf(q) -> mp.mpf:
@@ -233,7 +237,7 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
     rule = mp.mp._tanh_sinh
     prec = mp.mp.prec
     epsilon = mp.mp.eps / 8
-    max_degree = rule.guess_degree(prec)
+    max_degree = rule.guess_degree(prec) + EXTRA_LEVELS
     value = dict.fromkeys(pairs, mp.mpf(0))
     error = dict.fromkeys(pairs, mp.mpf(0))
     converged = dict.fromkeys(pairs, True)

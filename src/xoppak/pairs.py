@@ -137,11 +137,16 @@ class PairSpec:
             n += 1
         return out
 
+    def without(self, set_name: str, f: int) -> "PairSpec":
+        """The pair with f dropped from set_name, "F1" or "F2"."""
+        drop = [e for e in getattr(self, set_name) if e != f]
+        return PairSpec(drop, self.F2) if set_name == "F1" else PairSpec(self.F1, drop)
+
     def remove_f2_max(self) -> tuple[int, "PairSpec"]:
         """Darboux descent step: (dropped element, pair without max of F2)."""
         if not self.F2.elems:
             raise DomainError("Darboux step needs a nonempty second set")
-        return self.F2.max_elem, PairSpec(self.F1, self.F2.elems[:-1])
+        return self.F2.max_elem, self.without("F2", self.F2.max_elem)
 
 
 def hat_c(c) -> int:

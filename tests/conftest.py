@@ -9,20 +9,22 @@ from xoppak.exact import rat
 def perturb_chain(monkeypatch):
     """perturb(mod, what) puts every Darboux chain row of kind module mod off
     by 10^-30 of one ingredient: each step's kappa or shift, the closed-form
-    quotient, or the zeroth coefficient of each `darboux_pair`'s A, with B and
-    rest solved again from the planted A."""
+    quotient, or the zeroth coefficient of the A of every step that the kind's
+    `step` builds, with B and rest solved from the planted A."""
     eps = rat(1, 10**30)
 
     def perturb(mod, what):
         if what == "A":
-            pair = mod.darboux_pair
+            build = mod.step
 
-            def planted(fam):
-                A, *_, low = pair(fam)
+            def planted(fam, set_name, f):
+                step = build(fam, set_name, f)
+                A, low = step.A, step.low
                 A = type(A)({**A.coeffs, 0: A.coeff(0) * (1 + eps)})
-                return (A, *mod.down_operator(A, mod.operator(low)), low)
+                return chain.Step(set_name, f, fam, low, A,
+                                  lambda: mod.down_operator(A, mod.operator(low)))
 
-            monkeypatch.setattr(mod, "darboux_pair", planted)
+            monkeypatch.setattr(mod, "step", planted)
             return
         if what == "quotient":
             original = mod.norm_quotient
@@ -30,8 +32,8 @@ def perturb_chain(monkeypatch):
             return
         constants = chain.step_constants
 
-        def perturbed(mod, step):
-            kappa, shift = constants(mod, step)
+        def perturbed(step):
+            kappa, shift = constants(step)
             return (kappa * (1 + eps), shift) if what == "kappa" else (kappa, shift + eps)
 
         monkeypatch.setattr(chain, "step_constants", perturbed)

@@ -441,13 +441,17 @@ def numeric_norms(monkeypatch):
     [
         ["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"],
         ["--kind", "laguerre", "--F1", "1", "--alpha", "-7/4"],
+        ["--kind", "laguerre", "--F1", "4,5", "--alpha", "1/2"],
+        ["--kind", "laguerre", "--F1", "3,4", "--alpha", "5/2"],
         MEIXNER_FLAGS,
     ],
-    ids=["laguerre", "laguerre-minus-7_4", "meixner"],
+    ids=["laguerre", "laguerre-minus-7_4", "laguerre-4_5", "laguerre-3_4", "meixner"],
 )
 def test_norms_rows_report_convergence(capsys, monkeypatch, flags):
     # the quadrature meets its target at alpha + k = -1/2 and -3/4, where the
-    # weight is singular at 0; certified sums always do
+    # weight is singular at 0, and on (4,5; -; 1/2) and (3,4; -; 5/2), whose
+    # [1, U] pass needs one level past mpmath's guessed degree; certified sums
+    # always do
     numeric_norms(monkeypatch)
     code, doc = run_json(capsys, "verify", *flags, "--checks", "norms")
     assert code == 0
@@ -457,6 +461,48 @@ def test_norms_rows_report_convergence(capsys, monkeypatch, flags):
     assert len(results) == 2
     assert all(res["converged"] is True for res in results)
     assert all(res["ok"] and res["rel_err"] <= res["rel_bound"] for res in results)
+
+
+def count_solves(monkeypatch) -> list:
+    """Record every `down_operator` call of both kinds."""
+    solves = []
+    for mod in (meixner, laguerre):
+        monkeypatch.setattr(mod, "down_operator",
+                            lambda A, op, solve=mod.down_operator: solves.append(1) or solve(A, op))
+    return solves
+
+
+@pytest.mark.parametrize(
+    "flags, checks, want",
+    [
+        (["--kind", "meixner", "--F2", "1,2", "--a", "3/4", "--c", "5/2"], "darboux,norms", 2),
+        (["--kind", "laguerre", "--F2", "1,3", "--alpha", "5/2"], "darboux,norms", 2),
+        (["--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"], "norms", 0),
+    ],
+    ids=["meixner", "laguerre", "laguerre-no-route"],
+)
+def test_each_first_order_step_is_solved_once(capsys, monkeypatch, flags, checks, want):
+    # darboux and the norms chain read one step per (family, set, element),
+    # whose B is solved when first read: a route of two steps solves two, the
+    # max(F2) step shared with darboux among them, and a family whose one
+    # step is refused solves none
+    solves = count_solves(monkeypatch)
+    code, doc = run_json(capsys, "verify", *flags, "--checks", checks)
+    assert code == 0 and all(row["status"] == "pass" for row in doc["checks"])
+    assert len(solves) == want
+
+
+def test_duality_builds_each_dual_member_once(capsys, monkeypatch):
+    # 4 dual degrees against 4 members: one q_n per degree and one set of
+    # constants for the family, not one of each per (n, v)
+    built, constants = [], []
+    q, init = meixner.MeixnerExcFamily.q, meixner.DualityConstants.__init__
+    monkeypatch.setattr(meixner.MeixnerExcFamily, "q", lambda fam, n: built.append(n) or q(fam, n))
+    monkeypatch.setattr(meixner.DualityConstants, "__init__",
+                        lambda self, fam: constants.append(1) or init(self, fam))
+    code, doc = run_json(capsys, "verify", *MEIXNER_FLAGS, "--checks", "duality")
+    assert code == 0 and doc["checks"][0]["status"] == "pass"
+    assert built == [0, 1, 2, 3] and len(constants) == 1
 
 
 @pytest.mark.parametrize(

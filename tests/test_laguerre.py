@@ -28,7 +28,6 @@ from xoppak.laguerre import (
     darboux_pair,
     down_operator,
     eigen_residual,
-    f1_pair,
     inner_product,
     invariance_conjecture,
     limit_from_meixner,
@@ -37,6 +36,7 @@ from xoppak.laguerre import (
     norm_identity,
     operator,
     orthogonality_premises,
+    step,
 )
 from xoppak.numerics import to_mpf
 from xoppak.operators import DifferentialOperator
@@ -389,7 +389,8 @@ def test_darboux_pair_is_built_once(monkeypatch):
     solve = lag.down_operator
     monkeypatch.setattr(lag, "down_operator", lambda A, op: solves.append(1) or solve(A, op))
     fam = family([1], [2], rat(1, 2))
-    assert darboux_pair(fam) is darboux_pair(fam)
+    assert all(x is y for x, y in zip(darboux_pair(fam), darboux_pair(fam)))
+    assert darboux_pair(fam)[0] is step(fam, "F2", 2).A
     assert darboux_identities(fam) == (True, True)
     assert len(solves) == 1
 
@@ -422,22 +423,34 @@ def test_solved_b_is_the_darboux_b(f1, f2, alpha):
 ])
 def test_f1_step_intertwines_and_its_adjoint_is_minus_b(f1, f2, alpha):
     # stripping any f of F1: A L_s^low = L_n with s = n - u + u_low,
-    # B A = op_low + f + u_low, and A* = -B, as for the F2 step
+    # B A = op_low + f + u_low, and A* = -B; stripping any f of F2: the same
+    # lift, B A = op_low - (alpha + f - u_low + 1), and A* = -B
     fam = family(f1, f2, alpha)
     for f in f1:
-        A, low = f1_pair(fam, f)
+        one = step(fam, "F1", f)
+        A, low = one.A, one.low
         assert low.pair == PairSpec([e for e in f1 if e != f], f2)
         op = operator(low)
         B, rest = down_operator(A, op)
+        assert one.down == (B, rest)
         assert (B @ A - (op + rat(f + low.pair.u))).is_zero
         assert rest == RatFunc(rat(f + low.pair.u))
         assert adjoint(A, fam, low).coeffs == {key: -coeff for key, coeff in B.coeffs.items()}
         for n in fam.pair.sigma_first(3):
             s = n - fam.pair.u + low.pair.u
             assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
-    if f2:
-        A, B, _, low = darboux_pair(fam)
+    for f in f2:
+        one = step(fam, "F2", f)
+        A, low = one.A, one.low
+        assert low.pair == PairSpec(f1, [e for e in f2 if e != f])
+        op = operator(low)
+        B, rest = one.down
+        assert (B @ A - (op - rat(alpha + f - low.pair.u + 1))).is_zero
+        assert rest == RatFunc(rat(-(alpha + f - low.pair.u + 1)))
         assert adjoint(A, fam, low).coeffs == {key: -coeff for key, coeff in B.coeffs.items()}
+        for n in fam.pair.sigma_first(3):
+            s = n - fam.pair.u + low.pair.u
+            assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
 
 
 CHAIN_FAMILIES = [

@@ -33,7 +33,6 @@ from xoppak.meixner import (
     down_operator,
     duality_check,
     eigen_residual,
-    f1_pair,
     inner_product,
     invariance_conjecture,
     norm_check,
@@ -41,6 +40,7 @@ from xoppak.meixner import (
     norm_identity,
     operator,
     positivity_by_signs,
+    step,
     weight_refusal,
 )
 from xoppak.numerics import certified_sum, to_mpf
@@ -424,7 +424,8 @@ def test_darboux_pair_is_built_once(monkeypatch):
     solve = meixner.down_operator
     monkeypatch.setattr(meixner, "down_operator", lambda A, op: solves.append(1) or solve(A, op))
     fam = family([1], [2], rat(1, 2), rat(3))
-    assert darboux_pair(fam) is darboux_pair(fam)
+    assert all(x is y for x, y in zip(darboux_pair(fam), darboux_pair(fam)))
+    assert darboux_pair(fam)[0] is step(fam, "F2", 2).A
     assert darboux_identities(fam) == (True, True)
     assert len(solves) == 1
 
@@ -461,23 +462,34 @@ def scaled(op, kappa):
 ])
 def test_f1_step_intertwines_and_its_adjoint_is_kappa_b(f1, f2, a, c):
     # stripping any f of F1: A m_s^low = m_n with s = n - u + u_low,
-    # B A = op_low - f - u_low, and A* = (1-a)/a B; the F2 step has
-    # A* = (1-a)/a^2 B
+    # B A = op_low - f - u_low, and A* = (1-a)/a B; stripping any f of F2:
+    # the same lift, B A = op_low + c + f - u_low, and A* = (1-a)/a^2 B
     fam = family(f1, f2, a, c)
     for f in f1:
-        A, low = f1_pair(fam, f)
+        one = step(fam, "F1", f)
+        A, low = one.A, one.low
         assert low.pair == PairSpec([e for e in f1 if e != f], f2)
         op = operator(low)
         B, rest = down_operator(A, op)
+        assert one.down == (B, rest)
         assert (B @ A - (op - rat(f + low.pair.u))).is_zero
         assert rest == RatFunc(rat(-(f + low.pair.u)))
         assert adjoint(A, fam, low).coeffs == scaled(B, (1 - a) / a)
         for n in fam.pair.sigma_first(3):
             s = n - fam.pair.u + low.pair.u
             assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
-    if f2:
-        A, B, _, low = darboux_pair(fam)
+    for f in f2:
+        one = step(fam, "F2", f)
+        A, low = one.A, one.low
+        assert low.pair == PairSpec(f1, [e for e in f2 if e != f])
+        op = operator(low)
+        B, rest = one.down
+        assert (B @ A - (op + rat(c + f - low.pair.u))).is_zero
+        assert rest == RatFunc(rat(c + f - low.pair.u))
         assert adjoint(A, fam, low).coeffs == scaled(B, (1 - a) / a**2)
+        for n in fam.pair.sigma_first(3):
+            s = n - fam.pair.u + low.pair.u
+            assert A.apply(low.member(s)) == RatFunc(fam.member(n)), (f, n)
 
 
 CHAIN_FAMILIES = [

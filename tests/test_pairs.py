@@ -109,6 +109,13 @@ def test_remove_f2_max():
     assert f == 5 and low == P([1, 3], [2])
 
 
+def test_without_drops_one_element_of_one_set():
+    pair = P([1, 3], [2, 5])
+    assert pair.without("F1", 3) == P([1], [2, 5])
+    assert pair.without("F2", 2) == P([1, 3], [5])
+    assert pair.without("F2", 5) == pair.remove_f2_max()[1]
+
+
 @pytest.mark.parametrize("f1", [[], [1, 3]])
 def test_remove_f2_max_refuses_an_empty_second_set(f1):
     with pytest.raises(DomainError, match="^Darboux step needs a nonempty second set$"):
