@@ -4,7 +4,10 @@ The construction/verification pipeline runs entirely on exact arithmetic;
 floating point appears only in :mod:`xoppak.numerics`.  This module holds
 the rational scalar type, dense univariate polynomials, reduced rational
 functions, fraction-free determinants of polynomial matrices, and exact
-counting of nonnegative real roots via Sturm chains.
+counting of nonnegative real roots via Sturm chains.  Products, determinants
+and whole sums of products of polynomials evaluate their integer numerators
+at one power of two (Kronecker substitution), so each runs as big-integer
+arithmetic read back once.
 """
 from __future__ import annotations
 
@@ -553,6 +556,51 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     if not u:
         return Poly.zero()
     return Poly._from_lowest(tuple(u), u[-1])
+
+
+def sum_of_products(terms) -> Poly:
+    """The sum of s * f_1 * ... * f_m over terms (s, (f_1, ..., f_m)), for
+    int or Rational scalars s and Poly factors f_i, by one Kronecker
+    substitution.
+
+    Every term is cleared to integers over one lcm denominator, as an integer
+    t times the product of its factors' numerators.  The sum of |t| times the
+    product of the factors' numerator 1-norms bounds every coefficient of the
+    cleared sum and of every factor, so each distinct factor (by identity) is
+    evaluated once at x = 2^(8*width), with 2^(8*width - 1) above that bound;
+    the terms are multiplied and added as plain integers, and the sum's
+    coefficients are read back once.  Zero scalars and zero factors drop out.
+    """
+    cleared, den = [], 1
+    for s, factors in terms:
+        p, q = int(s.numerator), int(s.denominator)
+        if p and all([f._nums for f in factors]):
+            q *= math.prod([f._den for f in factors])
+            cleared.append((p, q, factors))
+            den = math.lcm(den, q)
+    distinct = {id(f): f for _, _, factors in cleared for f in factors}
+    norms = {i: sum(map(abs, f._nums)) for i, f in distinct.items()}
+    bound = sum(abs(p) * (den // q) * math.prod([norms[id(f)] for f in factors])
+                for p, q, factors in cleared)
+    degree = max([sum(len(f._nums) - 1 for f in factors) for _, _, factors in cleared], default=0)
+    width = (bound.bit_length() + 8) // 8
+    packed = {i: _pack(f._nums, width) for i, f in distinct.items()}
+    value = sum(p * (den // q) * math.prod([packed[id(f)] for f in factors])
+                for p, q, factors in cleared)
+    return Poly._make(_unpack(value, degree + 1, width), den)
+
+
+def ratfunc_of_sums(num_terms, den_terms) -> "RatFunc":
+    """The reduced quotient of the sum_of_products of num_terms and of
+    den_terms.  A factor that every term of both lists has is cancelled
+    first, so the gcd runs only on what is left."""
+    terms = [(s, list(factors)) for s, factors in [*num_terms, *den_terms]]
+    for f in list(terms[0][1]):
+        if all(f in factors for _, factors in terms):
+            for _, factors in terms:
+                factors.remove(f)
+    split = len(num_terms)
+    return RatFunc(sum_of_products(terms[:split]), sum_of_products(terms[split:]))
 
 
 def pochhammer_poly(p: Poly, j: int) -> Poly:

@@ -38,7 +38,9 @@ from .exact import (
     poly_det,
     rat,
     rat_pow,
+    ratfunc_of_sums,
     sturm_nonneg_roots,
+    sum_of_products,
     top_row_minors,
 )
 from .meixner import (
@@ -107,7 +109,7 @@ class LaguerreExcFamily:
         self._minors = top_row_minors(block_rows(params, pair.F1, pair.F2, k + 1))
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
-        self._op_nums = None  # _operator_numerators, once needed
+        self._op_terms = None  # _operator_terms, once needed
         self._steps = {}  # (set, element) -> its first order step
 
     def __repr__(self):
@@ -121,8 +123,8 @@ class LaguerreExcFamily:
         if got is None:
             base = laguerre(n - self.pair.u, self.params.alpha)
             top = _derivatives(base, len(self._minors))
-            terms = (t * minor for t, minor in zip(top, self._minors))
-            got = self._members[n] = sum(terms, Poly.zero())
+            got = self._members[n] = sum_of_products(
+                [(1, (t, minor)) for t, minor in zip(top, self._minors)])
         return got
 
 
@@ -134,11 +136,12 @@ def reported_polys(fam: LaguerreExcFamily) -> dict:
 # -- the second order differential operator ----------------------------------
 
 
-def _operator_numerators(fam: LaguerreExcFamily):
-    """Numerators over Omega of the first and zeroth order coefficients,
-    computed once per family."""
-    if fam._op_nums is not None:
-        return fam._op_nums
+def _operator_terms(fam: LaguerreExcFamily):
+    """The operator as sum_of_products term lists, built once per family:
+    the numerators of the coefficients of d^2, d and 1 over one denominator
+    Omega, and that denominator."""
+    if fam._op_terms is not None:
+        return fam._op_terms
     alpha = fam.params.alpha
     pair = fam.pair
     om = fam.omega
@@ -146,30 +149,42 @@ def _operator_numerators(fam: LaguerreExcFamily):
     om2 = om1.derivative()
     x = Poly.x()
     k = pair.k
-    n1 = Poly([alpha + k + 1, -1]) * om - 2 * x * om1
-    n0 = rat(-(pair.k1 + pair.u)) * om + Poly([-alpha - k, 1]) * om1 + x * om2
-    fam._op_nums = n1, n0
-    return fam._op_nums
+    nums = {
+        2: [(1, (x, om))],
+        1: [(1, (Poly([alpha + k + 1, -1]), om)), (-2, (x, om1))],
+        0: [(-(pair.k1 + pair.u), (om,)), (1, (Poly([-alpha - k, 1]), om1)), (1, (x, om2))],
+    }
+    fam._op_terms = nums, [(1, (om,))]
+    return fam._op_terms
+
+
+def _operator_numerators(fam: LaguerreExcFamily):
+    """The numerators (n1, n0) of the d and 1 coefficients, from
+    _operator_terms."""
+    nums, _ = _operator_terms(fam)
+    return sum_of_products(nums[1]), sum_of_products(nums[0])
 
 
 def operator(fam: LaguerreExcFamily) -> DifferentialOperator:
     """x d2 + h1 d + h0 with member(n) as eigenvector for eigenvalue -n."""
-    om = fam.omega
-    n1, n0 = _operator_numerators(fam)
-    return DifferentialOperator({2: RatFunc(Poly.x()), 1: RatFunc(n1, om), 0: RatFunc(n0, om)})
+    nums, den = _operator_terms(fam)
+    return DifferentialOperator({j: ratfunc_of_sums(terms, den) for j, terms in nums.items()})
 
 
 def eigen_residual(n: int, fam: LaguerreExcFamily) -> Poly:
     """Eigenfunction identity at degree n, cleared of denominators.
 
     Zero exactly when x p'' Omega + h1-numerator p' + h0-numerator p equals
-    -n p Omega for p = member(n).
+    -n p Omega for p = member(n): each numerator's terms take p'', p' or p
+    as one more factor, the denominator's take n p, and the whole is one
+    sum_of_products.
     """
     p = fam.member(n)
     p1 = p.derivative()
-    om = fam.omega
-    n1, n0 = _operator_numerators(fam)
-    return Poly.x() * p1.derivative() * om + n1 * p1 + n0 * p + rat(n) * p * om
+    nums, den = _operator_terms(fam)
+    at = {2: p1.derivative(), 1: p1, 0: p}
+    terms = [(s, (*factors, at[j])) for j, ts in nums.items() for s, factors in ts]
+    return sum_of_products(terms + [(n * s, (*factors, p)) for s, factors in den])
 
 
 # -- nonvanishing, norms -----------------------------------------------------

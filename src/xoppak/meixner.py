@@ -34,9 +34,11 @@ from .exact import (
     rat_pow,
     poly_det,
     pochhammer_poly,
+    ratfunc_of_sums,
     rational_det,
     root_bound,
     sturm_nonneg_roots,
+    sum_of_products,
     top_row_minors,
 )
 from .numerics import DPS, certified_sum, gamma_rational, to_mpf
@@ -91,7 +93,7 @@ class MeixnerExcFamily:
         self._members = {}
         self._dual_cache = {}
         self._duality = None  # (DualityConstants, {n: (q_n, kappa xi(n))}), once needed
-        self._op_nums = None  # _operator_numerators, once needed
+        self._op_terms = None  # _operator_terms, once needed
         self._steps = {}  # (set, element) -> its first order step
 
     def __repr__(self):
@@ -114,8 +116,8 @@ class MeixnerExcFamily:
         if got is None:
             a, c = self.params.a, self.params.c
             top = _shifts(meixner_raw(n - self.pair.u, a, c), len(self._minors))
-            terms = (t * minor for t, minor in zip(top, self._minors))
-            got = self._members[n] = sum(terms, Poly.zero())
+            got = self._members[n] = sum_of_products(
+                [(1, (t, minor)) for t, minor in zip(top, self._minors)])
         return got
 
     m = member  # the benchmark traces the members under this name
@@ -161,11 +163,9 @@ class MeixnerExcFamily:
             raise DomainError(f"dual members need a nonnegative degree, got {n}")
         a, c = self.params.a, self.params.c
         u = self.pair.u
-        minors = self._dual_minors(n)
-        total = Poly.zero()
-        for j, minor in enumerate(minors):
-            piece = meixner_raw(n + j, a, c).shift(-u) * minor
-            total = total + (piece if j % 2 == 0 else -piece)
+        terms = [(-minor if j % 2 else minor, (meixner_raw(n + j, a, c).shift(-u),))
+                 for j, minor in enumerate(self._dual_minors(n))]
+        total = sum_of_products(terms)
         if (n * self.pair.k2) % 2:
             total = -total
         divisor = Poly.one()
@@ -241,41 +241,54 @@ def duality_check(n: int, v: int, fam: MeixnerExcFamily) -> bool:
 # -- second order operator ---------------------------------------------------
 
 
-def _operator_numerators(fam: MeixnerExcFamily):
-    """Numerators of the coefficients of the shifts -1, 0 and 1 over one
-    denominator (a-1) Omega(x) Omega(x+1), and that denominator.
-
-    Computed once per family, as every residual of the family reads them.
-    """
-    if fam._op_nums is not None:
-        return fam._op_nums
+def _operator_terms(fam: MeixnerExcFamily):
+    """The operator as sum_of_products term lists, built once per family:
+    the numerators of the coefficients of the shifts -1, 0 and 1 over one
+    denominator (a-1) Omega(x) Omega(x+1), and that denominator."""
+    if fam._op_terms is not None:
+        return fam._op_terms
     a, c = fam.params.a, fam.params.c
     u, k = fam.pair.u, fam.pair.k
     om, om1 = fam.omega, fam.omega.shift(1)
     lm = fam.lam
-    x = Poly.x()
-    mid = ((x + k) * (-(1 + a)) - a * c + (a - 1) * u) * om * om1
-    mid = mid + (x + (c + k)) * lm.shift(1) * om * a - (x + (c + k - 1)) * lm * om1 * a
-    nums = {-1: x * om1 * om1, 0: mid, 1: (x + (c + k)) * om * om * a}
-    fam._op_nums = nums, om * om1 * (a - 1)
-    return fam._op_nums
+    mid = Poly([-(1 + a) * k - a * c + (a - 1) * u, -(1 + a)])
+    xck, xck1 = Poly([c + k, 1]), Poly([c + k - 1, 1])
+    nums = {
+        -1: [(1, (Poly.x(), om1, om1))],
+        0: [(1, (mid, om, om1)), (a, (xck, lm.shift(1), om)), (-a, (xck1, lm, om1))],
+        1: [(a, (xck, om, om))],
+    }
+    fam._op_terms = nums, [(a - 1, (om, om1))]
+    return fam._op_terms
+
+
+def _operator_numerators(fam: MeixnerExcFamily):
+    """The polynomials of _operator_terms: ({j: numerator}, denominator)."""
+    nums, den = _operator_terms(fam)
+    return {j: sum_of_products(terms) for j, terms in nums.items()}, sum_of_products(den)
 
 
 def operator(fam: MeixnerExcFamily) -> DifferenceOperator:
-    """The three point difference operator with the family as eigenfunctions."""
-    nums, den = _operator_numerators(fam)
-    return DifferenceOperator({j: RatFunc(num, den) for j, num in nums.items()})
+    """The three point difference operator with the family as eigenfunctions;
+    the shift -1 and 1 coefficients cancel Omega(x+1) and Omega(x) before
+    their gcds."""
+    nums, den = _operator_terms(fam)
+    return DifferenceOperator({j: ratfunc_of_sums(terms, den) for j, terms in nums.items()})
 
 
 def eigen_residual(n: int, fam: MeixnerExcFamily) -> Poly:
     """Eigenvalue identity with denominators cleared; zero when it holds.
 
     Multiplying D(m_n) = n m_n through by (a-1) Omega(x) Omega(x+1) turns
-    the statement into a polynomial identity, which is compared exactly.
+    the statement into a polynomial identity, which is compared exactly:
+    each numerator's terms take m_n(x+j) as one more factor, the
+    denominator's take -n m_n, and the whole is one sum_of_products.
     """
     p = fam.member(n)
-    nums, den = _operator_numerators(fam)
-    return nums[-1] * p.shift(-1) + nums[0] * p + nums[1] * p.shift(1) - den * p * rat(n)
+    nums, den = _operator_terms(fam)
+    at = {-1: p.shift(-1), 0: p, 1: p.shift(1)}
+    terms = [(s, (*factors, at[j])) for j, ts in nums.items() for s, factors in ts]
+    return sum_of_products(terms + [(-n * s, (*factors, p)) for s, factors in den])
 
 
 # -- admissibility, norms ---------------------------------------------------
@@ -566,8 +579,14 @@ def weight_refusal(fam: MeixnerExcFamily):
 
 def _integer_zero(om: Poly):
     """The least integer x >= 0 with Omega(x) = 0, or None.  Every root lies
-    within Omega's root bound, so 0..ceil(bound) is enough."""
-    return next((x for x in range(rat_ceil(root_bound(om)) + 1) if om(x) == 0), None)
+    within Omega's root bound, and an integer root x >= 1 of Omega's integer
+    numerators divides their constant term a0 (rational root theorem), so
+    only the divisors of a0 up to the bound are evaluated; a0 = 0 gives 0."""
+    a0 = (om._nums or (0,))[0]
+    if not a0:
+        return 0
+    top = min(rat_ceil(root_bound(om)), abs(a0))
+    return next((x for x in range(1, top + 1) if a0 % x == 0 and om(x) == 0), None)
 
 
 def boundary_refusal(A_star: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily):

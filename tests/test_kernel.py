@@ -3,7 +3,8 @@
 Every operation of ``Poly`` runs on integer numerators over one common
 denominator, with products by Kronecker substitution (one big-integer
 product, read back in signed slots) and gcds by a primitive remainder
-sequence.  These tests compare each operation with sympy's dense
+sequence.  A sum of products of several polynomials takes one substitution
+for the whole sum.  These tests compare each operation with sympy's dense
 polynomials over QQ on random rational polynomials, including the inputs
 where a packed product is most fragile: negative coefficients, zeros in the
 middle, constant and zero operands, and coefficients at and around powers
@@ -20,6 +21,7 @@ from xoppak.exact import (
     SHORT_SLOTS,
     DomainError,
     Poly,
+    RatFunc,
     Rational,
     _pack,
     _unpack,
@@ -28,7 +30,9 @@ from xoppak.exact import (
     poly_det,
     poly_gcd,
     rat,
+    ratfunc_of_sums,
     rational_det,
+    sum_of_products,
     top_row_minors,
 )
 
@@ -361,3 +365,91 @@ def test_integer_coefficients_agree_with_the_rational_path(ints):
     assert Poly.monomial(len(ints)) == Poly([Fraction(0)] * len(ints) + [Fraction(1)])
     for made, want in ((Poly.zero(), []), (Poly.one(), [1]), (Poly.x(), [0, 1])):
         assert made == Poly([Fraction(c) for c in want])
+
+
+# -- sums of products by one substitution ---------------------------------------
+
+
+def naive_sum(terms) -> Poly:
+    """The sum of products by Poly arithmetic, one product and one sum at a time."""
+    total = Poly.zero()
+    for s, factors in terms:
+        prod = Poly.constant(s)
+        for f in factors:
+            prod = prod * f
+        total = total + prod
+    return total
+
+
+def scalars():
+    return st.one_of(st.just(0), st.integers(-6, 6), rationals(), st.just(Fraction(-1, 3)))
+
+
+@st.composite
+def product_sums(draw):
+    """Terms over a small pool of polynomials, so that terms share factors by
+    identity; the pool holds zero and constant polynomials too."""
+    pool = draw(st.lists(polys(max_deg=5), min_size=1, max_size=4))
+    factors = st.lists(st.sampled_from(pool), max_size=3).map(tuple)
+    return draw(st.lists(st.tuples(scalars(), factors), max_size=5))
+
+
+@EXAMPLES
+@given(product_sums())
+def test_sum_of_products_matches_the_naive_sum(terms):
+    got = sum_of_products(terms)
+    assert got == naive_sum(terms)
+    # every term again with its scalar negated cancels the whole sum
+    assert sum_of_products(terms + [(-s, f) for s, f in terms]).is_zero
+    assert sum_of_products([(-s, f) for s, f in terms]) == -got
+
+
+def test_sum_of_products_of_nothing_and_of_zeros_is_zero():
+    p = Poly([1, rat(2, 3)])
+    assert sum_of_products([]).is_zero
+    assert sum_of_products([(0, (p, p)), (5, (p, Poly.zero())), (rat(1, 2), ())]) == Poly.constant(
+        rat(1, 2))
+    assert sum_of_products([(3, ()), (-3, ())]).is_zero
+    assert sum_of_products([(1, (p,)), (-1, (Poly([1, rat(2, 3)]),))]).is_zero
+
+
+def test_sum_of_products_at_the_slot_boundary():
+    # single-coefficient factors make the bound equal to a coefficient of the
+    # sum, so these values fill their slots exactly
+    for c in EDGES:
+        for n in (1, 3, 20):
+            mono = Poly([0] * (n - 1) + [c])
+            wide = Poly([c] * n)
+            alt = Poly([(-1) ** i * c for i in range(n)])
+            terms = [(1, (mono,)), (-1, (Poly.constant(c),)), (rat(1, 2), (wide, alt)),
+                     (-2, (alt, mono, Poly.x()))]
+            assert sum_of_products(terms) == naive_sum(terms)
+            assert sum_of_products([(1, (mono,))]) == mono
+            assert sum_of_products([(1, (wide, alt))]) == wide * alt
+
+
+def test_sum_of_products_against_sympy():
+    third = Poly([rat(1, 3), 0, rat(-5, 7)])
+    big = Poly([2**64 + 1, -(2**63), 0, 0, 7])
+    x = Poly.x()
+    cases = [
+        [(rat(3, 4), (third, third, big)), (-5, (x, big)), (rat(-2, 9), ())],
+        [(1, (big,) * 3), (rat(1, 2**64 + 1), (third, x, x))],
+        [(rat(7, 3), (Poly([rat(1, 6), rat(5, 4)]),) * 5), (-1, (third, Poly.constant(rat(1, 5))))],
+    ]
+    for terms in cases:
+        want = sum(sympy.Rational(int(Rational(s).numerator), int(Rational(s).denominator))
+                   * sympy.prod([to_sympy(f).as_expr() for f in fs]) for s, fs in terms)
+        assert agree(sum_of_products(terms), sympy.Poly(sympy.expand(want), X, domain="QQ"))
+
+
+def test_ratfunc_of_sums_cancels_shared_factors_to_the_same_quotient():
+    p, q = Poly([1, rat(2, 3), 4]), Poly([-5, 1])
+    x = Poly.x()
+    num, den = [(1, (x, q, q))], [(rat(1, 2), (p, q))]
+    assert ratfunc_of_sums(num, den) == RatFunc(x * q * q, p * q / 2) == RatFunc(x * q, p / 2)
+    # a factor only some terms share stays; an equal copy cancels like the factor
+    num = [(1, (x, p)), (-2, (q, Poly([-5, 1])))]
+    assert ratfunc_of_sums(num, den) == RatFunc(x * p - 2 * q * q, p * q / 2)
+    num = [(1, (x, Poly([-5, 1]))), (3, (q, q))]
+    assert ratfunc_of_sums(num, den) == RatFunc(x + 3 * q, p / 2)

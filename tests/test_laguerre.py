@@ -40,7 +40,7 @@ from xoppak.laguerre import (
 )
 from xoppak.numerics import to_mpf
 from xoppak.operators import DifferentialOperator
-from xoppak.pairs import PairSpec, involute, is_admissible
+from xoppak.pairs import PairSpec, enumerate_pairs, involute, is_admissible
 
 
 SMALL_PAIRS = [
@@ -181,6 +181,39 @@ def test_trivial_pair_matches_classical_operator():
     op = operator(fam)
     p = laguerre(3, rat(1, 2))
     assert op.apply(p).num == rat(-3) * p
+
+
+
+def reference_numerators(fam):
+    """The cleared operator written out in Poly arithmetic: the numerators
+    of the d and 1 coefficients over Omega."""
+    alpha, pair = fam.params.alpha, fam.pair
+    k = pair.k
+    om = fam.omega
+    x = Poly.x()
+    n1 = (alpha + k + 1 - x) * om - 2 * x * om.derivative()
+    n0 = -(pair.k1 + pair.u) * om + (x - alpha - k) * om.derivative() + x * om.derivative().derivative()
+    return n1, n0
+
+
+@pytest.mark.parametrize("alpha", [rat(1, 2), rat(-3, 2)])
+def test_eigen_residual_is_the_cleared_operator_on_a_perturbed_member(alpha):
+    # the term lists read as polynomials, as the operator's reduced
+    # coefficients, and on a member off the eigenspace give the reference
+    for pair in enumerate_pairs(3, 3):
+        fam = LaguerreExcFamily(LaguerreParams(alpha), pair)
+        n1, n0 = reference_numerators(fam)
+        om = fam.omega
+        assert lag._operator_numerators(fam) == (n1, n0)
+        op = operator(fam)
+        assert op.coeff(2) == RatFunc(Poly.x())
+        assert op.coeff(1) == RatFunc(n1, om) and op.coeff(0) == RatFunc(n0, om)
+        for n in pair.sigma_first(2):
+            p = fam._members[n] = fam.member(n) + Poly.monomial(n + 1) * rat(1, 7)
+            p1 = p.derivative()
+            want = Poly.x() * p1.derivative() * om + n1 * p1 + n0 * p + n * p * om
+            residual = eigen_residual(n, fam)
+            assert residual == want and not residual.is_zero, (pair, n)
 
 
 def test_operator_apply_matches_eigenvalue():

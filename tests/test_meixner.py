@@ -19,7 +19,9 @@ from xoppak.exact import (
     pochhammer,
     poly_det,
     rat,
+    rat_ceil,
     rat_pow,
+    root_bound,
 )
 from xoppak.meixner import (
     DualityConstants,
@@ -45,7 +47,7 @@ from xoppak.meixner import (
 )
 from xoppak.numerics import certified_sum, to_mpf
 from xoppak.operators import DifferenceOperator
-from xoppak.pairs import PairSpec, is_admissible
+from xoppak.pairs import PairSpec, enumerate_pairs, is_admissible
 
 
 SMALL_PAIRS = [
@@ -180,6 +182,37 @@ def test_operator_application_matches_cleared_identity():
     applied = op.apply(p) - RatFunc(p * rat(n))
     assert applied.is_zero
     assert eigen_residual(n, fam).is_zero
+
+
+
+def reference_numerators(fam):
+    """The cleared operator written out in Poly arithmetic: the numerators of
+    the shifts -1, 0 and 1 over (a-1) Omega(x) Omega(x+1), and that denominator."""
+    a, c = fam.params.a, fam.params.c
+    u, k = fam.pair.u, fam.pair.k
+    om, om1, lm = fam.omega, fam.omega.shift(1), fam.lam
+    x = Poly.x()
+    mid = ((x + k) * (-(1 + a)) - a * c + (a - 1) * u) * om * om1
+    mid = mid + a * (x + c + k) * lm.shift(1) * om - a * (x + c + k - 1) * lm * om1
+    nums = {-1: x * om1 * om1, 0: mid, 1: a * (x + c + k) * om * om}
+    return nums, (a - 1) * om * om1
+
+
+@pytest.mark.parametrize("a, c", [(rat(1, 2), rat(3)), (rat(3, 4), rat(5, 2))])
+def test_eigen_residual_is_the_cleared_operator_on_a_perturbed_member(a, c):
+    # the term lists read as polynomials, as the operator's reduced
+    # coefficients, and on a member off the eigenspace give the reference
+    for pair in enumerate_pairs(3, 3):
+        fam = MeixnerExcFamily(MeixnerParams(a, c), pair)
+        nums, den = reference_numerators(fam)
+        assert meixner._operator_numerators(fam) == (nums, den)
+        op = operator(fam)
+        assert all(op.coeff(j) == RatFunc(num, den) for j, num in nums.items())
+        for n in pair.sigma_first(2):
+            p = fam._members[n] = fam.member(n) + Poly.monomial(n + 1) * rat(1, 7)
+            want = sum((num * p.shift(j) for j, num in nums.items()), -den * p * n)
+            residual = eigen_residual(n, fam)
+            assert residual == want and not residual.is_zero, (pair, n)
 
 
 def test_phi_nonzero_for_admissible_samples():
@@ -541,6 +574,30 @@ def test_chain_steps_around_integer_zeros_of_omega():
     fam = family([1, 2], [], rat(99, 100), rat(3))
     norms, _ = chain.norms(meixner, fam, fam.pair.sigma_first(1))
     assert [(step["set"], step["f"]) for step in norms[0].steps] == [("F1", 1), ("F1", 2)]
+
+
+
+def plain_integer_zero(om):
+    """The least integer zero of om by evaluating at every integer up to its root bound."""
+    return next((x for x in range(rat_ceil(root_bound(om)) + 1) if om(x) == 0), None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.integers(0, 60), max_size=3),
+    st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 5)), max_size=2),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any),
+    st.integers(1, 12),
+)
+def test_integer_zero_by_divisors_matches_the_plain_scan(roots, rational_roots, cofactor, den):
+    # integer roots from 0 up past the small divisors of the constant term,
+    # rational roots p/q, and a rational cofactor
+    om = Poly([rat(c, den) for c in cofactor])
+    for r in roots:
+        om = om * Poly([-r, 1])
+    for p, q in rational_roots:
+        om = om * Poly([-p, q])
+    assert meixner._integer_zero(om) == plain_integer_zero(om)
 
 
 @pytest.mark.parametrize("what", ["kappa", "shift", "quotient"])
