@@ -33,7 +33,6 @@ from .exact import (
     rat_ceil,
     rat_pow,
     poly_det,
-    pochhammer_poly,
     ratfunc_of_sums,
     rational_det,
     root_bound,
@@ -91,7 +90,6 @@ class MeixnerExcFamily:
         self._minors = top_row_minors(block_rows(params, pair.F1, pair.F2, k + 1))
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
-        self._dual_cache = {}
         self._duality = None  # (DualityConstants, {n: (q_n, kappa xi(n))}), once needed
         self._op_terms = None  # _operator_terms, once needed
         self._steps = {}  # (set, element) -> its first order step
@@ -126,27 +124,24 @@ class MeixnerExcFamily:
 
     def _dual_minors(self, n: int):
         """Scalar minors N_j of the dual block at top degree n."""
-        got = self._dual_cache.get(n)
-        if got is None:
-            a, c = self.params.a, self.params.c
-            k = self.pair.k
-            inv_a = 1 / a
-            rows = []
-            for f in self.pair.F1:
-                rows.append([meixner_raw(n + j, a, c)(f) for j in range(k + 1)])
-            for f in self.pair.F2:
-                rows.append(
-                    [
-                        meixner_raw(n + j, inv_a, c)(f) * (-1 if j % 2 else 1)
-                        for j in range(k + 1)
-                    ]
-                )
-            minors = []
-            for j in range(k + 1):
-                sub = [r[:j] + r[j + 1 :] for r in rows]
-                minors.append(rational_det(sub))
-            got = self._dual_cache[n] = minors
-        return got
+        a, c = self.params.a, self.params.c
+        k = self.pair.k
+        inv_a = 1 / a
+        rows = []
+        for f in self.pair.F1:
+            rows.append([meixner_raw(n + j, a, c)(f) for j in range(k + 1)])
+        for f in self.pair.F2:
+            rows.append(
+                [
+                    meixner_raw(n + j, inv_a, c)(f) * (-1 if j % 2 else 1)
+                    for j in range(k + 1)
+                ]
+            )
+        minors = []
+        for j in range(k + 1):
+            sub = [r[:j] + r[j + 1 :] for r in rows]
+            minors.append(rational_det(sub))
+        return minors
 
     def phi(self, n: int):
         """Connection determinant Phi_n (columns 0..k-1 of the dual block)."""
@@ -168,11 +163,8 @@ class MeixnerExcFamily:
         total = sum_of_products(terms)
         if (n * self.pair.k2) % 2:
             total = -total
-        divisor = Poly.one()
-        for f in self.pair.F1:
-            divisor = divisor * Poly([-f - u, 1])
-        for f in self.pair.F2:
-            divisor = divisor * Poly([c + f - u, 1])
+        divisor = sum_of_products([(1, [Poly([-f - u, 1]) for f in self.pair.F1]
+                                    + [Poly([c + f - u, 1]) for f in self.pair.F2])])
         return total.exact_div(divisor)
 
 
@@ -610,9 +602,8 @@ class AltRepReport:
     member, None when that determinant vanishes.
     """
 
-    def __init__(self, n, poly, constant, matches, discrepancy):
+    def __init__(self, n, constant, matches, discrepancy):
         self.n = n
-        self.poly = poly
         self.constant = constant
         self.matches = matches
         self.discrepancy = discrepancy
@@ -641,13 +632,13 @@ def alt_representation(n: int, fam: MeixnerExcFamily) -> AltRepReport:
     ctil = c + pair.F1.max_elem + pair.F2.max_elem + 2
     inv_a = 1 / a
 
-    top = []
-    for j in range(m_ord + 1):
-        rj = pochhammer_poly(Poly([ctil - m_ord, 1]), m_ord - j) * pochhammer_poly(
-            Poly([1 - j, 1]), j
-        )
-        top.append(rj * meixner_raw(n - v, a, ctil).shift(-j))
-    rows = [top]
+    # entry j: (x + ctil - m_ord)_(m_ord - j) (x + 1 - j)_j r(x - j) with
+    # r = meixner_raw(n - v, a, ctil), each rising factorial written as its
+    # linear factors
+    r = meixner_raw(n - v, a, ctil)
+    rows = [[sum_of_products([(1, [Poly([ctil - m_ord + i, 1]) for i in range(m_ord - j)]
+                               + [Poly([1 - j + i, 1]) for i in range(j)] + [r.shift(-j)])])
+             for j in range(m_ord + 1)]]
     for g in G1:
         base = meixner_raw(g, a, 2 - ctil)
         rows.append(
@@ -662,10 +653,10 @@ def alt_representation(n: int, fam: MeixnerExcFamily) -> AltRepReport:
 def fitted_representation(n: int, det: Poly, target: Poly) -> AltRepReport:
     """Compare target with det scaled to the same leading coefficient."""
     if det.is_zero:
-        return AltRepReport(n, det, None, target.is_zero, -target)
+        return AltRepReport(n, None, target.is_zero, -target)
     constant = target.leading / det.leading
     fitted = det * constant
-    return AltRepReport(n, det, constant, fitted == target, fitted - target)
+    return AltRepReport(n, constant, fitted == target, fitted - target)
 
 
 class InvarianceReport:

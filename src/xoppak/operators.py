@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .exact import Poly, RatFunc, _coerce_ratfunc
+from .exact import Poly, RatFunc, _coerce_ratfunc, ratfunc_of_sums
 
 
 class _OperatorBase:
@@ -58,24 +58,22 @@ class _OperatorBase:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-
-def _combination(terms) -> RatFunc:
-    """sum of a * q over the (RatFunc a, Poly q) of terms, over the product
-    of the distinct denominators, reduced once."""
-    num, den = Poly.zero(), Poly.one()
-    for a, q in terms:
-        if a.den == den:
-            num = num + a.num * q
-        else:
-            num, den = num * a.den + a.num * q * den, den * a.den
-    return RatFunc(num, den)
+    def _apply(self, image) -> RatFunc:
+        """sum_j a_j * image(j): each numerator times the other denominators,
+        over all of them, as one ratfunc_of_sums."""
+        dens = [a.den for a in self.coeffs.values()]
+        return ratfunc_of_sums(
+            [(1, (a.num, image(j), *dens[:i], *dens[i + 1 :]))
+             for i, (j, a) in enumerate(self.coeffs.items())],
+            [(1, dens)],
+        )
 
 
 class DifferenceOperator(_OperatorBase):
     """sum_j a_j(x) Sh_j with (Sh_j f)(x) = f(x+j)."""
 
     def apply(self, p: Poly) -> RatFunc:
-        return _combination((a, p.shift(j)) for j, a in self.coeffs.items())
+        return self._apply(p.shift)
 
     def compose(self, other: "DifferenceOperator") -> "DifferenceOperator":
         out = {}
@@ -100,7 +98,7 @@ class DifferentialOperator(_OperatorBase):
         derivs = [p]
         while len(derivs) <= max(self.coeffs, default=0):
             derivs.append(derivs[-1].derivative())
-        return _combination((a, derivs[i]) for i, a in sorted(self.coeffs.items()))
+        return self._apply(derivs.__getitem__)
 
     def compose(self, other: "DifferentialOperator") -> "DifferentialOperator":
         out = {}

@@ -8,7 +8,9 @@ for the whole sum.  These tests compare each operation with sympy's dense
 polynomials over QQ on random rational polynomials, including the inputs
 where a packed product is most fragile: negative coefficients, zeros in the
 middle, constant and zero operands, and coefficients at and around powers
-of two near the slot width.
+of two near the slot width.  Operator application, one such sum over the
+coefficients' common denominator, is compared with the term-by-term sum in
+RatFunc arithmetic.
 """
 from fractions import Fraction
 
@@ -35,6 +37,7 @@ from xoppak.exact import (
     sum_of_products,
     top_row_minors,
 )
+from xoppak.operators import DifferenceOperator, DifferentialOperator
 
 X = sympy.Symbol("x")
 
@@ -111,7 +114,10 @@ def test_sum_and_difference(p, q):
 @EXAMPLES
 @given(polys(), proper_rationals())
 def test_shift_by_a_proper_rational(p, j):
-    assert agree(p.shift(j), to_sympy(p).shift(sympy.Rational(j.numerator, j.denominator)))
+    # shifts are by integers only: a proper rational is refused, even on a
+    # constant or zero polynomial
+    with pytest.raises(DomainError):
+        p.shift(j)
 
 
 @EXAMPLES
@@ -453,3 +459,46 @@ def test_ratfunc_of_sums_cancels_shared_factors_to_the_same_quotient():
     assert ratfunc_of_sums(num, den) == RatFunc(x * p - 2 * q * q, p * q / 2)
     num = [(1, (x, Poly([-5, 1]))), (3, (q, q))]
     assert ratfunc_of_sums(num, den) == RatFunc(x + 3 * q, p / 2)
+
+
+def _derivative(p: Poly, j: int) -> Poly:
+    for _ in range(j):
+        p = p.derivative()
+    return p
+
+
+@st.composite
+def coefficient_maps(draw, keys):
+    """{key: RatFunc} whose denominators are products of subsets of a pool of
+    three: equal subsets give equal denominators, overlapping ones a shared
+    factor, disjoint ones distinct denominators and the empty one a
+    polynomial coefficient; no key, or only zero numerators, give the zero
+    operator."""
+    small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    pool = draw(st.lists(st.lists(small, min_size=2, max_size=3).map(Poly)
+                         .filter(lambda d: d.degree >= 1), min_size=3, max_size=3))
+    out = {}
+    for key in draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys))):
+        den = Poly.one()
+        for i in draw(st.lists(st.integers(0, 2), unique=True)):
+            den = den * pool[i]
+        out[key] = RatFunc(draw(st.lists(small, max_size=3).map(Poly)), den)
+    return out
+
+
+@pytest.mark.parametrize("kind, keys, image", [
+    (DifferenceOperator, range(-2, 3), Poly.shift),
+    (DifferentialOperator, range(4), _derivative),
+], ids=["difference", "differential"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_apply_is_the_sum_of_its_terms(kind, keys, image, data):
+    # the oracle sums a_j * image_j term by term in RatFunc arithmetic, which
+    # reduces after every addition and never goes through ratfunc_of_sums
+    coeffs = data.draw(coefficient_maps(keys))
+    p = data.draw(polys(max_deg=5))
+    want = RatFunc(Poly.zero())
+    for j, a in coeffs.items():
+        want = want + a * RatFunc(image(p, j))
+    assert kind(coeffs).apply(p) == want
+    assert kind({}).apply(p) == RatFunc(Poly.zero())
