@@ -3,8 +3,8 @@
 The construction/verification pipeline runs entirely on exact arithmetic;
 floating point appears only in :mod:`xoppak.numerics`.  This module holds
 the rational scalar type, dense univariate polynomials, reduced rational
-functions, fraction-free determinants of polynomial matrices, and exact
-counting of nonnegative real roots via Sturm chains.  Products, determinants
+functions, fraction-free determinants of polynomial matrices, and Sturm
+isolation of nonnegative real roots in unit cells.  Products, determinants
 and whole sums of products of polynomials evaluate their integer numerators
 at one power of two (Kronecker substitution), so each runs as big-integer
 arithmetic read back once.  Every sum of products outside Poly arithmetic,
@@ -14,7 +14,7 @@ ratfunc_of_sums; a single product stays on _zmul, which is cheaper for it.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 
 # gmpy2 is an optional accelerator; the polynomial kernel converts every
 # numerator and denominator with int(), so both backends compute the same
@@ -110,17 +110,6 @@ def pochhammer(q, j: int):
     if prod == 0:
         raise PoleError(f"pochhammer({q}, {j}) hits a zero factor")
     return 1 / prod
-
-
-def gen_binomial(q, j: int):
-    """Generalized binomial coefficient with rational top: C(q, j)."""
-    if j < 0:
-        return rat(0)
-    q = rat(q)
-    out = rat(1)
-    for i in range(j):
-        out *= q - i
-    return out / math.factorial(j)
 
 
 def gamma_sign(q) -> int:
@@ -818,35 +807,43 @@ def _coerce_ratfunc(v):
         return NotImplemented
 
 
-def _sign_variations(signs) -> int:
-    cleaned = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(cleaned, cleaned[1:]) if a * b < 0)
+def nonneg_root_cells(p: Poly) -> list:
+    """The integers n >= 0 at which p has a real root in [n, n + 1], ascending.
 
-
-def sturm_nonneg_roots(p: Poly) -> int:
-    """Number of distinct real roots of p in [0, oo), exactly.
-
-    A root at 0 is counted.  Raises on the zero polynomial.
+    Sturm's theorem counts the distinct roots of p in (lo, hi] as V(lo) - V(hi),
+    V the sign variations of the Sturm chain of p's squarefree part q, kept as
+    integer numerators (each remainder scaled by a positive factor, so every
+    sign is read without a Fraction).  Bisecting (-1, B], B = 2 + max|q_i| //
+    |q_d| by Cauchy, to unit cells (m, m + 1] places every root; one at an
+    integer m >= 1 lies in the cells m - 1 and m.  Raises on p = 0.
     """
     if p.is_zero:
-        raise DomainError("root counting on the zero polynomial")
-    q = p // poly_gcd(p, p.derivative()) if p.degree >= 2 else p
-    count = 0
-    if not q.is_zero and q(0) == 0:
-        count += 1
-        while q(0) == 0 and q.degree >= 1:
-            q = q.exact_div(Poly.x())
-    if q.degree < 1:
-        return count
-    chain = [q, q.derivative()]
-    while chain[-1].degree >= 1:
-        r = -(chain[-2] % chain[-1])
-        if r.is_zero:
-            break
-        chain.append(r / abs(r.leading))
-    at_zero = [s(0) for s in chain]
-    at_inf = [s.leading for s in chain]
-    return count + _sign_variations(at_zero) - _sign_variations(at_inf)
+        raise DomainError("root isolation on the zero polynomial")
+    q = p // poly_gcd(p, p.derivative())
+    chain = [q._nums, q.derivative()._nums]
+    while len(chain[-1]) > 1 and (r := _zdivmod(chain[-2], chain[-1])[1]):
+        g = _content(r)
+        chain.append([-c // g for c in r])
+
+    def at(x):
+        return [reduce(lambda acc, c: acc * x + c, reversed(s), 0) for s in chain]
+
+    @cache
+    def var(x):
+        vals = [v for v in at(x) if v]
+        return sum(u * v < 0 for u, v in zip(vals, vals[1:]))
+
+    cells, todo = [], [(-1, max(map(abs, q._nums)) // abs(q._nums[-1]) + 2)]
+    while todo:
+        lo, hi = todo.pop()
+        if var(lo) == var(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            todo += [(mid, hi), (lo, mid)]
+        else:
+            cells += [lo] * (lo >= 0) + [hi] * (at(hi)[0] == 0)
+    return sorted(set(cells))
 
 
 def cauchy_root_bound(p: Poly):

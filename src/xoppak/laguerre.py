@@ -32,14 +32,14 @@ from .exact import (
     PoleError,
     Poly,
     RatFunc,
-    gen_binomial,
     interpolate_at_zero,
     is_integer,
+    nonneg_root_cells,
+    pochhammer,
     poly_det,
     rat,
     rat_pow,
     ratfunc_of_sums,
-    sturm_nonneg_roots,
     sum_of_products,
     top_row_minors,
 )
@@ -192,7 +192,7 @@ def eigen_residual(n: int, fam: LaguerreExcFamily) -> Poly:
 
 def nonvanishing(fam: LaguerreExcFamily) -> bool:
     """Exact decision: Omega has no real root in [0, inf)."""
-    return sturm_nonneg_roots(fam.omega) == 0
+    return not nonneg_root_cells(fam.omega)
 
 
 def inner_product(fam: LaguerreExcFamily, pairs) -> dict:
@@ -417,11 +417,10 @@ def alt_representation(n: int, fam: LaguerreExcFamily) -> AltRepReport:
     m_ord = G1.card + G2.card
     atil = alpha + pair.F1.max_elem + pair.F2.max_elem + 2
 
-    top = []
-    for j in range(m_ord + 1):
-        w = math.factorial(j) * gen_binomial(atil + (n - v), j)
-        top.append(w * Poly.monomial(m_ord - j) * laguerre(n - v, atil - j))
-    rows = [top]
+    # entry j: j! C(atil + n - v, j) x^(m_ord - j) L_(n-v)^(atil-j), that
+    # falling factorial written as the rising one from atil + n - v - j + 1
+    rows = [[pochhammer(atil + n - v - j + 1, j) * Poly.monomial(m_ord - j)
+             * laguerre(n - v, atil - j) for j in range(m_ord + 1)]]
     for g in G1:
         rows.append([laguerre(g, -atil + j).reflect() for j in range(m_ord + 1)])
     rows += [_derivatives(laguerre(g, -atil), m_ord + 1) for g in G2]

@@ -10,7 +10,8 @@ operator, norm and positivity statements, Darboux factorizations that strip
 the largest element of F2, an alternative determinantal representation
 through the involuted pair, and the reflection invariance of Omega.
 Identities are verified exactly over the rationals, orthogonality too (from
-the operator's symmetry); only norms go through certified summation.
+the operator's symmetry), and norms along a Darboux chain where one reaches
+the classical family; certified summation is the norms' fallback.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .exact import (
     Poly,
     RatFunc,
     gamma_sign,
+    nonneg_root_cells,
     pochhammer,
     rat,
     rat_ceil,
@@ -36,7 +38,6 @@ from .exact import (
     ratfunc_of_sums,
     rational_det,
     root_bound,
-    sturm_nonneg_roots,
     sum_of_products,
     top_row_minors,
 )
@@ -287,27 +288,17 @@ def eigen_residual(n: int, fam: MeixnerExcFamily) -> Poly:
 
 
 def positivity_by_signs(fam: MeixnerExcFamily) -> bool:
-    """Weight positivity read off Gamma signs and Omega signs on 0..N.
+    """Weight positivity read off Gamma signs and Omega signs on N.
 
-    The scan range must decide the condition for the whole of N: past
-    max(F1) + ceil shift of c + k the Gamma factor is positive, and past the
-    root bound of Omega the polynomial keeps one sign, so its consecutive
-    product is positive.  Scanning to the larger of the two therefore
-    certifies every remaining term.
+    Term n has the sign of Gamma(n + c + k) Omega(n) Omega(n + 1).  Past
+    max(F1) + ceil shift of c + k + 2 the Gamma factor is positive, and
+    Omega(n) Omega(n + 1) <= 0 needs a root of Omega in [n, n + 1], so the
+    integers up to that bound and Omega's root cells (nonneg_root_cells)
+    decide every term.
     """
-    pair = fam.pair
-    c = fam.params.c
-    k = pair.k
-    om = fam.omega
-    n_bound = max(
-        pair.F1.max_elem + hat_c(c) + k + 2,
-        rat_ceil(root_bound(om)) + 1,
-    )
-    for n in range(n_bound + 1):
-        val = om(n) * om(n + 1)
-        if gamma_sign(n + c + k) * val <= 0:
-            return False
-    return True
+    c, k, om = fam.params.c, fam.pair.k, fam.omega
+    ns = [*range(fam.pair.F1.max_elem + hat_c(c) + k + 3), *nonneg_root_cells(om)]
+    return all(gamma_sign(n + c + k) * om(n) * om(n + 1) > 0 for n in ns)
 
 
 def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol):
@@ -559,13 +550,12 @@ def adjoint(A: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily)
 
 def weight_refusal(fam: MeixnerExcFamily):
     """Why fam's weight sums are not defined, or None: they need 0 < a < 1
-    and no zero of Omega at an integer x >= 0 (Sturm counts the roots on
-    [0, inf); only when there are some are the integers up to the root
-    bound scanned)."""
+    and no zero of Omega at an integer x >= 0 (searched by _integer_zero
+    only when Omega has a root cell, nonneg_root_cells)."""
     a = fam.params.a
     if not 0 < a < 1:
         return f"the weight sums need 0 < a < 1, got a={a}"
-    x = _integer_zero(fam.omega) if sturm_nonneg_roots(fam.omega) else None
+    x = _integer_zero(fam.omega) if nonneg_root_cells(fam.omega) else None
     return None if x is None else f"Omega of {fam.pair!r} vanishes at x={x}"
 
 

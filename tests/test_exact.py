@@ -2,7 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from xoppak.exact import (
     DomainError,
@@ -14,13 +15,12 @@ from xoppak.exact import (
     Rational,
     cauchy_root_bound,
     gamma_sign,
-    gen_binomial,
+    nonneg_root_cells,
     pochhammer,
     poly_det,
     poly_gcd,
     rat,
     rational_det,
-    sturm_nonneg_roots,
     top_row_minors,
     _iroot,
 )
@@ -70,15 +70,6 @@ def test_pochhammer_splits_multiplicatively():
     for i in range(4):
         for j in range(4):
             assert pochhammer(q, i + j) == pochhammer(q, i) * pochhammer(q + i, j)
-
-
-def test_gen_binomial_values():
-    assert gen_binomial(rat(9, 7), 0) == 1
-    assert gen_binomial(rat(5, 2), 2) == rat(15, 8)
-    assert gen_binomial(rat(1, 2), -1) == 0
-    for n in range(6):
-        for j in range(6):
-            assert gen_binomial(n, j) == math.comb(n, j)
 
 
 def test_gamma_sign():
@@ -265,37 +256,55 @@ def test_rational_det():
     assert rational_det([]) == 1
 
 
-# -- root counting ------------------------------------------------------------
+# -- root cells ---------------------------------------------------------------
 
 
-def test_sturm_basic():
-    assert sturm_nonneg_roots(X - 1) == 1
-    assert sturm_nonneg_roots(X**2 + 1) == 0
-    assert sturm_nonneg_roots(-X - rat(1, 2)) == 0
-    assert sturm_nonneg_roots(X) == 1
-    assert sturm_nonneg_roots(X**2) == 1
-    assert sturm_nonneg_roots(Poly.constant(5)) == 0
+def test_root_cells_basic():
+    assert nonneg_root_cells(X - 1) == [0, 1]
+    assert nonneg_root_cells(X**2 + 1) == []
+    assert nonneg_root_cells(-X - rat(1, 2)) == []
+    assert nonneg_root_cells(X) == [0]
+    assert nonneg_root_cells(X**2) == [0]
+    assert nonneg_root_cells(Poly.constant(5)) == []
     with pytest.raises(DomainError):
-        sturm_nonneg_roots(Poly.zero())
+        nonneg_root_cells(Poly.zero())
 
 
-def test_sturm_known_roots():
-    p = (X - 1) * (X - 2) * (X + 3)
-    assert sturm_nonneg_roots(p) == 2
-    q = (X - rat(1, 2)) ** 2 * (X + 1)
-    assert sturm_nonneg_roots(q) == 1
+def test_root_cells_known_roots():
+    assert nonneg_root_cells((X - 1) * (X - 2) * (X + 3)) == [0, 1, 2]
+    assert nonneg_root_cells((X - rat(1, 2)) ** 2 * (X + 1)) == [0]
+    # two roots in one cell, and a root just below an integer
+    assert nonneg_root_cells((X - rat(31, 10)) * (X - rat(32, 10)) * (X - rat(999, 1000))) == [0, 3]
 
 
-@given(
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4),
-    st.lists(st.integers(min_value=-4, max_value=4), min_size=0, max_size=3),
-)
-def test_sturm_counts_distinct_nonneg_roots(roots_a, roots_b):
-    p = Poly.one()
-    for r in roots_a + roots_b:
-        p = p * (X - r)
-    expected = len({r for r in roots_a + roots_b if r >= 0})
-    assert sturm_nonneg_roots(p) == expected
+def polys_with_roots_near_integers():
+    """Products of (x - r)^m with rational r at or near an integer, times
+    x^2 + c cofactors and a rational leading coefficient."""
+    near = st.builds(lambda m, d: m + d, st.integers(-3, 12),
+                     st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(-1, 7),
+                                      Fraction(1, 2), Fraction(-1, 1000)]))
+    lead = small_rats().filter(bool)
+    cofactors = st.lists(st.fractions(-9, 9, max_denominator=4), max_size=1)
+    factors = st.lists(st.tuples(near, st.integers(1, 2)), max_size=4)
+
+    def product(c, rs, qs):
+        return math.prod([(X - r) ** m for r, m in rs] + [X**2 + q for q in qs], start=c * Poly.one())
+
+    return st.builds(product, lead, factors, cofactors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_roots_near_integers())
+def test_root_cells_match_sympy_real_roots(p):
+    x = sympy.Symbol("x")
+    sp = sympy.Poly([sympy.Rational(int(c.numerator), int(c.denominator))
+                     for c in reversed(p.coeffs)], x)
+    expected = set()
+    for r in set(sympy.real_roots(sp)):
+        if r >= 0:
+            n = int(sympy.floor(r))
+            expected |= {n, n - 1} if r == n and n >= 1 else {n}
+    assert nonneg_root_cells(p) == sorted(expected)
 
 
 def test_cauchy_bound_contains_roots():

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -16,6 +17,7 @@ from xoppak.exact import (
     Poly,
     RatFunc,
     Rational,
+    gamma_sign,
     pochhammer,
     poly_det,
     rat,
@@ -47,7 +49,7 @@ from xoppak.meixner import (
 )
 from xoppak.numerics import certified_sum, to_mpf
 from xoppak.operators import DifferenceOperator
-from xoppak.pairs import PairSpec, enumerate_pairs, is_admissible
+from xoppak.pairs import PairSpec, enumerate_pairs, hat_c, is_admissible
 
 
 SMALL_PAIRS = [
@@ -339,6 +341,35 @@ def test_positivity_signs_match_admissibility():
             adm = is_admissible(c, pair)
             for a in a_s:
                 assert positivity_by_signs(family(f1, f2, a, c)) == adm, (f1, f2, a, c)
+
+
+def positivity_by_scan(fam):
+    """Weight positivity by evaluating every term up to the larger of the
+    Gamma bound and Omega's root bound: the scan that the root cells replace."""
+    c, k, om = fam.params.c, fam.pair.k, fam.omega
+    top = max(fam.pair.F1.max_elem + hat_c(c) + k + 2, rat_ceil(root_bound(om)) + 1)
+    return all(gamma_sign(n + c + k) * om(n) * om(n + 1) > 0 for n in range(top + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(SMALL_PAIRS),
+    st.sampled_from([rat(-7, 2), rat(-1, 2), rat(3), rat(5, 2)]),
+    st.lists(st.tuples(st.integers(-3, 30), st.sampled_from([0, rat(1, 7), rat(-1, 7), rat(1, 2)]),
+                       st.integers(1, 2)), max_size=3),
+    st.lists(st.integers(-9, 9), max_size=1),
+    st.fractions(-3, 3, max_denominator=4).filter(bool),
+)
+def test_positivity_by_cells_matches_the_scan(pair, c, roots, cofactors, lead):
+    # Omega replaced by products of (x - r)^m with r at or near an integer,
+    # x^2 + q cofactors and a rational leading coefficient
+    om = Poly([lead])
+    for m, d, e in roots:
+        om = om * Poly([-(m + d), 1]) ** e
+    for q in cofactors:
+        om = om * Poly([q, 0, 1])
+    fam = SimpleNamespace(params=SimpleNamespace(c=c), pair=PairSpec(*pair), omega=om)
+    assert positivity_by_signs(fam) == positivity_by_scan(fam)
 
 
 def test_norm_identity_examples():
