@@ -21,10 +21,16 @@ classical one, which is a rational.  Everything is exact.
 The argument needs every weight along the chain to be defined and every
 boundary term to vanish (`weight_refusal`, `boundary_refusal`).  The order of
 the steps is free, so `find_route` tries the orders until one meets them.
+
+The coefficients a step keeps, of B, rest and A*, are each reduced once
+(ratfunc_of_quotients in the kinds' `down_operator` and `adjoint`).  The
+identities that are only compared are zero tests on cleared numerators, with
+no gcd: A m_s = m_n (`lifts`) and A* = kappa B (`_ratio`, kappa read from the
+leading coefficients).
 """
 from __future__ import annotations
 
-from .exact import RatFunc, rat
+from .exact import RatFunc, rat, sum_of_products
 
 
 class Step:
@@ -79,11 +85,17 @@ def _constant(r: RatFunc):
 
 
 def _ratio(P, Q):
-    """The constant kappa with P = kappa Q, or None."""
+    """The constant kappa with P = kappa Q, or None.
+
+    kappa is read from the leading coefficients of one key's numerators and
+    checked at every key by one zero test, P_num Q_den - kappa Q_num P_den."""
     if set(P.coeffs) != set(Q.coeffs) or not P.coeffs:
         return None
-    found = {_constant(P.coeff(key) / Q.coeff(key)) for key in P.coeffs}
-    return found.pop() if len(found) == 1 and None not in found else None
+    pairs = [(p, Q.coeffs[key]) for key, p in P.coeffs.items()]
+    kappa = pairs[0][0].num.leading / pairs[0][1].num.leading
+    same = all(sum_of_products([(1, (p.num, q.den)), (-kappa, (q.num, p.den))]).is_zero
+               for p, q in pairs)
+    return kappa if same else None
 
 
 def _candidates(mod, fam):
@@ -144,7 +156,7 @@ def lifts(step, n):
     s = n - fam.pair.u + low.pair.u
     if s < 0:
         return fam.member(n).is_zero
-    return step.A.apply(low.member(s)) == RatFunc(fam.member(n))
+    return step.A.sends(low.member(s), fam.member(n))
 
 
 def norms(mod, fam, ns):

@@ -10,6 +10,8 @@ at one power of two (Kronecker substitution), so each runs as big-integer
 arithmetic read back once.  Every sum of products outside Poly arithmetic,
 an operator applied to a polynomial among them, is one sum_of_products or
 ratfunc_of_sums; a single product stays on _zmul, which is cheaper for it.
+A sum of quotients is brought over one denominator first: reduced once by
+ratfunc_of_quotients, or tested for zero with no gcd by quotients_vanish.
 """
 from __future__ import annotations
 
@@ -591,6 +593,50 @@ def ratfunc_of_sums(num_terms, den_terms) -> "RatFunc":
     return RatFunc(sum_of_products(terms[:split]), sum_of_products(terms[split:]))
 
 
+# A quotient term (s, nums, dens) stands for s * prod(nums) / prod(dens), for
+# an int or Rational s and Poly factors; a list of them stands for their sum.
+
+
+def scale_terms(terms, s=1, nums=(), dens=()) -> list:
+    """The quotient terms times s * prod(nums) / prod(dens)."""
+    return [(s * t, (*n, *nums), (*d, *dens)) for t, n, d in terms]
+
+
+def _over_one_denominator(terms):
+    """(numerator terms, denominator factors) of a sum of quotient terms.
+
+    The denominator has each factor (by equality) as often as the term that
+    has it most often, and each term's numerator takes the factors its own
+    denominator lacks."""
+    common = []
+    for _, _, dens in terms:
+        unmatched = list(common)
+        for f in dens:
+            if f in unmatched:
+                unmatched.remove(f)
+            else:
+                common.append(f)
+    num = []
+    for s, nums, dens in terms:
+        lacking = list(common)
+        for f in dens:
+            lacking.remove(f)
+        num.append((s, (*nums, *lacking)))
+    return num, common
+
+
+def ratfunc_of_quotients(terms) -> "RatFunc":
+    """The sum of the quotient terms as one ratfunc_of_sums, reduced once."""
+    num, den = _over_one_denominator(terms)
+    return ratfunc_of_sums(num, [(1, den)])
+
+
+def quotients_vanish(terms) -> bool:
+    """Whether the quotient terms sum to zero: one sum_of_products of their
+    numerators over one denominator, with no gcd."""
+    return sum_of_products(_over_one_denominator(terms)[0]).is_zero
+
+
 def poly_det(matrix) -> Poly:
     """Determinant of a square matrix of Poly entries, exactly.
 
@@ -737,6 +783,16 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    @property
+    def terms(self) -> list:
+        """num / den as a list of one quotient term."""
+        return [(1, (self.num,), (self.den,))]
+
+    def derivative_terms(self) -> list:
+        """The derivative (num' den - num den') / den^2 as quotient terms."""
+        return [(1, (self.num.derivative(),), (self.den,)),
+                (-1, (self.num, self.den.derivative()), (self.den, self.den))]
+
     def __add__(self, other):
         other = _coerce_ratfunc(other)
         if other is NotImplemented:
@@ -813,17 +869,27 @@ def nonneg_root_cells(p: Poly) -> list:
     Sturm's theorem counts the distinct roots of p in (lo, hi] as V(lo) - V(hi),
     V the sign variations of the Sturm chain of p's squarefree part q, kept as
     integer numerators (each remainder scaled by a positive factor, so every
-    sign is read without a Fraction).  Bisecting (-1, B], B = 2 + max|q_i| //
-    |q_d| by Cauchy, to unit cells (m, m + 1] places every root; one at an
-    integer m >= 1 lies in the cells m - 1 and m.  Raises on p = 0.
+    sign is read without a Fraction).  The chain of p and p' ends in their
+    gcd, up to a scalar, so it is p's own when that element is a constant;
+    otherwise it is rebuilt once on q = p // gcd.  Bisecting (-1, B],
+    B = 2 + max|q_i| // |q_d| by Cauchy, to unit cells (m, m + 1] places
+    every root; one at an integer m >= 1 lies in the cells m - 1 and m.
+    Raises on p = 0.
     """
     if p.is_zero:
         raise DomainError("root isolation on the zero polynomial")
-    q = p // poly_gcd(p, p.derivative())
-    chain = [q._nums, q.derivative()._nums]
-    while len(chain[-1]) > 1 and (r := _zdivmod(chain[-2], chain[-1])[1]):
-        g = _content(r)
-        chain.append([-c // g for c in r])
+
+    def sturm(q):
+        chain = [q._nums, q.derivative()._nums]
+        while len(chain[-1]) > 1 and (r := _zdivmod(chain[-2], chain[-1])[1]):
+            g = _content(r)
+            chain.append([-c // g for c in r])
+        return chain
+
+    q, chain = p, sturm(p)
+    if len(chain[-1]) > 1:
+        q = p // Poly._make(list(chain[-1]), 1)
+        chain = sturm(q)
 
     def at(x):
         return [reduce(lambda acc, c: acc * x + c, reversed(s), 0) for s in chain]

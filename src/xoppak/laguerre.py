@@ -39,7 +39,9 @@ from .exact import (
     poly_det,
     rat,
     rat_pow,
+    ratfunc_of_quotients,
     ratfunc_of_sums,
+    scale_terms,
     sum_of_products,
     top_row_minors,
 )
@@ -52,7 +54,7 @@ from .meixner import (
     norm_check,
 )
 from .numerics import gamma_rational, laguerre_type_integral, to_mpf
-from .operators import DifferentialOperator
+from .operators import DifferentialOperator, quotient_terms
 from .pairs import PairSpec, involute, is_admissible
 
 # the command line flag of the parameter alpha
@@ -306,8 +308,10 @@ def darboux_identities(fam: LaguerreExcFamily) -> tuple[bool, bool]:
     # the shift constants carry the sign of the eigenvalue convention: with
     # D(member n) = -n * member n the compositions subtract the constants
     down_ok = rest == RatFunc(rat(-(alpha + f - low.pair.u + 1)))
-    up_ok = (A @ B - (operator(fam) - rat(alpha + f - fam.pair.u + 1))).is_zero
-    return down_ok, up_ok
+    # A B = op - C, compared against _operator_terms(fam) key by key
+    op = quotient_terms(_operator_terms(fam))
+    op[0] = op[0] + [(-(alpha + f - fam.pair.u + 1), (), ())]
+    return down_ok, A.compose_equals(B, op)
 
 
 def darboux_intertwining(fam: LaguerreExcFamily, n: int) -> bool:
@@ -334,27 +338,34 @@ def step(fam: LaguerreExcFamily, set_name: str, f: int) -> chain.Step:
         low = LaguerreExcFamily(fam.params, fam.pair.without(set_name, f))
         om, om_lo = fam.omega, low.omega
         a0 = om.derivative() + om if set_name == "F2" else om.derivative()
-        A = DifferentialOperator({1: -RatFunc(om, om_lo), 0: RatFunc(a0, om_lo)})
+        A = DifferentialOperator({1: RatFunc(-om, om_lo), 0: RatFunc(a0, om_lo)})
         got = fam._steps[set_name, f] = chain.Step(
-            set_name, f, fam, low, A, lambda: down_operator(A, operator(low)))
+            set_name, f, fam, low, A, lambda: down_operator(A, low))
     return got
 
 
-def down_operator(A: DifferentialOperator, op: DifferentialOperator):
+def down_operator(A: DifferentialOperator, low: LaguerreExcFamily):
     """(B, rest): the B = b_1 d + b_0 with B A - op = rest, a multiple of
-    the identity, for op the lower family's operator.
+    the identity, for op the operator of the lower family low.
 
     With A = a_1 d + a_0 and op = x d^2 + h_1 d + h_0, B A has
     the d^2 coefficient b_1 a_1 and the d coefficient
     b_1 (a_1' + a_0) + b_0 a_1, so b_1 = x / a_1 and
     b_0 = (h_1 - b_1 (a_1' + a_0)) / a_1 cancel op's exactly.  rest is the
     d^0 coefficient b_1 a_0' + b_0 a_0 - h_0; whether it is a constant is
-    the caller's check.
+    the caller's check.  op is read from _operator_terms(low), numerators
+    over one denominator, so b_1, b_0 and rest are each one
+    ratfunc_of_quotients, reduced once.
     """
+    h = quotient_terms(_operator_terms(low))
     a1, a0 = A.coeff(1), A.coeff(0)
-    b1 = op.coeff(2) / a1
-    b0 = (op.coeff(1) - b1 * (a1.derivative() + a0)) / a1
-    return DifferentialOperator({1: b1, 0: b0}), b1 * a0.derivative() + b0 * a0 - op.coeff(0)
+    b1 = ratfunc_of_quotients(scale_terms(h[2], 1, (a1.den,), (a1.num,)))
+    b1_a = scale_terms(a1.derivative_terms() + a0.terms, -1, (b1.num,), (b1.den,))
+    b0 = ratfunc_of_quotients(scale_terms(h[1] + b1_a, 1, (a1.den,), (a1.num,)))
+    rest = ratfunc_of_quotients(scale_terms(a0.derivative_terms(), 1, (b1.num,), (b1.den,))
+                                + scale_terms(a0.terms, 1, (b0.num,), (b0.den,))
+                                + scale_terms(h[0], -1))
+    return DifferentialOperator({1: b1, 0: b0}), rest
 
 
 def adjoint(A: DifferentialOperator, fam: LaguerreExcFamily, low: LaguerreExcFamily):
@@ -367,14 +378,21 @@ def adjoint(A: DifferentialOperator, fam: LaguerreExcFamily, low: LaguerreExcFam
       rho = w / w_low = x Omega_low^2 / Omega^2,
       w'/w = (alpha+k)/x - 1 - 2 Omega'/Omega,
     and the boundary term [a_1 f g w] from 0 to inf, which vanishes once
-    low's weight is defined (boundary_refusal).
+    low's weight is defined (boundary_refusal).  With w'/w written out,
+      A*_0 = (a_0 - a_1' + a_1) rho - (alpha+k) a_1 Omega_low^2 / Omega^2
+             + 2 a_1 Omega' x Omega_low^2 / Omega^3,
+    and each coefficient is one ratfunc_of_quotients, reduced once.
     """
     om, om_lo = fam.omega, low.omega
     x = Poly.x()
-    rho = RatFunc(x * om_lo * om_lo, om * om)
-    log_w = RatFunc(Poly([fam.params.alpha + fam.pair.k, -1]), x) - RatFunc(2 * om.derivative(), om)
+    lo2, om2 = (om_lo, om_lo), (om, om)
     a1, a0 = A.coeff(1), A.coeff(0)
-    return DifferentialOperator({1: -a1 * rho, 0: (a0 - a1.derivative() - a1 * log_w) * rho})
+    inner = a0.terms + scale_terms(a1.derivative_terms(), -1) + a1.terms
+    at_0 = (scale_terms(inner, 1, (x, *lo2), om2)
+            + scale_terms(a1.terms, -(fam.params.alpha + fam.pair.k), lo2, om2)
+            + scale_terms(a1.terms, 2, (om.derivative(), x, *lo2), (*om2, om)))
+    at_1 = scale_terms(a1.terms, -1, (x, *lo2), om2)
+    return DifferentialOperator({1: ratfunc_of_quotients(at_1), 0: ratfunc_of_quotients(at_0)})
 
 
 def weight_refusal(fam: LaguerreExcFamily):

@@ -35,14 +35,16 @@ from .exact import (
     rat_ceil,
     rat_pow,
     poly_det,
+    ratfunc_of_quotients,
     ratfunc_of_sums,
     rational_det,
     root_bound,
+    scale_terms,
     sum_of_products,
     top_row_minors,
 )
 from .numerics import DPS, certified_sum, gamma_rational, to_mpf
-from .operators import DifferenceOperator
+from .operators import DifferenceOperator, quotient_terms
 from .pairs import PairSpec, hat_c, involute, is_admissible
 
 # the command line flags of the parameters (a, c)
@@ -91,7 +93,7 @@ class MeixnerExcFamily:
         self._minors = top_row_minors(block_rows(params, pair.F1, pair.F2, k + 1))
         self.omega = -self._minors[k] if k % 2 else self._minors[k]
         self._members = {}
-        self._duality = None  # (DualityConstants, {n: (q_n, kappa xi(n))}), once needed
+        self._duality = None  # (DualityConstants, {n: (q_n, kappa xi(n))}, {v: zeta(v)})
         self._op_terms = None  # _operator_terms, once needed
         self._steps = {}  # (set, element) -> its first order step
 
@@ -221,14 +223,16 @@ class DualityConstants:
 
 def duality_check(n: int, v: int, fam: MeixnerExcFamily) -> bool:
     """Exact check of q_n(v) against the scaled primal value m_v(n); the
-    constants, and q_n with kappa xi(n), are built once per family."""
+    constants, q_n with kappa xi(n), and zeta(v) are built once per family."""
     if n < 0:
         raise DomainError(f"dual degree must be nonnegative, got {n}")
-    consts, duals = fam._duality = fam._duality or (DualityConstants(fam), {})
+    consts, duals, zetas = fam._duality = fam._duality or (DualityConstants(fam), {}, {})
     if n not in duals:
         duals[n] = fam.q(n), consts.kappa * consts.xi(n)
+    if v not in zetas:
+        zetas[v] = consts.zeta(v)
     q, scale = duals[n]
-    return q(v) == scale * consts.zeta(v) * fam.member(v)(n)
+    return q(v) == scale * zetas[v] * fam.member(v)(n)
 
 
 # -- second order operator ---------------------------------------------------
@@ -478,8 +482,10 @@ def darboux_identities(fam: MeixnerExcFamily) -> tuple[bool, bool]:
     c = fam.params.c
     f = fam.pair.F2.max_elem
     down_ok = rest == RatFunc(rat(c + f - low.pair.u))
-    up_ok = (A @ B - (operator(fam) + rat(c + f - fam.pair.u))).is_zero
-    return down_ok, up_ok
+    # A B = op + C, compared against _operator_terms(fam) key by key
+    op = quotient_terms(_operator_terms(fam))
+    op[0] = op[0] + [(c + f - fam.pair.u, (), ())]
+    return down_ok, A.compose_equals(B, op)
 
 
 def darboux_intertwining(fam: MeixnerExcFamily, n: int) -> bool:
@@ -506,25 +512,33 @@ def step(fam: MeixnerExcFamily, set_name: str, f: int) -> chain.Step:
         low = MeixnerExcFamily(fam.params, fam.pair.without(set_name, f))
         om, om_lo1 = fam.omega, low.omega.shift(1)
         e = fam.params.a if set_name == "F2" else 1
-        A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1 * e), 1: -RatFunc(om, om_lo1)})
+        A = DifferenceOperator({0: RatFunc(om.shift(1), om_lo1 * e), 1: RatFunc(-om, om_lo1)})
         got = fam._steps[set_name, f] = chain.Step(
-            set_name, f, fam, low, A, lambda: down_operator(A, operator(low)))
+            set_name, f, fam, low, A, lambda: down_operator(A, low))
     return got
 
 
-def down_operator(A: DifferenceOperator, op: DifferenceOperator):
+def down_operator(A: DifferenceOperator, low: MeixnerExcFamily):
     """(B, rest): the B = b_-1 Sh_-1 + b_0 with B A - op = rest, a multiple
-    of the identity, for op the lower family's operator.
+    of the identity, for op the operator of the lower family low.
 
     With A = a_0 + a_1 Sh_1 and op = d_-1 Sh_-1 + d_0 + d_1 Sh_1,
     B A has the Sh_1 coefficient b_0 a_1 and the Sh_-1 coefficient
     b_-1 a_0(x-1), so b_0 = d_1 / a_1 and b_-1 = d_-1 / a_0(x-1) cancel
     op's exactly.  rest is the Sh_0 coefficient b_-1 a_1(x-1) + b_0 a_0 - d_0;
-    whether it is a constant is the caller's check.
+    whether it is a constant is the caller's check.  op is read from
+    _operator_terms(low), numerators over one denominator, so b_-1, b_0 and
+    rest are each one ratfunc_of_quotients, reduced once.
     """
+    d = quotient_terms(_operator_terms(low))
     a0, a1 = A.coeff(0), A.coeff(1)
-    b_minus, b0 = op.coeff(-1) / a0.shift(-1), op.coeff(1) / a1
-    rest = b_minus * a1.shift(-1) + b0 * a0 - op.coeff(0)
+    b_minus = ratfunc_of_quotients(scale_terms(d[-1], 1, (a0.den.shift(-1),), (a0.num.shift(-1),)))
+    b0 = ratfunc_of_quotients(scale_terms(d[1], 1, (a1.den,), (a1.num,)))
+    rest = ratfunc_of_quotients([
+        (1, (b_minus.num, a1.num.shift(-1)), (b_minus.den, a1.den.shift(-1))),
+        (1, (b0.num, a0.num), (b0.den, a0.den)),
+        *scale_terms(d[0], -1),
+    ])
     return DifferenceOperator({-1: b_minus, 0: b0}), rest
 
 
@@ -538,14 +552,17 @@ def adjoint(A: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily)
       rho = w / w_low = (x+c+k_low) Omega_low(x) Omega_low(x+1) / (Omega(x) Omega(x+1)),
       sigma = w(x-1) / w_low(x) = x Omega_low(x) Omega_low(x+1) / (a Omega(x-1) Omega(x)),
     less the boundary term f(0) A*_-1(0) g(-1) w_low(0) of the reindexed
-    sum, which boundary_refusal requires to be 0.
+    sum, which boundary_refusal requires to be 0.  Each coefficient is one
+    ratfunc_of_quotients, reduced once.
     """
     a, c = fam.params.a, fam.params.c
     om, om_lo = fam.omega, low.omega
-    both_lo = om_lo * om_lo.shift(1)
-    rho = RatFunc(Poly([c + low.pair.k, 1]) * both_lo, om * om.shift(1))
-    sigma = RatFunc(Poly.x() * both_lo, om.shift(-1) * om * a)
-    return DifferenceOperator({0: rho * A.coeff(0), -1: sigma * A.coeff(1).shift(-1)})
+    both_lo = (om_lo, om_lo.shift(1))
+    a0, a1 = A.coeff(0), A.coeff(1)
+    rho_a0 = scale_terms(a0.terms, 1, (Poly([c + low.pair.k, 1]), *both_lo), (om, om.shift(1)))
+    sigma_a1 = [(1 / a, (Poly.x(), *both_lo, a1.num.shift(-1)),
+                 (om.shift(-1), om, a1.den.shift(-1)))]
+    return DifferenceOperator({0: ratfunc_of_quotients(rho_a0), -1: ratfunc_of_quotients(sigma_a1)})
 
 
 def weight_refusal(fam: MeixnerExcFamily):

@@ -22,7 +22,7 @@ def perturb_chain(monkeypatch):
                 A, low = step.A, step.low
                 A = type(A)({**A.coeffs, 0: A.coeff(0) * (1 + eps)})
                 return chain.Step(set_name, f, fam, low, A,
-                                  lambda: mod.down_operator(A, mod.operator(low)))
+                                  lambda: mod.down_operator(A, low))
 
             monkeypatch.setattr(mod, "step", planted)
             return

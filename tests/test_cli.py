@@ -468,7 +468,7 @@ def count_solves(monkeypatch) -> list:
     solves = []
     for mod in (meixner, laguerre):
         monkeypatch.setattr(mod, "down_operator",
-                            lambda A, op, solve=mod.down_operator: solves.append(1) or solve(A, op))
+                            lambda A, low, solve=mod.down_operator: solves.append(1) or solve(A, low))
     return solves
 
 

@@ -22,7 +22,9 @@ from xoppak.exact import (
     rat,
     rational_det,
     top_row_minors,
+    _content,
     _iroot,
+    _zdivmod,
 )
 
 X = Poly.x()
@@ -305,6 +307,43 @@ def test_root_cells_match_sympy_real_roots(p):
             n = int(sympy.floor(r))
             expected |= {n, n - 1} if r == n and n >= 1 else {n}
     assert nonneg_root_cells(p) == sorted(expected)
+
+
+def root_cells_by_two_sequences(p):
+    """nonneg_root_cells with a full poly_gcd(p, p') remainder sequence for
+    the squarefree part q, then the Sturm sequence of q and q': the oracle."""
+    q = p // poly_gcd(p, p.derivative())
+    chain = [q._nums, q.derivative()._nums]
+    while len(chain[-1]) > 1 and (r := _zdivmod(chain[-2], chain[-1])[1]):
+        g = _content(r)
+        chain.append([-c // g for c in r])
+
+    def at(x):
+        return [sum(c * x**i for i, c in enumerate(s)) for s in chain]
+
+    def var(x):
+        vals = [v for v in at(x) if v]
+        return sum(u * v < 0 for u, v in zip(vals, vals[1:]))
+
+    cells, todo = [], [(-1, max(map(abs, q._nums)) // abs(q._nums[-1]) + 2)]
+    while todo:
+        lo, hi = todo.pop()
+        if var(lo) == var(hi):
+            continue
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            todo += [(mid, hi), (lo, mid)]
+        else:
+            cells += [lo] * (lo >= 0) + [hi] * (at(hi)[0] == 0)
+    return sorted(set(cells))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_roots_near_integers())
+def test_root_cells_from_one_remainder_sequence_match_two(p):
+    # the Sturm sequence of p and p' ends in their gcd, so a squarefree p
+    # needs no second sequence, and a repeated root one rebuild on p // gcd
+    assert nonneg_root_cells(p) == root_cells_by_two_sequences(p)
 
 
 def test_cauchy_bound_contains_roots():

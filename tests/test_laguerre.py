@@ -39,7 +39,7 @@ from xoppak.laguerre import (
     step,
 )
 from xoppak.numerics import to_mpf
-from xoppak.operators import DifferentialOperator
+from xoppak.operators import DifferentialOperator, quotient_terms
 from xoppak.pairs import PairSpec, enumerate_pairs, involute, is_admissible
 
 
@@ -420,7 +420,7 @@ def test_darboux_pair_is_built_once(monkeypatch):
     # B is solved once per family: darboux_identities reads rest from the memo
     solves = []
     solve = lag.down_operator
-    monkeypatch.setattr(lag, "down_operator", lambda A, op: solves.append(1) or solve(A, op))
+    monkeypatch.setattr(lag, "down_operator", lambda A, low: solves.append(1) or solve(A, low))
     fam = family([1], [2], rat(1, 2))
     assert all(x is y for x, y in zip(darboux_pair(fam), darboux_pair(fam)))
     assert darboux_pair(fam)[0] is step(fam, "F2", 2).A
@@ -464,7 +464,7 @@ def test_f1_step_intertwines_and_its_adjoint_is_minus_b(f1, f2, alpha):
         A, low = one.A, one.low
         assert low.pair == PairSpec([e for e in f1 if e != f], f2)
         op = operator(low)
-        B, rest = down_operator(A, op)
+        B, rest = down_operator(A, low)
         assert one.down == (B, rest)
         assert (B @ A - (op + rat(f + low.pair.u))).is_zero
         assert rest == RatFunc(rat(f + low.pair.u))
@@ -502,8 +502,84 @@ def test_every_step_leaves_only_the_rest(f1, f2, alpha):
     assert why is None and route
     for step in route:
         op = operator(step.low)
-        B, rest = down_operator(step.A, op)
+        B, rest = down_operator(step.A, step.low)
         assert B @ step.A - op == DifferentialOperator({0: rest}), (step.set_name, step.f)
+
+
+# -- the Darboux algebra against RatFunc arithmetic ----------------------------
+#
+# The oracles below reduce after every product, quotient, sum and derivative,
+# as RatFunc arithmetic does; reduced RatFuncs are canonical, so the
+# algebra's one reduction per coefficient must give the same operators.
+
+
+def down_by_ratfuncs(A, op):
+    a1, a0 = A.coeff(1), A.coeff(0)
+    b1 = op.coeff(2) / a1
+    b0 = (op.coeff(1) - b1 * (a1.derivative() + a0)) / a1
+    return DifferentialOperator({1: b1, 0: b0}), b1 * a0.derivative() + b0 * a0 - op.coeff(0)
+
+
+def adjoint_by_ratfuncs(A, fam, low):
+    om, om_lo = fam.omega, low.omega
+    x = Poly.x()
+    rho = RatFunc(x * om_lo * om_lo, om * om)
+    log_w = RatFunc(Poly([fam.params.alpha + fam.pair.k, -1]), x) - RatFunc(2 * om.derivative(), om)
+    a1, a0 = A.coeff(1), A.coeff(0)
+    return DifferentialOperator({1: -a1 * rho, 0: (a0 - a1.derivative() - a1 * log_w) * rho})
+
+
+def compose_by_ratfuncs(P, Q):
+    out = {}
+    for i, a in P.coeffs.items():
+        for j, b in Q.coeffs.items():
+            derivs = [b]
+            for _ in range(i):
+                derivs.append(derivs[-1].derivative())
+            for t in range(i + 1):
+                out[j + t] = out.get(j + t, RatFunc(0)) + a * math.comb(i, t) * derivs[i - t]
+    return DifferentialOperator(out)
+
+
+def ratio_by_division(P, Q):
+    if set(P.coeffs) != set(Q.coeffs) or not P.coeffs:
+        return None
+    found = {chain._constant(P.coeff(key) / Q.coeff(key)) for key in P.coeffs}
+    return found.pop() if len(found) == 1 and None not in found else None
+
+
+@pytest.mark.parametrize("pair", enumerate_pairs(3, 3), ids=repr)
+def test_darboux_algebra_matches_ratfunc_arithmetic(pair):
+    # every step of every family: B, rest, A* and the compositions equal the
+    # RatFunc formulas, and each zero test (lifts, kappa, the up identity)
+    # agrees with the reduced comparison, on a true and on a false instance
+    fam = LaguerreExcFamily(LaguerreParams(rat(1, 2)), pair)
+    for set_name, elems in (("F1", pair.F1.elems), ("F2", pair.F2.elems)):
+        for f in elems:
+            one = step(fam, set_name, f)
+            A, low = one.A, one.low
+            op_low, op = operator(low), operator(fam)
+            B, rest = one.down
+            assert (B, rest) == down_by_ratfuncs(A, op_low), (set_name, f)
+            A_star = adjoint(A, fam, low)
+            assert A_star == adjoint_by_ratfuncs(A, fam, low)
+            for P, Q in ((A, B), (B, A), (op_low, B), (A, op_low)):
+                assert P @ Q == compose_by_ratfuncs(P, Q)
+            off = DifferentialOperator({**B.coeffs, 0: B.coeff(0) * 2})
+            for Q in (B, off):
+                assert chain._ratio(A_star, Q) == ratio_by_division(A_star, Q)
+            assert chain._ratio(A_star, B) is not None
+            for n in fam.pair.sigma_first(2):
+                s = n - fam.pair.u + low.pair.u
+                assert chain.lifts(one, n)
+                for target, holds in ((fam.member(n), True), (2 * fam.member(n), False)):
+                    assert A.sends(low.member(s), target) == (
+                        A.apply(low.member(s)) == RatFunc(target)) == holds
+            up = chain._constant((compose_by_ratfuncs(A, B) - op).coeff(0))
+            for shift, holds in ((up, True), (up + 1, False)):
+                terms = quotient_terms(lag._operator_terms(fam))
+                terms[0] = terms[0] + [(shift, (), ())]
+                assert A.compose_equals(B, terms) == (A @ B - (op + shift)).is_zero == holds
 
 
 @pytest.mark.parametrize("f1, f2, alpha", CHAIN_FAMILIES)

@@ -48,7 +48,7 @@ from xoppak.meixner import (
     weight_refusal,
 )
 from xoppak.numerics import certified_sum, to_mpf
-from xoppak.operators import DifferenceOperator
+from xoppak.operators import DifferenceOperator, quotient_terms
 from xoppak.pairs import PairSpec, enumerate_pairs, hat_c, is_admissible
 
 
@@ -318,6 +318,21 @@ def test_duality_check_examples():
             assert duality_check(n, v, dual2), (n, v)
 
 
+def test_duality_builds_each_zeta_once(monkeypatch):
+    # 4 dual degrees against 4 members: zeta(v) is built once per member v,
+    # not once per (n, v), and each kept value is a fresh build's
+    built = []
+    zeta = DualityConstants.zeta
+    monkeypatch.setattr(DualityConstants, "zeta", lambda self, v: built.append(v) or zeta(self, v))
+    fam = family([1, 2], [1], rat(1, 2), rat(3))
+    vs = fam.pair.sigma_first(4)
+    for n in range(4):
+        for v in vs:
+            assert duality_check(n, v, fam), (n, v)
+    assert built == vs
+    assert fam._duality[2] == {v: zeta(DualityConstants(fam), v) for v in vs}
+
+
 def test_duality_check_rejects_skipped_v():
     fam = family([1], [], rat(1, 2), rat(3))
     with pytest.raises(DomainError):
@@ -486,7 +501,7 @@ def test_darboux_pair_is_built_once(monkeypatch):
     # B is solved once per family: darboux_identities reads rest from the memo
     solves = []
     solve = meixner.down_operator
-    monkeypatch.setattr(meixner, "down_operator", lambda A, op: solves.append(1) or solve(A, op))
+    monkeypatch.setattr(meixner, "down_operator", lambda A, low: solves.append(1) or solve(A, low))
     fam = family([1], [2], rat(1, 2), rat(3))
     assert all(x is y for x, y in zip(darboux_pair(fam), darboux_pair(fam)))
     assert darboux_pair(fam)[0] is step(fam, "F2", 2).A
@@ -534,7 +549,7 @@ def test_f1_step_intertwines_and_its_adjoint_is_kappa_b(f1, f2, a, c):
         A, low = one.A, one.low
         assert low.pair == PairSpec([e for e in f1 if e != f], f2)
         op = operator(low)
-        B, rest = down_operator(A, op)
+        B, rest = down_operator(A, low)
         assert one.down == (B, rest)
         assert (B @ A - (op - rat(f + low.pair.u))).is_zero
         assert rest == RatFunc(rat(-(f + low.pair.u)))
@@ -574,8 +589,80 @@ def test_every_step_leaves_only_the_rest(f1, f2, a, c):
     assert why is None and route
     for step in route:
         op = operator(step.low)
-        B, rest = down_operator(step.A, op)
+        B, rest = down_operator(step.A, step.low)
         assert B @ step.A - op == DifferenceOperator({0: rest}), (step.set_name, step.f)
+
+
+# -- the Darboux algebra against RatFunc arithmetic ----------------------------
+#
+# The oracles below reduce after every product, quotient, sum and shift, as
+# RatFunc arithmetic does; reduced RatFuncs are canonical, so the algebra's
+# one reduction per coefficient must give the same operators.
+
+
+def down_by_ratfuncs(A, op):
+    a0, a1 = A.coeff(0), A.coeff(1)
+    b_minus, b0 = op.coeff(-1) / a0.shift(-1), op.coeff(1) / a1
+    rest = b_minus * a1.shift(-1) + b0 * a0 - op.coeff(0)
+    return DifferenceOperator({-1: b_minus, 0: b0}), rest
+
+
+def adjoint_by_ratfuncs(A, fam, low):
+    a, c = fam.params.a, fam.params.c
+    om, om_lo = fam.omega, low.omega
+    both_lo = om_lo * om_lo.shift(1)
+    rho = RatFunc(Poly([c + low.pair.k, 1]) * both_lo, om * om.shift(1))
+    sigma = RatFunc(Poly.x() * both_lo, om.shift(-1) * om * a)
+    return DifferenceOperator({0: rho * A.coeff(0), -1: sigma * A.coeff(1).shift(-1)})
+
+
+def compose_by_ratfuncs(P, Q):
+    out = {}
+    for i, a in P.coeffs.items():
+        for j, b in Q.coeffs.items():
+            out[i + j] = out.get(i + j, RatFunc(0)) + a * b.shift(i)
+    return DifferenceOperator(out)
+
+
+def ratio_by_division(P, Q):
+    if set(P.coeffs) != set(Q.coeffs) or not P.coeffs:
+        return None
+    found = {chain._constant(P.coeff(key) / Q.coeff(key)) for key in P.coeffs}
+    return found.pop() if len(found) == 1 and None not in found else None
+
+
+@pytest.mark.parametrize("pair", enumerate_pairs(3, 3), ids=repr)
+def test_darboux_algebra_matches_ratfunc_arithmetic(pair):
+    # every step of every family: B, rest, A* and the compositions equal the
+    # RatFunc formulas, and each zero test (lifts, kappa, the up identity)
+    # agrees with the reduced comparison, on a true and on a false instance
+    fam = MeixnerExcFamily(MeixnerParams(rat(1, 2), rat(3)), pair)
+    for set_name, elems in (("F1", pair.F1.elems), ("F2", pair.F2.elems)):
+        for f in elems:
+            one = step(fam, set_name, f)
+            A, low = one.A, one.low
+            op_low, op = operator(low), operator(fam)
+            B, rest = one.down
+            assert (B, rest) == down_by_ratfuncs(A, op_low), (set_name, f)
+            A_star = adjoint(A, fam, low)
+            assert A_star == adjoint_by_ratfuncs(A, fam, low)
+            for P, Q in ((A, B), (B, A), (op_low, B), (A, op_low)):
+                assert P @ Q == compose_by_ratfuncs(P, Q)
+            off = DifferenceOperator({**B.coeffs, 0: B.coeff(0) * 2})
+            for Q in (B, off):
+                assert chain._ratio(A_star, Q) == ratio_by_division(A_star, Q)
+            assert chain._ratio(A_star, B) is not None
+            for n in fam.pair.sigma_first(2):
+                s = n - fam.pair.u + low.pair.u
+                assert chain.lifts(one, n)
+                for target, holds in ((fam.member(n), True), (2 * fam.member(n), False)):
+                    assert A.sends(low.member(s), target) == (
+                        A.apply(low.member(s)) == RatFunc(target)) == holds
+            up = chain._constant((compose_by_ratfuncs(A, B) - op).coeff(0))
+            for shift, holds in ((up, True), (up + 1, False)):
+                terms = quotient_terms(meixner._operator_terms(fam))
+                terms[0] = terms[0] + [(shift, (), ())]
+                assert A.compose_equals(B, terms) == (A @ B - (op + shift)).is_zero == holds
 
 
 @pytest.mark.parametrize("f1, f2, a, c", CHAIN_FAMILIES)
