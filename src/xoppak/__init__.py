@@ -3,13 +3,15 @@
 Members come from Casorati or Wronskian determinants over a pair of finite
 index sets, with exact rational arithmetic throughout.  Submodules:
 
-- exact: rationals, polynomials, rational functions, Sturm root counts
+- exact: rationals, polynomials, rational functions, Sturm root cells
+  (nonneg_root_cells)
 - classical: the classical Meixner and Laguerre bases
 - pairs: index pairs, the degree set sigma, admissibility
 - meixner, laguerre: the exceptional families and their identity checks
 - chain: exact squared norms along a Darboux chain to the classical family
 - operators: difference and differential operator algebra
-- numerics: certified sums and quadrature on top of mpmath
+- numerics: certified sums and quadrature on top of mpmath, loaded on the
+  first float
 - sweep: conjecture sweeps over enumerated pairs
 - cli: the xoppak command line tool
 """

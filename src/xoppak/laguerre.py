@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from math import comb
 
-import mpmath as mp
-
 from . import chain
 from .classical import LaguerreParams, MeixnerParams, laguerre
 from .exact import (
@@ -53,7 +51,7 @@ from .meixner import (
     fitted_representation,
     norm_check,
 )
-from .numerics import gamma_rational, laguerre_type_integral, to_mpf
+from .numerics import gamma_rational, laguerre_type_integral, mp, to_mpf
 from .operators import DifferentialOperator, quotient_terms
 from .pairs import PairSpec, involute, is_admissible
 

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from math import comb
 
-import mpmath as mp
-
 from . import chain
 from .classical import MeixnerParams, meixner_raw
 from .exact import (
@@ -43,7 +41,7 @@ from .exact import (
     sum_of_products,
     top_row_minors,
 )
-from .numerics import DPS, certified_sum, gamma_rational, to_mpf
+from .numerics import DPS, certified_sum, gamma_rational, mp, to_mpf
 from .operators import DifferenceOperator, quotient_terms
 from .pairs import PairSpec, hat_c, involute, is_admissible
 
@@ -335,9 +333,19 @@ def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol):
     return res, gamma_rational(c + k)
 
 
-# the relative rounding allowance of every norms row, ten digits short of the
-# DPS working digits: far above the rounding of the value and the closed form
-ROUNDING = mp.mpf(10) ** (10 - DPS)
+def _rounding() -> mp.mpf:
+    # the relative rounding allowance of every norms row, ten digits short of the
+    # DPS working digits: far above the rounding of the value and the closed form
+    return mp.mpf(10) ** (10 - DPS)
+
+
+def __getattr__(name):
+    # ROUNDING, an mpf, is made when read, so that importing the module loads no mpmath
+    if name == "ROUNDING":
+        return _rounding()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 # the certified sum of a squared norm stops once its tail is at most this
 # fraction of the sum
 NORM_SUM_TOL = rat(1, 4 * 10**10)
@@ -374,7 +382,7 @@ def norm_check(r, value, closed, allowance, converged) -> NormCheck:
     error estimate); ROUNDING |closed| covers the rounding.  The row passes
     when the value met its own stopping rule and lies within both.
     """
-    err, bound = abs(value - closed), allowance + ROUNDING * abs(closed)
+    err, bound = abs(value - closed), allowance + _rounding() * abs(closed)
     rel_err, rel_bound = err / abs(closed), bound / abs(closed)
     return NormCheck(r, value, closed, rel_err, rel_bound, converged and err <= bound, converged)
 

@@ -10,23 +10,48 @@ quadrature of a Laguerre integral on the finite part, in t with x = t^q on
 [0, 1] so that the integrand is analytic at t = 0, is not certified: it
 carries mpmath's error estimate, not a bound.
 
-Every numeric value is computed at DPS decimal digits.
+Every numeric value is computed at DPS decimal digits.  Every float of the
+package is made through `mp`, which stands for mpmath: the first attribute
+read imports mpmath and sets its global precision to DPS.  Only the norms
+rows that fall back to numerics (a Meixner sum's Gamma carrier and closed
+form, a Laguerre quadrature) make one, so construct, sweep, admissible,
+every other check and every Darboux chain row run without loading mpmath.
 """
 from __future__ import annotations
 
-import mpmath as mp
+import functools
 
 from .exact import DomainError, Poly, PoleError, is_integer, rat, rat_ceil, rat_pow, root_bound
 
 # the working precision in decimal digits
 DPS = 50
-mp.mp.dps = DPS
 # certified_sum gives up after this many terms
 MAX_SUM_TERMS = 200000
 # the tanh-sinh levels a pair short of its target may run past guess_degree(prec),
 # which "will sometimes be wrong" (mpmath; mp.quad takes maxdegree for that):
 # the [1, U] pass of some Laguerre norms meets eps/8 only one level later
 EXTRA_LEVELS = 1
+
+
+@functools.cache
+def _mpmath():
+    """mpmath, imported and set to DPS digits by the first call."""
+    import mpmath
+
+    mpmath.mp.dps = DPS
+    return mpmath
+
+
+class _Mpmath:
+    """Stands for the mpmath module: the first attribute read loads it."""
+
+    def __getattr__(self, name):
+        value = getattr(_mpmath(), name)
+        setattr(self, name, value)  # the next read of name finds it without this call
+        return value
+
+
+mp = _Mpmath()
 
 
 def to_mpf(q) -> mp.mpf:

@@ -1,15 +1,22 @@
 """Tests for numeric evaluation and certified summation/integration."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import xoppak
 from xoppak.exact import Poly, PoleError, pochhammer, rat
 from xoppak.classical import LaguerreParams, MeixnerParams, laguerre, meixner
 from xoppak.laguerre import LaguerreExcFamily, nonvanishing, norm_closed_form
 from xoppak.numerics import (
+    DPS,
     QuadResult,
     certified_sum,
     gamma_rational,
@@ -21,7 +28,7 @@ from xoppak.pairs import PairSpec
 
 
 def close(x, y, tol=None):
-    tol = mp.mpf(10) ** (-(mp.mp.dps - 10)) if tol is None else mp.mpf(tol)
+    tol = mp.mpf(10) ** (10 - DPS) if tol is None else mp.mpf(tol)
     return abs(mp.mpf(x) - mp.mpf(y)) <= tol * max(1, abs(mp.mpf(y)))
 
 
@@ -32,6 +39,50 @@ def test_gamma_rational_values():
     assert close(gamma_rational(rat(-1, 2)), -2 * mp.sqrt(mp.pi))
     with pytest.raises(PoleError):
         gamma_rational(-3)
+
+
+# in-process runs of the command line tool that make no float, then one that
+# does; prints whether mpmath was loaded after each, and mpmath's precision
+IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+loaded = {}
+import xoppak
+loaded["import xoppak"] = "mpmath" in sys.modules
+from xoppak import cli, numerics
+loaded["import xoppak.cli"] = "mpmath" in sys.modules
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded[" ".join(argv)] = "mpmath" in sys.modules if code == 0 else f"exit {code}"
+loaded["xoppak.numerics"] = "xoppak.numerics" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[2]))
+mpmath = sys.modules.get("mpmath")
+loaded["float"] = code == 0 and mpmath is not None and mpmath.mp.dps == numerics.DPS
+print(json.dumps(loaded))
+"""
+
+
+def test_mpmath_loads_on_the_first_float():
+    exact_runs = [
+        ["construct", "--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"],
+        ["construct", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"],
+        ["sweep", "2", "2", "--a", "1/2", "--c", "3", "--alpha", "1/2"],
+        ["verify", "--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"],
+        ["verify", "--kind", "laguerre", "--F2", "1", "--alpha", "1/2"],
+    ]
+    numeric = ["verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2", "--checks", "norms"]
+    src = str(Path(xoppak.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, json.dumps(exact_runs),
+                          json.dumps(numeric)], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    loaded = json.loads(out.stdout)
+    assert loaded.pop("xoppak.numerics") is True
+    assert loaded.pop("float") is True
+    assert loaded == {name: False for name in
+                      ["import xoppak", "import xoppak.cli", *map(" ".join, exact_runs)]}
 
 
 def test_ratio_cutoff_certificate():
