@@ -30,13 +30,11 @@ from .exact import (
     nonneg_root_cells,
     pochhammer,
     rat,
-    rat_ceil,
     rat_pow,
     poly_det,
     ratfunc_of_quotients,
     ratfunc_of_sums,
     rational_det,
-    root_bound,
     scale_terms,
     sum_of_products,
     top_row_minors,
@@ -575,25 +573,22 @@ def adjoint(A: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily)
 
 def weight_refusal(fam: MeixnerExcFamily):
     """Why fam's weight sums are not defined, or None: they need 0 < a < 1
-    and no zero of Omega at an integer x >= 0 (searched by _integer_zero
-    only when Omega has a root cell, nonneg_root_cells)."""
+    and no zero of Omega at an integer x >= 0 (_integer_zero)."""
     a = fam.params.a
     if not 0 < a < 1:
         return f"the weight sums need 0 < a < 1, got a={a}"
-    x = _integer_zero(fam.omega) if nonneg_root_cells(fam.omega) else None
+    x = _integer_zero(fam.omega)
     return None if x is None else f"Omega of {fam.pair!r} vanishes at x={x}"
 
 
 def _integer_zero(om: Poly):
-    """The least integer x >= 0 with Omega(x) = 0, or None.  Every root lies
-    within Omega's root bound, and an integer root x >= 1 of Omega's integer
-    numerators divides their constant term a0 (rational root theorem), so
-    only the divisors of a0 up to the bound are evaluated; a0 = 0 gives 0."""
-    a0 = (om._nums or (0,))[0]
-    if not a0:
+    """The least integer x >= 0 with Omega(x) = 0, or None.  A zero at an
+    integer m >= 1 lies in the root cells m - 1 and m, and one at 0 in cell
+    0 (nonneg_root_cells), so Omega is evaluated at its cells only; the zero
+    polynomial gives 0."""
+    if om.is_zero:
         return 0
-    top = min(rat_ceil(root_bound(om)), abs(a0))
-    return next((x for x in range(1, top + 1) if a0 % x == 0 and om(x) == 0), None)
+    return next((x for x in nonneg_root_cells(om) if om(x) == 0), None)
 
 
 def boundary_refusal(A_star: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily):

@@ -10,7 +10,9 @@ Each coefficient an operator keeps, of a composition or an application, is
 one ratfunc_of_quotients over the cleared numerators of its quotient terms,
 reduced once.  An identity that is only compared, A p = q (`sends`) or
 A B = C (`compose_equals`), is one quotients_vanish zero test per key, with
-no gcd.
+no gcd.  The operators' +, -, apply and compose are reached from the
+tests only, as their reference arithmetic, and bench/tracing.py names the
+spans operators.apply and operators.compose, so they stay.
 """
 from __future__ import annotations
 

@@ -14,7 +14,6 @@ from .exact import (
     InternalInconsistencyError,
     ParameterError,
     is_integer,
-    pochhammer,
     rat,
     rat_ceil,
 )
@@ -168,27 +167,20 @@ def admissibility_witnesses(c, pair: PairSpec):
 
     The quotient prod_{F1}(x-f) prod_{F2}(x+c+f) / (x+c)_hat has constant
     sign behaviour beyond a finite bound, so a finite scan decides; factor
-    positivity just past the bound is checked as well.
+    positivity just past the bound is checked as well.  x is a witness when
+    no factor x-f or x+c+f is 0 and an odd number of factors is negative,
+    the max(hat - x, 0) of (x+c)_hat among them (hat_c's sign law).
     """
     c = rat(c)
     h = hat_c(c)
     bound = pair.F1.max_elem + h + pair.k + 1
     witnesses = []
     for x in range(0, bound + 1):
-        num = rat(1)
-        for f in pair.F1:
-            num *= x - f
-        for f in pair.F2:
-            num *= x + c + f
-        val = num / pochhammer(x + c, h)
-        if val < 0:
+        factors = [x - f for f in pair.F1] + [x + c + f for f in pair.F2]
+        if all(factors) and (sum(v < 0 for v in factors) + max(h - x, 0)) % 2:
             witnesses.append(x)
     xb = bound + 1
-    if not (
-        all(xb - f > 0 for f in pair.F1)
-        and all(xb + c + f > 0 for f in pair.F2)
-        and pochhammer(xb + c, h) > 0
-    ):
+    if min([xb - f for f in pair.F1] + [xb + c + f for f in pair.F2] + [xb + c]) <= 0:
         raise InternalInconsistencyError(f"factors not positive past the scan bound {bound}")
     return witnesses
 

@@ -1,9 +1,14 @@
 """Command line tool: verbs, payload shapes, exit codes."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
+import xoppak
 from xoppak import chain, cli, laguerre, meixner, numerics
 from xoppak.classical import LaguerreParams
 from xoppak.exact import InternalInconsistencyError, PoleError, Poly, rat
@@ -851,3 +856,24 @@ def test_usage_error_without_verb():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--kind", "meixner", "--F1", "1,2", "--a", "99999999/100000000", "--c", "3"],
+    ["sweep", "2", "2", "--a", "9999999/10000000", "--c", "3"],
+    ["admissible", "--kind", "meixner", "--F1", "1,2", "--c", "-3999/2"],
+], ids=["verify-near-1", "sweep-near-1", "admissible-very-negative-c"])
+def test_half_line_decisions_finish_in_a_fresh_interpreter(argv):
+    # Omega's integer zeros are read from its root cells, whose count does not
+    # grow as a nears 1, and admissibility counts negative factors instead of
+    # multiplying out (x+c)_hat, whose length grows with -c
+    src = str(Path(xoppak.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "xoppak", *argv], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=30)
+    assert out.returncode == 0, out.stderr
+    doc = json.loads(out.stdout)
+    if argv[0] == "verify":
+        assert doc["status"] == "pass"
+    if argv[0] == "admissible":
+        assert len(doc["witnesses"]) == 999

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xoppak import chain, cli, meixner
 from xoppak.classical import MeixnerParams, meixner_raw
@@ -707,10 +707,18 @@ def plain_integer_zero(om):
     st.lists(st.integers(-9, 9), min_size=1, max_size=4).filter(any),
     st.integers(1, 12),
 )
-def test_integer_zero_by_divisors_matches_the_plain_scan(roots, rational_roots, cofactor, den):
-    # integer roots from 0 up past the small divisors of the constant term,
-    # rational roots p/q, and a rational cofactor
+# a zero at 0 (constant term 0), an integer root m in the cells m - 1 and m,
+# a double integer root, and the zero polynomial, which gives 0
+@example([0], [], [1], 1)
+@example([7], [(15, 2)], [3, 1], 2)
+@example([5, 5], [], [-2, 0, 1], 3)
+@example([], [], [0], 1)
+def test_integer_zero_by_root_cells_matches_the_plain_scan(roots, rational_roots, cofactor, den):
+    # integer roots from 0 up, rational roots p/q, and a rational cofactor
     om = Poly([rat(c, den) for c in cofactor])
+    if om.is_zero:
+        assert meixner._integer_zero(om) == 0
+        return
     for r in roots:
         om = om * Poly([-r, 1])
     for p, q in rational_roots:

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xoppak.exact import DomainError, ParameterError, pochhammer, rat
 from xoppak.pairs import (
@@ -185,6 +186,34 @@ def test_ladm_properties():
             if not pair.F1.elems:
                 # empty first set: admissible exactly for positive c
                 assert adm == (c > 0), (c, pair)
+
+
+def product_form_witnesses(c, pair):
+    """The x >= 0 with prod_{F1}(x-f) prod_{F2}(x+c+f) / (x+c)_hat < 0, each
+    quotient multiplied out, over a window past every factor's last sign change."""
+    h = hat_c(c)
+    out = []
+    for x in range(pair.F1.max_elem + h + pair.k + 10):
+        num = rat(1)
+        for v in [x - f for f in pair.F1] + [x + c + f for f in pair.F2]:
+            num *= v
+        if num / pochhammer(x + c, h) < 0:
+            out.append(x)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(enumerate_pairs(4, 4)),
+    st.integers(1, 7).flatmap(lambda q: st.tuples(st.integers(-40 * q, 40 * q), st.just(q))),
+)
+def test_admissibility_witnesses_match_the_product_form(pair, pq):
+    c = rat(*pq)
+    if c <= 0 and c.denominator == 1:
+        with pytest.raises(ParameterError):
+            admissibility_witnesses(c, pair)
+        return
+    assert admissibility_witnesses(c, pair) == product_form_witnesses(c, pair)
 
 
 def test_enumerate_pairs_counts():
