@@ -874,9 +874,9 @@ def nonneg_root_cells(p: Poly) -> list:
     sign is read without a Fraction).  The chain of p and p' ends in their
     gcd, up to a scalar, so it is p's own when that element is a constant;
     otherwise it is rebuilt once on q = p // gcd.  Bisecting (-1, B],
-    B = 2 + max|q_i| // |q_d| by Cauchy, to unit cells (m, m + 1] places
-    every root; one at an integer m >= 1 lies in the cells m - 1 and m.
-    Raises on p = 0.
+    B = ceil(root_bound(q)), to unit cells (m, m + 1] places every root; one
+    at an integer m >= 1 lies in the cells m - 1 and m, and one at B is read
+    by q(B) = 0.  Raises on p = 0.
     """
     if p.is_zero:
         raise DomainError("root isolation on the zero polynomial")
@@ -909,7 +909,7 @@ def nonneg_root_cells(p: Poly) -> list:
             last = sign or last
         return count
 
-    cells, todo = [], [(-1, max(map(abs, q._nums)) // abs(q._nums[-1]) + 2)]
+    cells, todo = [], [(-1, rat_ceil(root_bound(q)))]
     while todo:
         lo, hi = todo.pop()
         if var(lo) == var(hi):
@@ -920,15 +920,6 @@ def nonneg_root_cells(p: Poly) -> list:
         else:
             cells += [lo] * (lo >= 0) + [hi] * (q(hi) == 0)
     return sorted(set(cells))
-
-
-def cauchy_root_bound(p: Poly):
-    """Rational B with all complex roots of p inside |z| <= B."""
-    if p.is_zero or p.degree <= 0:
-        return rat(1)
-    lc = abs(p.leading)
-    m = max(abs(c) for c in p.coeffs[:-1])
-    return rat(1) + m / lc
 
 
 def _iroot(n, i):
@@ -943,30 +934,22 @@ def _iroot(n, i):
     return lo, lo**i == n
 
 
-def _nth_root_upper(q, i: int):
-    """Smallest convenient integer upper bound for q**(1/i), q >= 0 rational."""
-    n = int(rat_ceil(q))
-    if n <= 0:
-        return 0
-    root, exact = _iroot(n, i)
-    return root if exact else root + 1
-
-
 def root_bound(p: Poly):
     """Rational B with all complex roots of p inside |z| <= B.
 
     Takes the smaller of the Cauchy bound 1 + max|a_i|/|a_d| and the Fujiwara
-    style bound 2 * max_i |a_{d-i}/a_d|**(1/i); the latter stays proportional
-    to the largest root magnitude even when the coefficient spread is wide.
+    style bound 2 * max_i ceil(|a_{d-i}/a_d|)**(1/i), rounded up; the latter
+    stays proportional to the largest root magnitude even when the coefficient
+    spread is wide.  Both read p's integer numerators, whose ratios are those
+    of its coefficients.
     """
-    if p.is_zero or p.degree <= 0:
+    nums = p._nums
+    if len(nums) <= 1:
         return rat(1)
-    lc = abs(p.leading)
-    d = p.degree
+    lc, d = abs(nums[-1]), len(nums) - 1
     fuji = 0
     for i in range(1, d + 1):
-        a = abs(p.coeff(d - i))
-        if a == 0:
-            continue
-        fuji = max(fuji, _nth_root_upper(a / lc, i))
-    return min(rat(2 * fuji) if fuji else rat(0), cauchy_root_bound(p))
+        if a := abs(nums[d - i]):
+            root, exact = _iroot(-(-a // lc), i)
+            fuji = max(fuji, root + (not exact))
+    return min(rat(2 * fuji), rat(lc + max(map(abs, nums[:-1])), lc))

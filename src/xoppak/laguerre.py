@@ -19,6 +19,7 @@ norms go through tail-bounded quadrature.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from math import comb
 
 from . import chain
@@ -115,6 +116,12 @@ class LaguerreExcFamily:
     def __repr__(self):
         return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
 
+    @cached_property
+    def omega_cells(self) -> list:
+        """Omega's root cells on [0, inf) (nonneg_root_cells), isolated once,
+        when nonvanishing first reads them.  Raises on Omega = 0."""
+        return nonneg_root_cells(self.omega)
+
     def member(self, n: int) -> Poly:
         """Family member of degree n; the zero polynomial off the index set."""
         if n < 0:
@@ -191,8 +198,8 @@ def eigen_residual(n: int, fam: LaguerreExcFamily) -> Poly:
 
 
 def nonvanishing(fam: LaguerreExcFamily) -> bool:
-    """Exact decision: Omega has no real root in [0, inf)."""
-    return not nonneg_root_cells(fam.omega)
+    """Exact decision: Omega has no real root in [0, inf) (omega_cells)."""
+    return not fam.omega_cells
 
 
 def inner_product(fam: LaguerreExcFamily, pairs) -> dict:

@@ -16,6 +16,7 @@ the classical family; certified summation is the norms' fallback.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from math import comb
 
 from . import chain
@@ -95,6 +96,13 @@ class MeixnerExcFamily:
 
     def __repr__(self):
         return f"MeixnerExcFamily({self.params!r}, {self.pair!r})"
+
+    @cached_property
+    def omega_cells(self) -> list:
+        """Omega's root cells on x >= 0 (nonneg_root_cells), isolated once,
+        when first read: Omega's integer zeros and the weight's signs are
+        decided from them.  Raises on Omega = 0."""
+        return nonneg_root_cells(self.omega)
 
     @property
     def lam(self) -> Poly:
@@ -293,11 +301,11 @@ def positivity_by_signs(fam: MeixnerExcFamily) -> bool:
     Term n has the sign of Gamma(n + c + k) Omega(n) Omega(n + 1).  Past
     max(F1) + ceil shift of c + k + 2 the Gamma factor is positive, and
     Omega(n) Omega(n + 1) <= 0 needs a root of Omega in [n, n + 1], so the
-    integers up to that bound and Omega's root cells (nonneg_root_cells)
-    decide every term.
+    integers up to that bound and Omega's root cells (omega_cells) decide
+    every term.
     """
     c, k, om = fam.params.c, fam.pair.k, fam.omega
-    ns = [*range(fam.pair.F1.max_elem + hat_c(c) + k + 3), *nonneg_root_cells(om)]
+    ns = [*range(fam.pair.F1.max_elem + hat_c(c) + k + 3), *fam.omega_cells]
     return all(gamma_sign(n + c + k) * om(n) * om(n + 1) > 0 for n in ns)
 
 
@@ -337,13 +345,6 @@ def _rounding() -> mp.mpf:
     return mp.mpf(10) ** (10 - DPS)
 
 
-def __getattr__(name):
-    # ROUNDING, an mpf, is made when read, so that importing the module loads no mpmath
-    if name == "ROUNDING":
-        return _rounding()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 # the certified sum of a squared norm stops once its tail is at most this
 # fraction of the sum
 NORM_SUM_TOL = rat(1, 4 * 10**10)
@@ -377,7 +378,7 @@ def norm_check(r, value, closed, allowance, converged) -> NormCheck:
     """The verdict on one numeric squared norm against its closed form.
 
     allowance bounds the numeric error (a certified tail, plus a quadrature's
-    error estimate); ROUNDING |closed| covers the rounding.  The row passes
+    error estimate); _rounding() |closed| covers the rounding.  The row passes
     when the value met its own stopping rule and lies within both.
     """
     err, bound = abs(value - closed), allowance + _rounding() * abs(closed)
@@ -577,18 +578,19 @@ def weight_refusal(fam: MeixnerExcFamily):
     a = fam.params.a
     if not 0 < a < 1:
         return f"the weight sums need 0 < a < 1, got a={a}"
-    x = _integer_zero(fam.omega)
+    x = _integer_zero(fam)
     return None if x is None else f"Omega of {fam.pair!r} vanishes at x={x}"
 
 
-def _integer_zero(om: Poly):
+def _integer_zero(fam: MeixnerExcFamily):
     """The least integer x >= 0 with Omega(x) = 0, or None.  A zero at an
     integer m >= 1 lies in the root cells m - 1 and m, and one at 0 in cell
-    0 (nonneg_root_cells), so Omega is evaluated at its cells only; the zero
-    polynomial gives 0."""
+    0 (omega_cells), so Omega is evaluated at its cells only; Omega = 0
+    gives 0."""
+    om = fam.omega
     if om.is_zero:
         return 0
-    return next((x for x in nonneg_root_cells(om) if om(x) == 0), None)
+    return next((x for x in fam.omega_cells if om(x) == 0), None)
 
 
 def boundary_refusal(A_star: DifferenceOperator, fam: MeixnerExcFamily, low: MeixnerExcFamily):
@@ -634,7 +636,7 @@ def alt_representation(n: int, fam: MeixnerExcFamily) -> AltRepReport:
     v = pair.v
     if n < v:
         raise DomainError(f"alternative representation needs n >= {v}, got {n}")
-    x = _integer_zero(fam.omega)
+    x = _integer_zero(fam)
     if x is not None:
         raise DomainError(f"Omega vanishes at x={x}; representation undefined")
     G1, G2 = involute(pair.F1), involute(pair.F2)

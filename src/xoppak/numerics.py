@@ -92,7 +92,7 @@ def ratio_cutoff(scale, factors):
     """Certified (X0, r) for a term ratio in factored form.
 
     The ratio is scale * prod_i P_i(x + s_i)/P_i(x) with |scale| < 1 and the
-    ratio tending to scale.  For x beyond the Cauchy root bound B of P, every
+    ratio tending to scale.  For x beyond the root bound B of P, every
     root rho of P satisfies |x + s - rho| <= |x - rho| + |s| and
     |x - rho| >= x - B, so |P(x+s)/P(x)| <= (1 + |s|/(x-B))^deg(P).  The
     resulting bound on the ratio is decreasing in x; the least integer X0

@@ -1,8 +1,15 @@
 """Fixtures shared by the test modules."""
 import pytest
 
-from xoppak import chain
+from xoppak import chain, numerics
 from xoppak.exact import rat
+
+# mpmath's precision is global, and the package sets it to numerics.DPS digits
+# on its first float.  The tests' own mpmath reference values are compared at
+# that precision, so it is set here, before any test module runs, rather than
+# by whichever module happens to make the first float: each module then gives
+# the same results alone as in the full suite.
+numerics._mpmath()
 
 
 @pytest.fixture

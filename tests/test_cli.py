@@ -497,6 +497,27 @@ def test_each_first_order_step_is_solved_once(capsys, monkeypatch, flags, checks
     assert len(solves) == want
 
 
+@pytest.mark.parametrize(
+    "flags, want",
+    [
+        (["--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "1/2", "--c", "3"], 4),
+        (["--kind", "laguerre", "--F1", "1,2", "--alpha", "1/2"], 3),
+    ],
+    ids=["meixner", "laguerre"],
+)
+def test_each_omega_is_isolated_once(capsys, monkeypatch, flags, want):
+    # the default checks read where Omega vanishes on the half line from the
+    # family's omega_cells: one root isolation per distinct Omega, of the
+    # family and of the lower families of its Darboux chain
+    isolated = []
+    for mod in (meixner, laguerre):
+        monkeypatch.setattr(mod, "nonneg_root_cells",
+                            lambda p, cells=mod.nonneg_root_cells: isolated.append(p) or cells(p))
+    code, _, _ = run(capsys, "verify", *flags)
+    assert code == 0
+    assert len(isolated) == len({p.coeffs for p in isolated}) == want
+
+
 def test_duality_builds_each_dual_member_once(capsys, monkeypatch):
     # 4 dual degrees against 4 members: one q_n per degree and one set of
     # constants for the family, not one of each per (n, v)

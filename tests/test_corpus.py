@@ -27,7 +27,9 @@ What the runs exercise:
 - `laguerre numeric norms alpha<-1`: (1; -) at alpha = -3/2, where no chain
   step exists and the norms are tail-bounded quadrature (its floats depend on
   mpmath's quadrature, so a new mpmath may need the file regenerated).
-- `sweep 3 3`, two `construct` runs and two `admissible` runs.
+- `sweep 3 3` and `sweep 4 4`, two `construct` runs and two `admissible`
+  runs.  `sweep 4 4` reaches 162 Meixner Omega, whose root bounds and root
+  cells decide each cell's half-line checks.
 """
 import contextlib
 import hashlib
@@ -68,6 +70,7 @@ NAMED = {
         "verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
         "--checks", "norms,nonvanish"],
     "sweep 3 3": ["sweep", "3", "3", "--a", "1/2", "--c", "3", "--alpha", "1/2"],
+    "sweep 4 4": ["sweep", "4", "4", "--a", "1/2", "--c", "3", "--alpha", "1/2"],
     "construct meixner": [
         "construct", "--kind", "meixner", "--F1", "1,2", "--F2", "1", "--a", "4/5", "--c", "3"],
     "construct laguerre": ["construct", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2"],

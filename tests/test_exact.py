@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xoppak.exact import (
     DomainError,
@@ -13,14 +13,15 @@ from xoppak.exact import (
     Poly,
     RatFunc,
     Rational,
-    cauchy_root_bound,
     gamma_sign,
     nonneg_root_cells,
     pochhammer,
     poly_det,
     poly_gcd,
     rat,
+    rat_ceil,
     rational_det,
+    root_bound,
     top_row_minors,
     _content,
     _iroot,
@@ -346,10 +347,45 @@ def test_root_cells_from_one_remainder_sequence_match_two(p):
     assert nonneg_root_cells(p) == root_cells_by_two_sequences(p)
 
 
-def test_cauchy_bound_contains_roots():
-    p = (X - 3) * (X + 5) * (2 * X - 1)
-    b = cauchy_root_bound(p)
-    assert b > 5
+def reference_root_bound(p):
+    """min(Cauchy, Fujiwara) computed on p's Rational coefficients: the
+    oracle of root_bound, which reads p's integer numerators."""
+    if p.is_zero or p.degree <= 0:
+        return rat(1)
+    lc, d = abs(p.leading), p.degree
+
+    def nth_root_upper(q, i):
+        n = int(rat_ceil(q))
+        if n <= 0:
+            return 0
+        root, exact = _iroot(n, i)
+        return root if exact else root + 1
+
+    fuji = 0
+    for i in range(1, d + 1):
+        a = abs(p.coeff(d - i))
+        if a:
+            fuji = max(fuji, nth_root_upper(a / lc, i))
+    cauchy = rat(1) + max(abs(c) for c in p.coeffs[:-1]) / lc
+    return min(rat(2 * fuji) if fuji else rat(0), cauchy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys_with_roots_near_integers())
+@example((X - 3) * (X + 5) * (2 * X - 1))
+@example(Poly.constant(rat(-2, 3)))
+@example(rat(3, 4) * X**3)
+def test_root_bound_is_the_rational_formula_and_bounds_every_root(p):
+    b = root_bound(p)
+    assert type(b) is Rational and b == reference_root_bound(p)
+    if p.degree >= 1:
+        x = sympy.Symbol("x")
+        sp = sympy.Poly([sympy.Rational(int(c.numerator), int(c.denominator))
+                         for c in reversed(p.coeffs)], x)
+        # p's roots are those of its squarefree part, whose simple roots
+        # nroots finds without the iterations a repeated root takes
+        for z in sp.sqf_part().nroots():
+            assert abs(complex(z)) <= float(b) * (1 + 1e-9) + 1e-12, (z, b)
 
 
 @given(st.integers(min_value=0, max_value=10**40))

@@ -241,6 +241,20 @@ def test_nonvanishing_without_admissibility():
     assert not is_admissible(rat(-5, 2), fam.pair)
 
 
+def test_omega_cells_are_kept_once_isolated_and_not_on_a_zero_omega():
+    # the first read isolates Omega's root cells and the family keeps them;
+    # on Omega = 0 the isolation raises each time and nothing is kept
+    fam = family([1], [], rat(1, 2))
+    assert not nonvanishing(fam) and vars(fam)["omega_cells"] == [1]
+    assert fam.omega_cells is vars(fam)["omega_cells"]
+    fam = family([1], [], rat(1, 2))
+    fam.omega = Poly.zero()
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            nonvanishing(fam)
+    assert "omega_cells" not in vars(fam)
+
+
 def test_admissible_implies_nonvanishing_and_alpha_bound():
     for f1, f2 in SMALL_PAIRS:
         pair = PairSpec(f1, f2)

@@ -18,6 +18,7 @@ from xoppak.exact import (
     RatFunc,
     Rational,
     gamma_sign,
+    nonneg_root_cells,
     pochhammer,
     poly_det,
     rat,
@@ -28,7 +29,6 @@ from xoppak.exact import (
 from xoppak.meixner import (
     DualityConstants,
     MeixnerExcFamily,
-    ROUNDING,
     adjoint,
     alt_representation,
     darboux_identities,
@@ -383,7 +383,8 @@ def test_positivity_by_cells_matches_the_scan(pair, c, roots, cofactors, lead):
         om = om * Poly([-(m + d), 1]) ** e
     for q in cofactors:
         om = om * Poly([q, 0, 1])
-    fam = SimpleNamespace(params=SimpleNamespace(c=c), pair=PairSpec(*pair), omega=om)
+    fam = SimpleNamespace(params=SimpleNamespace(c=c), pair=PairSpec(*pair), omega=om,
+                          omega_cells=nonneg_root_cells(om))
     assert positivity_by_signs(fam) == positivity_by_scan(fam)
 
 
@@ -407,15 +408,16 @@ def test_norm_identity_refuses_signed_measures():
 def test_norm_check_rule():
     # a row passes when the value met its stopping rule and lies within the
     # allowance plus 1e-40 of the closed form, and reports that bound
+    rounding = meixner._rounding()
     one, gap = mp.mpf(1), mp.mpf(2) ** -70  # both exact in binary
     chk = norm_check(3, one + gap, one, 2 * gap, True)
     assert chk.ok and chk.r == 3
-    assert chk.rel_err == gap and chk.rel_bound == 2 * gap + ROUNDING
-    assert ROUNDING == mp.mpf(10) ** -40
+    assert chk.rel_err == gap and chk.rel_bound == 2 * gap + rounding
+    assert rounding == mp.mpf(10) ** -40
     assert not norm_check(3, one + gap, one, 2 * gap, False).ok
     assert not norm_check(3, one + gap, one, gap / 2, True).ok
-    assert norm_check(3, one + ROUNDING / 2, one, 0, True).ok
-    assert not norm_check(3, one + 2 * ROUNDING, one, 0, True).ok
+    assert norm_check(3, one + rounding / 2, one, 0, True).ok
+    assert not norm_check(3, one + 2 * rounding, one, 0, True).ok
 
 
 def test_inner_product_terms_match_the_direct_weight(monkeypatch):
@@ -715,15 +717,17 @@ def plain_integer_zero(om):
 @example([], [], [0], 1)
 def test_integer_zero_by_root_cells_matches_the_plain_scan(roots, rational_roots, cofactor, den):
     # integer roots from 0 up, rational roots p/q, and a rational cofactor
+    # on stand-in families; Omega = 0 gives 0 without reading root cells
     om = Poly([rat(c, den) for c in cofactor])
     if om.is_zero:
-        assert meixner._integer_zero(om) == 0
+        assert meixner._integer_zero(SimpleNamespace(omega=om)) == 0
         return
     for r in roots:
         om = om * Poly([-r, 1])
     for p, q in rational_roots:
         om = om * Poly([-p, q])
-    assert meixner._integer_zero(om) == plain_integer_zero(om)
+    fam = SimpleNamespace(omega=om, omega_cells=nonneg_root_cells(om))
+    assert meixner._integer_zero(fam) == plain_integer_zero(om)
 
 
 @pytest.mark.parametrize("what", ["kappa", "shift", "quotient"])
