@@ -8,7 +8,7 @@ index sets, with exact rational arithmetic throughout.  Submodules:
 - classical: the classical Meixner and Laguerre bases
 - pairs: index pairs, the degree set sigma, admissibility
 - meixner, laguerre: the exceptional families and their identity checks
-- chain: exact squared norms along a Darboux chain to the classical family
+- chain: the families' shared core (Family) and the Darboux chain's exact norms
 - operators: difference and differential operator algebra
 - numerics: certified sums and quadrature on top of mpmath, loaded on the
   first float

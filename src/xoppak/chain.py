@@ -1,4 +1,6 @@
-"""Exact squared norms along a Darboux chain down to the classical family.
+"""The family core both kinds share (`Family`: the block's top-row minors,
+Omega, Omega's root cells and the member memo), and exact squared norms along
+a Darboux chain down to the classical family.
 
 A first order step takes a family to a lower one without an element f of F1
 or F2; each kind builds it with `step(fam, set_name, f)`.  Its operator A
@@ -30,7 +32,66 @@ leading coefficients).
 """
 from __future__ import annotations
 
-from .exact import RatFunc, rat, sum_of_products
+from functools import cached_property
+
+from .exact import (
+    AdmissibilityRefusal,
+    DomainError,
+    RatFunc,
+    nonneg_root_cells,
+    rat,
+    sum_of_products,
+    top_row_minors,
+)
+from .pairs import is_admissible
+
+
+class Family:
+    """An exceptional family's core for one parameter set and one pair.
+
+    rows, the kind's block of k classical rows and k+1 columns, gives its k+1
+    top-row minors once: each member is the kind's top row against them
+    (`_member`), and the last is, up to sign, Omega (columns 0..k-1).
+    """
+
+    def __init__(self, params, pair, rows):
+        self.params = params
+        self.pair = pair
+        self._minors = top_row_minors(rows)
+        self.omega = -self._minors[-1] if pair.k % 2 else self._minors[-1]
+        self._members = {}
+        self._op_terms = None  # the kind's _operator_terms, once needed
+        self._steps = {}  # (set, element) -> its first order step
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.params!r}, {self.pair!r})"
+
+    @cached_property
+    def omega_cells(self) -> list:
+        """Omega's root cells on [0, inf) (nonneg_root_cells), isolated once,
+        when first read: Omega's zeros there and the weight's signs are
+        decided from them.  Raises on Omega = 0."""
+        return nonneg_root_cells(self.omega)
+
+    def _member(self, n: int, top):
+        """Member n, kept once built: the top row top(n - u, k + 1) against
+        the minors; the zero polynomial off the index set."""
+        if n < 0:
+            raise DomainError(f"family members need a nonnegative degree, got {n}")
+        got = self._members.get(n)
+        if got is None:
+            row = top(n - self.pair.u, len(self._minors))
+            got = self._members[n] = sum_of_products(
+                [(1, (t, minor)) for t, minor in zip(row, self._minors)])
+        return got
+
+    def _refuse_unless_admissible(self, name: str, offset) -> None:
+        """Refuse unless parameter name + offset (a kind's ADMISSIBILITY) is admissible."""
+        value = getattr(self.params, name)
+        if not is_admissible(value + offset, self.pair):
+            raise AdmissibilityRefusal(
+                f"a positive weight needs an admissible {name}; {name}={value} is not "
+                f"admissible for {self.pair!r}")
 
 
 class Step:

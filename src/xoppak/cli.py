@@ -35,6 +35,8 @@ class UsageError(Exception):
 
 # construct and verify take the degrees u .. u + DEGREE_COUNT - 1 without --n
 DEGREE_COUNT = 7
+# every kind's parameter flags, in KINDS order
+PARAM_NAMES = tuple(dict.fromkeys(name for mod, _, _ in KINDS.values() for name in mod.PARAMS))
 
 
 class JobSpec:
@@ -110,29 +112,29 @@ def _parse_n(text):
 def _refuse_dead_flags(args, kind):
     """A parameter flag the kind has no parameter for is an error, not ignored."""
     names = KINDS[kind][0].PARAMS
-    for name in ("a", "c", "alpha"):
+    for name in PARAM_NAMES:
         if getattr(args, name) is not None and name not in names:
             takes = " and ".join(f"--{n}" for n in names)
             raise UsageError(f"--{name} does not apply to {kind} families, which take {takes}")
 
 
 def _sweep_params(args) -> dict:
-    """{kind: the parsed values of its parameter flags} for each kind with any.
+    """{kind: the parsed values of its parameter flags} for each non-formal kind with any.
 
     Each kind's classical family is built once, so that parameters every cell
     would refuse are refused before the first cell."""
     params = {}
-    for kind in ("meixner", "laguerre"):
-        names = KINDS[kind][0].PARAMS
+    for kind, (mod, build, formal) in KINDS.items():
+        names = mod.PARAMS
         given = [getattr(args, name) is not None for name in names]
-        if not any(given):
+        if formal or not any(given):
             continue
         if not all(given):
             takes = " and ".join(f"--{n}" for n in names)
             missing = ", ".join(f"--{n}" for n, g in zip(names, given) if not g)
             raise UsageError(f"the {kind} cells of a sweep take {takes}; {missing} is missing")
         params[kind] = tuple(_parse_rational(getattr(args, name), f"--{name}") for name in names)
-        KINDS[kind][1](PairSpec([], []), *params[kind])
+        build(PairSpec([], []), *params[kind])
     if not params:
         raise UsageError("sweep needs --a/--c, --alpha, or both")
     return params
@@ -488,8 +490,7 @@ def _emit(payload, args, verb) -> None:
 
 def _add_family_flags(sub, with_checks=False):
     """The family flags; verify (with_checks) adds its checks and format."""
-    sub.add_argument("--kind", required=True,
-                     choices=["meixner", "laguerre", "krawtchouk"])
+    sub.add_argument("--kind", required=True, choices=list(KINDS))
     sub.add_argument("--F1", default="", help="comma list of positive integers")
     sub.add_argument("--F2", default="", help="comma list of positive integers")
     sub.add_argument("--a", default=None, help="rational like 1/2")
@@ -517,9 +518,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw = subs.add_parser("sweep")
     sw.add_argument("max_elem", type=int)
     sw.add_argument("max_card", type=int)
-    sw.add_argument("--a", default=None)
-    sw.add_argument("--c", default=None)
-    sw.add_argument("--alpha", default=None)
+    for name in PARAM_NAMES:
+        sw.add_argument(f"--{name}", default=None)
     sw.add_argument("--format", choices=["json", "csv"], default="json")
     sw.add_argument("--out", default=None)
     sw.add_argument("--jobs", type=int, default=1,
@@ -527,7 +527,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_FLAGS = {"--a", "--c", "--alpha"}
+_VALUE_FLAGS = {f"--{name}" for name in PARAM_NAMES}
 
 
 def _preprocess(argv):

@@ -19,13 +19,11 @@ norms go through tail-bounded quadrature.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from math import comb
 
 from . import chain
 from .classical import LaguerreParams, MeixnerParams, laguerre
 from .exact import (
-    AdmissibilityRefusal,
     DomainError,
     ParameterError,
     PoleError,
@@ -33,7 +31,6 @@ from .exact import (
     RatFunc,
     interpolate_at_zero,
     is_integer,
-    nonneg_root_cells,
     pochhammer,
     poly_det,
     rat,
@@ -42,7 +39,6 @@ from .exact import (
     ratfunc_of_sums,
     scale_terms,
     sum_of_products,
-    top_row_minors,
 )
 from .meixner import (
     AltRepReport,
@@ -54,7 +50,7 @@ from .meixner import (
 )
 from .numerics import gamma_rational, laguerre_type_integral, mp, to_mpf
 from .operators import DifferentialOperator, quotient_terms
-from .pairs import PairSpec, involute, is_admissible
+from .pairs import PairSpec, involute
 
 # the command line flag of the parameter alpha
 PARAMS = ("alpha",)
@@ -88,51 +84,24 @@ def block_rows(params, F1, F2, cols: int):
     return rows
 
 
-class LaguerreExcFamily:
+class LaguerreExcFamily(chain.Family):
     """An exceptional Laguerre family for one alpha and one pair.
 
-    Construction evaluates the k+1 top-row minors of the defining
-    determinant once; every member is then a short combination of
-    derivatives of a single classical polynomial against those minors, and
-    the last minor is, up to sign, the Wronskian determinant Omega (columns
-    0..k-1 of the block).
+    Every member is a short combination of derivatives of a single
+    classical polynomial against the block's top-row minors (chain.Family),
+    and the last minor is, up to sign, the Wronskian determinant Omega
+    (columns 0..k-1 of the block).
     """
 
     def __init__(self, params: LaguerreParams, pair: PairSpec):
         alpha = params.alpha
         if is_integer(alpha) and alpha <= -1:
-            raise ParameterError(
-                f"alpha must stay off the negative integers, got {alpha}"
-            )
-        self.params = params
-        self.pair = pair
-        k = pair.k
-        self._minors = top_row_minors(block_rows(params, pair.F1, pair.F2, k + 1))
-        self.omega = -self._minors[k] if k % 2 else self._minors[k]
-        self._members = {}
-        self._op_terms = None  # _operator_terms, once needed
-        self._steps = {}  # (set, element) -> its first order step
-
-    def __repr__(self):
-        return f"LaguerreExcFamily({self.params!r}, {self.pair!r})"
-
-    @cached_property
-    def omega_cells(self) -> list:
-        """Omega's root cells on [0, inf) (nonneg_root_cells), isolated once,
-        when nonvanishing first reads them.  Raises on Omega = 0."""
-        return nonneg_root_cells(self.omega)
+            raise ParameterError(f"alpha must stay off the negative integers, got {alpha}")
+        super().__init__(params, pair, block_rows(params, pair.F1, pair.F2, pair.k + 1))
 
     def member(self, n: int) -> Poly:
         """Family member of degree n; the zero polynomial off the index set."""
-        if n < 0:
-            raise DomainError(f"family members need a nonnegative degree, got {n}")
-        got = self._members.get(n)
-        if got is None:
-            base = laguerre(n - self.pair.u, self.params.alpha)
-            top = _derivatives(base, len(self._minors))
-            got = self._members[n] = sum_of_products(
-                [(1, (t, minor)) for t, minor in zip(top, self._minors)])
-        return got
+        return self._member(n, lambda d, cols: _derivatives(laguerre(d, self.params.alpha), cols))
 
 
 def reported_polys(fam: LaguerreExcFamily) -> dict:
@@ -214,11 +183,7 @@ def inner_product(fam: LaguerreExcFamily, pairs) -> dict:
 
 
 def _refuse_unless_positive(fam: LaguerreExcFamily) -> None:
-    alpha = fam.params.alpha
-    if not is_admissible(alpha + 1, fam.pair):
-        raise AdmissibilityRefusal(
-            f"a positive weight needs an admissible alpha; alpha={alpha} is not admissible "
-            f"for {fam.pair!r}")
+    fam._refuse_unless_admissible(*ADMISSIBILITY)
 
 
 def orthogonality_premises(fam: LaguerreExcFamily) -> dict:

@@ -16,7 +16,6 @@ the classical family; certified summation is the norms' fallback.
 from __future__ import annotations
 
 import math
-from functools import cached_property
 from math import comb
 
 from . import chain
@@ -28,7 +27,6 @@ from .exact import (
     Poly,
     RatFunc,
     gamma_sign,
-    nonneg_root_cells,
     pochhammer,
     rat,
     rat_pow,
@@ -38,11 +36,10 @@ from .exact import (
     rational_det,
     scale_terms,
     sum_of_products,
-    top_row_minors,
 )
 from .numerics import DPS, certified_sum, gamma_rational, mp, to_mpf
 from .operators import DifferenceOperator, quotient_terms
-from .pairs import PairSpec, hat_c, involute, is_admissible
+from .pairs import PairSpec, hat_c, involute
 
 # the command line flags of the parameters (a, c)
 PARAMS = ("a", "c")
@@ -73,36 +70,18 @@ def block_rows(params, F1, F2, cols: int):
     return rows
 
 
-class MeixnerExcFamily:
+class MeixnerExcFamily(chain.Family):
     """An exceptional Meixner family for one parameter set and one pair.
 
-    Construction evaluates the k+1 top-row minors of the defining
-    determinant once; every member of the family is then a short
-    combination of shifted classical polynomials against those minors, and
-    the last two minors are, up to sign, the Casorati determinants Omega
-    (columns 0..k-1 of the block) and Lambda (columns 0..k-2 and k).
+    Every member is a short combination of shifted classical polynomials
+    against the block's top-row minors (chain.Family), and the last two
+    minors are, up to sign, the Casorati determinants Omega (columns 0..k-1
+    of the block) and Lambda (columns 0..k-2 and k).
     """
 
     def __init__(self, params: MeixnerParams, pair: PairSpec):
-        self.params = params
-        self.pair = pair
-        k = pair.k
-        self._minors = top_row_minors(block_rows(params, pair.F1, pair.F2, k + 1))
-        self.omega = -self._minors[k] if k % 2 else self._minors[k]
-        self._members = {}
+        super().__init__(params, pair, block_rows(params, pair.F1, pair.F2, pair.k + 1))
         self._duality = None  # (DualityConstants, {n: (q_n, kappa xi(n))}, {v: zeta(v)})
-        self._op_terms = None  # _operator_terms, once needed
-        self._steps = {}  # (set, element) -> its first order step
-
-    def __repr__(self):
-        return f"MeixnerExcFamily({self.params!r}, {self.pair!r})"
-
-    @cached_property
-    def omega_cells(self) -> list:
-        """Omega's root cells on x >= 0 (nonneg_root_cells), isolated once,
-        when first read: Omega's integer zeros and the weight's signs are
-        decided from them.  Raises on Omega = 0."""
-        return nonneg_root_cells(self.omega)
 
     @property
     def lam(self) -> Poly:
@@ -115,15 +94,8 @@ class MeixnerExcFamily:
 
     def member(self, n: int) -> Poly:
         """Family member of degree n; the zero polynomial off the index set."""
-        if n < 0:
-            raise DomainError(f"family members need a nonnegative degree, got {n}")
-        got = self._members.get(n)
-        if got is None:
-            a, c = self.params.a, self.params.c
-            top = _shifts(meixner_raw(n - self.pair.u, a, c), len(self._minors))
-            got = self._members[n] = sum_of_products(
-                [(1, (t, minor)) for t, minor in zip(top, self._minors)])
-        return got
+        return self._member(
+            n, lambda d, cols: _shifts(meixner_raw(d, self.params.a, self.params.c), cols))
 
     m = member  # the benchmark traces the members under this name
 
@@ -149,11 +121,6 @@ class MeixnerExcFamily:
             sub = [r[:j] + r[j + 1 :] for r in rows]
             minors.append(rational_det(sub))
         return minors
-
-    def phi(self, n: int):
-        """Connection determinant Phi_n (columns 0..k-1 of the dual block)."""
-        sign = -1 if (n * self.pair.k2) % 2 else 1
-        return sign * self._dual_minors(n)[-1]
 
     def q(self, n: int) -> Poly:
         """Dual family member: the dual determinant divided by its fixed roots.
@@ -387,12 +354,10 @@ def norm_check(r, value, closed, allowance, converged) -> NormCheck:
 
 
 def _refuse_unless_positive(fam: MeixnerExcFamily) -> None:
-    a, c = fam.params.a, fam.params.c
+    a = fam.params.a
     if not 0 < a < 1:
         raise AdmissibilityRefusal(f"a positive weight needs 0 < a < 1, got a={a}")
-    if not is_admissible(c, fam.pair):
-        raise AdmissibilityRefusal(
-            f"a positive weight needs an admissible c; c={c} is not admissible for {fam.pair!r}")
+    fam._refuse_unless_admissible(*ADMISSIBILITY)
 
 
 def orthogonality_premises(fam: MeixnerExcFamily) -> dict:

@@ -507,12 +507,11 @@ def test_each_first_order_step_is_solved_once(capsys, monkeypatch, flags, checks
 )
 def test_each_omega_is_isolated_once(capsys, monkeypatch, flags, want):
     # the default checks read where Omega vanishes on the half line from the
-    # family's omega_cells: one root isolation per distinct Omega, of the
-    # family and of the lower families of its Darboux chain
+    # family's omega_cells (chain.Family): one root isolation per distinct
+    # Omega, of the family and of the lower families of its Darboux chain
     isolated = []
-    for mod in (meixner, laguerre):
-        monkeypatch.setattr(mod, "nonneg_root_cells",
-                            lambda p, cells=mod.nonneg_root_cells: isolated.append(p) or cells(p))
+    monkeypatch.setattr(chain, "nonneg_root_cells",
+                        lambda p, cells=chain.nonneg_root_cells: isolated.append(p) or cells(p))
     code, _, _ = run(capsys, "verify", *flags)
     assert code == 0
     assert len(isolated) == len({p.coeffs for p in isolated}) == want

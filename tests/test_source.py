@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 import ast
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import typing
@@ -81,3 +82,24 @@ def test_no_unused_imports():
             found += _unused_imports(path)
     assert len(paths) > 20
     assert not found, f"unused imports: {found}"
+
+
+def test_each_traced_function_has_one_span():
+    # the benchmark's tracer wraps every binding of each function its spans
+    # name, so one function reached by two spans (a member memo shared by both
+    # kinds' classes, say) is wrapped twice and its calls land in one kind's
+    # numbers; `_lookup` reads each class's own vars(), as the tracer does
+    import xoppak.cli  # noqa: F401  (loads every layer, as the tracer does)
+
+    spec = importlib.util.spec_from_file_location(
+        "xoppak_bench_tracing", TESTS.parent / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    span_of, shared = {}, []
+    for span, paths in tracing.SPANS.items():
+        for path in paths:
+            first = span_of.setdefault(tracing._lookup(path), (span, path))
+            if first[0] != span:
+                shared.append(f"{path} ({span}) is {first[1]} ({first[0]})")
+    assert len(span_of) > 40
+    assert not shared, shared
