@@ -8,7 +8,9 @@ established rigorously from root bounds of the factored term ratio, and the
 Laguerre integrals carry an incomplete-gamma tail bound.  The tanh-sinh
 quadrature of a Laguerre integral on the finite part, in t with x = t^q on
 [0, 1] so that the integrand is analytic at t = 0, is not certified: it
-carries mpmath's error estimate, not a bound.
+carries mpmath's error estimate, not a bound.  Its level sums are exact
+integer sums of fixed-point node values, with guard bits bounded before
+the pass (see _level_sums).
 
 Every numeric value is computed at DPS decimal digits.  Every float of the
 package is made through `mp`, which stands for mpmath: the first attribute
@@ -20,6 +22,7 @@ every other check and every Darboux chain row run without loading mpmath.
 from __future__ import annotations
 
 import functools
+import operator
 
 from .exact import DomainError, Poly, PoleError, is_integer, rat, rat_ceil, rat_pow, root_bound
 
@@ -212,7 +215,8 @@ def laguerre_type_integral(members, denominator: Poly, exponent, pairs) -> dict:
     keeps the integrand in x.
 
     One tanh-sinh pass serves every pair (see _tanh_sinh_gram), with
-    mp.quad's nodes, working precision and stopping rule for each pair.
+    mp.quad's nodes, working precision and stopping rule for each pair,
+    and each level's sums in fixed-point integers (see _level_sums).
     The quadrature error is estimated, not bounded.
     """
     exponent = rat(exponent)
@@ -252,12 +256,11 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
     At node t with tanh-sinh weight w, the point is x = t^q on [0, 1] and
     x = t on [1, upper], and the weight function
     g = w dx/dt x^exponent exp(-x) / denominator(x) is evaluated once and
-    each member once, giving the column v_n = sqrt(g) m_n(x); the level sum
-    of pair (n, r) is the dot product of v_n and v_r.  Node weight and g are
-    both positive, so the square root is real.  Each pair follows mp.quad's
-    rule on each subinterval: levels 1, 2, ... up to guess_degree(prec),
-    each level's sum reusing the previous one, stopping once
-    estimate_error falls to eps/8, all at 20 guard bits.
+    each member once; the level sum of pair (n, r) is the sum of
+    g m_n m_r over the level's nodes, in fixed point (see _level_sums).
+    Each pair follows mp.quad's rule on each subinterval: levels 1, 2, ...
+    up to guess_degree(prec), each level's sum reusing the previous one,
+    stopping once estimate_error falls to eps/8, all at 20 guard bits.
     """
     rule = mp.mp._tanh_sinh
     prec = mp.mp.prec
@@ -268,9 +271,6 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
     converged = dict.fromkeys(pairs, True)
     p, q = int(exponent.numerator), int(exponent.denominator)
     with mp.workprec(prec + 20):
-        coeffs = {n: [to_mpf(c) for c in reversed(members[n].coeffs)]
-                  for n in {n for pair in pairs for n in pair}}
-        den_c = [to_mpf(c) for c in reversed(denominator.coeffs)]
         expo = to_mpf(exponent)
         for a, b in ((0, 1), (1, upper)):
             levels = {pair: [] for pair in pairs}
@@ -284,7 +284,7 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
                     points = [(t**q, q * w * t ** (p + q - 1)) for t, w in nodes]
                 else:
                     points = [(t, w * mp.power(t, expo)) for t, w in nodes]
-                sums = _level_sums(points, coeffs, den_c, active)
+                sums = _level_sums(points, b, members, denominator, active)
                 h = mp.ldexp(1, -degree)
                 still = []
                 for pair in active:
@@ -304,17 +304,81 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
     return {pair: (+value[pair], +error[pair], converged[pair]) for pair in pairs}
 
 
-def _level_sums(points, coeffs, den_c, pairs) -> dict:
-    """{(n, r): sum of v_n v_r over the points (x, w dx/dt x^exponent)}."""
-    scale = []
+def _level_sums(points, upper, members, denominator, pairs) -> dict:
+    """{(n, r): sum of g m_n m_r over the points (x, w dx/dt x^exponent)},
+    with g = w dx/dt x^exponent exp(-x) / denominator(x), in fixed point.
+
+    Every x lies in [0, upper]; let M = max(1, upper).  Each polynomial A
+    enters as its integer numerators A~ = den_A A, and a value v as the
+    integer floor(v 2^F) of F fraction bits (libmp's to_fixed), off by less
+    than one unit 2^-F.  At each node:
+    - the powers x^j are formed once, each from the last by one product cut
+      to F bits, so x^j is off by less than 2j M^j units; every A~(x) is the
+      exact sum of its numerators times these powers, off by at most
+      2 deg(A) B(A) units, where B(A) = |A~|_1 M^deg(A) bounds |A~| on
+      [0, upper];
+    - exp(-x) = 2^-e exp(-t) with x = e ln 2 + t and 0 <= t < ln 2, from
+      exp_fixed at wp + log2 M + 6 bits (wp the working precision), so the
+      reduction by e < 2M multiples of ln 2 leaves it within 2^-(wp+3) of
+      its size;
+    - G = w dx/dt x^exponent exp(-x) / D~(x), with D~ the denominator's
+      numerators, is cut to F bits, and the column entry V_n = G M~_n is
+      cut to F bits too.
+    The level sum of (n, r) is the exact integer sum of V_n M~_r over the
+    nodes, times den_D / (den_n den_r) 2^-2F, rounded to an mpf once.
+
+    The guard bits F - wp come from bounds known before the pass.  A term
+    g m_n m_r is off by G times the members' errors, at most
+    4 deg B(M_n) B(M_r) units, plus B(M_r) times the cuts of G and V_n;
+    over N nodes that is N B^2 (4 deg + 2) units, B the largest member
+    bound, which 2 log2 B + log2 N + 4 guard bits bring near 2^-wp (wp
+    carries the pass's own 20 guard bits over mpmath's precision).
+    D~(x) is off by 2 deg(D) B(D) units, which log2 B(D) more bits keep
+    within 2^-(wp + 2 log2 B + log2 N) of D~(x) wherever D~(x) >= 1.  That
+    holds at the tanh-sinh ends, where w dx/dt falls below 2^-F: near 0
+    and 1 D~ is a positive integer, and near upper, past twice its root
+    bound, at least 1.  So each sum lands within about 2^-wp of its scale
+    sqrt(S_nn S_rr) (Cauchy-Schwarz), as mpf sums at wp bits do: those err
+    by 2^-wp times sum |a_j| x^j, not times |A(x)|, too.  A flat 40 guard
+    bits falls short of this at upper = 684 with a member of degree 9.
+
+    Raises ValueError where the denominator is not positive at a node.
+    """
+    libmp = mp.libmp
+    to_fixed, exp_fixed = libmp.to_fixed, libmp.libelefun.exp_fixed
+    nums = {n: members[n]._nums for pair in pairs for n in pair}
+    top = mp.mag(upper) if upper > 1 else 0  # max(1, upper) <= 2^top
+
+    def bits(poly_nums):  # log2 B(poly)
+        return sum(map(abs, poly_nums)).bit_length() + (len(poly_nums) - 1) * top
+
+    wp = mp.mp.prec
+    den_nums = denominator._nums
+    frac = wp + 2 * max(map(bits, nums.values())) + bits(den_nums) + len(points).bit_length() + 4
+    ebits = wp + top + 6
+    ln2 = libmp.ln2_fixed(ebits)
+    one = 1 << frac
+    size = max(map(len, [den_nums, *nums.values()]))
+    cols = {n: [] for n in nums}
+    vals = {n: [] for n in nums}
     for x, wx in points:
-        g = wx * mp.exp(-x) / mp.polyval(den_c, x)
-        if g <= 0:
+        fx = to_fixed(x._mpf_, frac)
+        powers = [one, fx]
+        for _ in range(size - 2):
+            powers.append(powers[-1] * fx >> frac)
+        den = sum(map(operator.mul, den_nums, powers))
+        if den <= 0:
             raise ValueError(f"the denominator is not positive at x={x}")
-        scale.append(mp.sqrt(g))
-    cols = {}
-    for pair in pairs:
-        for n in pair:
-            if n not in cols:
-                cols[n] = [s * mp.polyval(coeffs[n], x) for s, (x, _) in zip(scale, points)]
-    return {(n, r): mp.fdot(cols[n], cols[r]) for n, r in pairs}
+        # x = e ln 2 + t with 0 <= t < ln 2, so exp(-x) = 2^-e exp(-t)
+        e, t = divmod(to_fixed(x._mpf_, ebits), ln2)
+        g = (to_fixed(wx._mpf_, frac) * exp_fixed(-t, ebits, ln2) << frac) // (den << (ebits + e))
+        for n, c in nums.items():
+            m = sum(map(operator.mul, c, powers))
+            vals[n].append(m)
+            cols[n].append(g * m >> frac)
+    out = {}
+    for n, r in pairs:
+        total = sum(map(operator.mul, cols[n], vals[r]))
+        scale = members[n]._den * members[r]._den
+        out[n, r] = mp.ldexp(mp.fdiv(total * denominator._den, scale), -2 * frac)
+    return out

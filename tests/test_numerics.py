@@ -1,5 +1,6 @@
 """Tests for numeric evaluation and certified summation/integration."""
 
+import itertools
 import json
 import math
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import xoppak
 from xoppak.exact import Poly, PoleError, pochhammer, rat
@@ -17,7 +18,9 @@ from xoppak.classical import LaguerreParams, MeixnerParams, laguerre, meixner
 from xoppak.laguerre import LaguerreExcFamily, nonvanishing, norm_closed_form
 from xoppak.numerics import (
     DPS,
+    EXTRA_LEVELS,
     QuadResult,
+    _level_sums,
     certified_sum,
     gamma_rational,
     laguerre_type_integral,
@@ -188,10 +191,114 @@ def test_classical_laguerre_orthogonality_by_quadrature():
 
 
 def test_tanh_sinh_rule_keeps_what_the_shared_pass_uses():
-    # laguerre_type_integral drives mpmath's tanh-sinh rule level by level
+    # laguerre_type_integral drives mpmath's tanh-sinh rule level by level,
+    # and sums each level in libmp's fixed point
     rule = mp.mp._tanh_sinh
     for name in ("get_nodes", "estimate_error", "guess_degree"):
         assert callable(getattr(rule, name, None)), name
+    for name in ("to_fixed", "ln2_fixed"):
+        assert callable(getattr(mp.libmp, name, None)), name
+    assert callable(getattr(mp.libmp.libelefun, "exp_fixed", None))
+    # x = 3/2 at 60 fraction bits: to_fixed truncates, exp_fixed takes F-bit ln 2
+    bits = 60
+    fx = mp.libmp.to_fixed(mp.mpf(1.5)._mpf_, bits)
+    assert fx == 3 << (bits - 1)
+    got = mp.libmp.libelefun.exp_fixed(-fx, bits, mp.libmp.ln2_fixed(bits))
+    assert abs(got - int(mp.floor(mp.exp(-1.5) * 2**bits))) <= 4
+
+
+def mpf_level_sums(points, coeffs, den_c, pairs) -> dict:
+    """The level sums of the shared pass in mpf arithmetic, the reference for
+    the fixed-point _level_sums: g = w dx/dt x^exponent exp(-x) / den(x) once
+    per node, the column v_n = sqrt(g) m_n(x) per member, and the dot product
+    of v_n and v_r per pair, from coefficient lists highest degree first."""
+    scale = []
+    for x, wx in points:
+        g = wx * mp.exp(-x) / mp.polyval(den_c, x)
+        if g <= 0:
+            raise ValueError(f"the denominator is not positive at x={x}")
+        scale.append(mp.sqrt(g))
+    cols = {}
+    for pair in pairs:
+        for n in pair:
+            if n not in cols:
+                cols[n] = [s * mp.polyval(coeffs[n], x) for s, (x, _) in zip(scale, points)]
+    return {(n, r): mp.fdot(cols[n], cols[r]) for n, r in pairs}
+
+
+def assert_level_sums_match(members, den, exponent, interval, degree):
+    """Both level sums of one tanh-sinh level on interval, at the pass's
+    working precision and with its points, agree within 2^-prec of each
+    entry's Cauchy-Schwarz scale sqrt(S_nn S_rr)."""
+    a, b = interval
+    p, q = int(exponent.numerator), int(exponent.denominator)
+    ns = sorted(members)
+    pairs = [(n, r) for n in ns for r in ns if n <= r]
+    prec = mp.mp.prec
+    with mp.workprec(prec + 20):
+        nodes = mp.mp._tanh_sinh.get_nodes(a, b, degree, prec)
+        if a == 0:
+            points = [(t**q, q * w * t ** (p + q - 1)) for t, w in nodes]
+        else:
+            points = [(t, w * mp.power(t, to_mpf(exponent))) for t, w in nodes]
+        got = _level_sums(points, b, members, den, pairs)
+        coeffs = {n: [to_mpf(c) for c in reversed(members[n].coeffs)] for n in ns}
+        want = mpf_level_sums(points, coeffs, [to_mpf(c) for c in reversed(den.coeffs)], pairs)
+    for n, r in pairs:
+        scale = mp.sqrt(want[n, n] * want[r, r])
+        assert abs(got[n, r] - want[n, r]) <= mp.ldexp(scale, -prec), (interval, degree, n, r)
+
+
+def _subsets(elems):
+    return [c for size in range(len(elems) + 1) for c in itertools.combinations(elems, size)]
+
+
+# x-exponents alpha + k of both signs, on both sides of the integers
+WEIGHT_EXPONENTS = [rat(-3, 4), rat(-1, 3), rat(1, 2), rat(5, 3), rat(7, 2)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(_subsets((1, 2, 3, 4))),
+    st.sampled_from(_subsets((1, 2, 3))),
+    st.sampled_from(WEIGHT_EXPONENTS),
+    st.integers(1, 6),
+    st.one_of(st.just(1), st.integers(2, 700)),
+)
+def test_fixed_point_level_sums_match_the_mpf_sums(f1, f2, exponent, degree, upper):
+    # small families with members of degree at least 4, on [0, 1] or on [1, U]
+    # for any U up to past the shared pass's largest, where exp(-x) underflows
+    # F bits while the members reach U^deg
+    assume(f1 or f2)
+    pair = PairSpec(f1, f2)
+    fam = LaguerreExcFamily(LaguerreParams(exponent - pair.k), pair)
+    assume(nonvanishing(fam))
+    ns = [n for n in pair.sigma_first(6) if n >= 4][:2]
+    members = {n: fam.member(n) for n in ns}
+    interval = (0, 1) if upper == 1 else (1, to_mpf(upper))
+    assert_level_sums_match(members, fam.omega * fam.omega, exponent, interval, degree)
+
+
+def test_fixed_point_level_sums_match_at_the_largest_upper_limit():
+    # the family of test_shared_pass_takes_the_largest_upper_limit: L_9 reaches
+    # 9! |L_9|_1 U^9 at U = 684, where a flat 40 guard bits are not enough
+    alpha = rat(1, 2)
+    members = {0: laguerre(0, alpha), 9: laguerre(9, alpha)}
+    upper = laguerre_type_integral(members, Poly.one(), alpha, [(9, 9)])[9, 9].upper
+    assert upper == 684
+    top = mp.mp._tanh_sinh.guess_degree(mp.mp.prec) + EXTRA_LEVELS
+    for interval in ((0, 1), (1, upper)):
+        for degree in range(1, top + 1):
+            assert_level_sums_match(members, Poly.one(), alpha, interval, degree)
+
+
+def test_level_sums_refuse_a_denominator_not_positive_at_a_node():
+    # negative past x = 3, everywhere, and past x = (1 + sqrt 3)/2 on [1, U]
+    alpha = rat(1, 2)
+    members = {1: laguerre(1, alpha)}
+    for den in (Poly([3, -1]), Poly([-1]), Poly([rat(1, 2), 1, -1])):
+        with pytest.raises(ValueError, match="the denominator is not positive at x="):
+            laguerre_type_integral(members, den, alpha, [(1, 1)])
 
 
 def standalone_quad(prod: Poly, den: Poly, exponent, upper):
