@@ -171,15 +171,14 @@ def nonvanishing(fam: LaguerreExcFamily) -> bool:
     return not fam.omega_cells
 
 
-def inner_product(fam: LaguerreExcFamily, pairs) -> dict:
-    """Tail-bounded quadrature of the weighted product of members n and r
-    for every (n, r) in pairs, as {(n, r): QuadResult}, from one shared
-    pass over exactly those pairs."""
+def inner_product(fam: LaguerreExcFamily, ns) -> dict:
+    """Tail-bounded quadrature of the squared norm of the member of each
+    degree in ns, as {n: QuadResult}, from one shared pass."""
     if not nonvanishing(fam):
         raise PoleError("weight undefined: Omega vanishes on [0, inf)")
     om = fam.omega
-    members = {d: fam.member(d) for pair in pairs for d in pair}
-    return laguerre_type_integral(members, om * om, fam.params.alpha + fam.pair.k, pairs)
+    members = {n: fam.member(n) for n in ns}
+    return laguerre_type_integral(members, om * om, fam.params.alpha + fam.pair.k)
 
 
 def _refuse_unless_positive(fam: LaguerreExcFamily) -> None:
@@ -241,17 +240,17 @@ def norm_closed_form(n: int, fam: LaguerreExcFamily) -> mp.mpf:
 
 def norm_identity(ns, fam: LaguerreExcFamily) -> list[NormCheck]:
     """Verify the squared norms of the members of degrees ns against their
-    closed forms, from one quadrature over the pairs (n, n), allowing each
+    closed forms, from one quadrature over those degrees, allowing each
     its certified tail and the quadrature's error estimate.
 
     Only meaningful when the weight is a positive measure; refuses
     otherwise, since the integral identity presumes admissibility.
     """
     rhs = [norm_closed_form(n, fam) for n in ns]
-    got = inner_product(fam, [(n, n) for n in ns])
+    got = inner_product(fam, ns)
     checks = []
     for n, want in zip(ns, rhs):
-        res = got[n, n]
+        res = got[n]
         checks.append(norm_check(n, res.value, want, res.tail_bound + res.error, res.converged))
     return checks
 

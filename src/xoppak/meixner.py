@@ -276,8 +276,8 @@ def positivity_by_signs(fam: MeixnerExcFamily) -> bool:
     return all(gamma_sign(n + c + k) * om(n) * om(n + 1) > 0 for n in ns)
 
 
-def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol):
-    """Certified sum for the weighted inner product of members n and r.
+def inner_product(fam: MeixnerExcFamily, n: int):
+    """Certified sum for the squared norm of member n, to NORM_SUM_TOL.
 
     Returns (SumResult, carrier); the true value is the sum value times the
     carrier Gamma(c + k), an mpf.
@@ -285,24 +285,23 @@ def inner_product(fam: MeixnerExcFamily, n: int, r: int, rel_tol):
     a, c = fam.params.a, fam.params.c
     k = fam.pair.k
     om = fam.omega
-    prod = fam.member(n) * fam.member(r)
-    # the weight a^x (c+k)_x / x! at x = at, carried forward by its ratio
-    at, weight = 0, rat(1)
+    member = fam.member(n)
+    prod = member * member
+    # the weight a^x (c+k)_x / x! at the next x, carried forward by its ratio:
+    # certified_sum asks for x = 0, 1, 2, ... once each
+    weight = rat(1)
 
     def term(x):
-        nonlocal at, weight
-        if x < at:
-            at, weight = 0, rat(1)
-        while at < x:
-            weight *= a * (c + k + at) / (at + 1)
-            at += 1
+        nonlocal weight
         den = om(x) * om(x + 1)
         if den == 0:
             raise PoleError(f"weight undefined: Omega vanishes near x={x}")
-        return prod(x) * weight / den
+        value = prod(x) * weight / den
+        weight *= a * (c + k + x) / (x + 1)
+        return value
 
     factors = [(Poly([1, 1]), c + k - 1), (prod, 1), (om, -2)]
-    res = certified_sum(term, a, factors, rel_tol=rel_tol)
+    res = certified_sum(term, a, factors, rel_tol=NORM_SUM_TOL)
     return res, gamma_rational(c + k)
 
 
@@ -430,7 +429,7 @@ def norm_identity(rs, fam: MeixnerExcFamily) -> list[NormCheck]:
     checks = []
     for r in rs:
         rhs = norm_closed_form(r, fam)
-        res, carrier = inner_product(fam, r, r, rel_tol=NORM_SUM_TOL)
+        res, carrier = inner_product(fam, r)
         lhs = carrier * to_mpf(res.value)
         tail = abs(carrier) * to_mpf(res.tail_bound)
         checks.append(norm_check(r, lhs, rhs, tail, True))

@@ -2,7 +2,9 @@
 
 Exact identities elsewhere in the package never touch floats; this module
 is where rationals and Gamma values become mpmath numbers and where
-infinite sums or integrals are truncated.  Truncations are certified: the
+infinite sums or integrals are truncated.  The numeric norms are squared
+norms: a Meixner one is a certified sum, and a Laguerre family's come from
+one quadrature over its degrees.  Truncations are certified: the
 discrete summation bounds its tail by a geometric series whose ratio is
 established rigorously from root bounds of the factored term ratio, and the
 Laguerre integrals carry an incomplete-gamma tail bound.  The tanh-sinh
@@ -76,19 +78,15 @@ class SumResult:
     usually factors a common Gamma carrier out of every term).
     """
 
-    __slots__ = ("value", "tail_bound", "terms", "cutoff")
+    __slots__ = ("value", "tail_bound", "terms")
 
-    def __init__(self, value, tail_bound, terms, cutoff):
+    def __init__(self, value, tail_bound, terms):
         self.value = value
         self.tail_bound = tail_bound
         self.terms = terms
-        self.cutoff = cutoff
 
     def __repr__(self):
-        return (
-            f"SumResult(value={self.value}, tail_bound={self.tail_bound}, "
-            f"terms={self.terms}, cutoff={self.cutoff})"
-        )
+        return f"SumResult(value={self.value}, tail_bound={self.tail_bound}, terms={self.terms})"
 
 
 def ratio_cutoff(scale, factors):
@@ -144,12 +142,12 @@ def certified_sum(term, scale, factors, rel_tol=None) -> SumResult:
 
     The caller guarantees the exact recurrence
     term(x+1) = scale * prod_i P_i(x + s_i)/P_i(x) * term(x) for x >= 0,
-    passing factors as (P_i, s_i) pairs.  Terms must be exact rationals; the
-    partial sum is exact and only the tail is bounded.  Stops once the bound
-    is at most rel_tol * sum |term| / 2: on a nonnegative series, the sum; on
-    two members against a positive weight, by Cauchy-Schwarz, at most the
-    geometric mean of their squared norms.  Refuses with a DomainError once
-    MAX_SUM_TERMS terms have not reached that bound.
+    passing factors as (P_i, s_i) pairs, and term is asked for each x once,
+    in that order.  Terms must be exact rationals; the partial sum is exact
+    and only the tail is bounded.  Stops once the bound is at most
+    rel_tol * sum |term| / 2, which on a nonnegative series is half rel_tol
+    times the sum.  Refuses with a DomainError once MAX_SUM_TERMS terms have not
+    reached that bound.
     """
     if rel_tol is None or rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
@@ -164,7 +162,7 @@ def certified_sum(term, scale, factors, rel_tol=None) -> SumResult:
         if x >= cutoff:
             bound = abs(t) * gfac
             if bound <= half_tol * size:
-                return SumResult(total, bound, x + 1, cutoff)
+                return SumResult(total, bound, x + 1)
     raise DomainError(f"tolerance not reached after {MAX_SUM_TERMS} terms")
 
 
@@ -193,19 +191,19 @@ class QuadResult:
         )
 
 
-def laguerre_type_integral(members, denominator: Poly, exponent, pairs) -> dict:
-    """Integrals of members[n] * members[r] / denominator * x^exponent * exp(-x)
-    on (0, inf) for every (n, r) in pairs, as {(n, r): QuadResult}.
+def laguerre_type_integral(members, denominator: Poly, exponent) -> dict:
+    """Integrals of members[n]^2 / denominator * x^exponent * exp(-x) on
+    (0, inf) for every degree n of members, as {n: QuadResult}.
 
-    members maps degrees to polynomials.  The denominator must be positive on
-    [0, inf) and exponent must exceed -1.  Each pair's tail is bounded from
-    its product P = members[n] * members[r]: past x0, twice the root bound
-    of either polynomial, |P| <= |lc_P| (3x/2)^dp and
-    |den| >= |lc_d| (x/2)^dd, so the rational factor is within an explicit
-    constant of |lc ratio| x^(dp - dd) and the tail is controlled by an
-    upper incomplete gamma value.  The pair's own upper limit is at least
-    x0; every pair is integrated on [0, 1] and [1, U] with U the largest of
-    these limits, so each tail bound holds at U, and can only shrink there.
+    members maps degrees to nonzero polynomials.  The denominator must be
+    positive on [0, inf) and exponent must exceed -1.  Each tail is bounded
+    from P = members[n]^2: past x0, twice the root bound of either
+    polynomial, |P| <= |lc_P| (3x/2)^dp and |den| >= |lc_d| (x/2)^dd, so the
+    rational factor is within an explicit constant of |lc ratio| x^(dp - dd)
+    and the tail is controlled by an upper incomplete gamma value.  Each
+    degree's own upper limit is at least x0; every degree is integrated on
+    [0, 1] and [1, U] with U the largest of these limits, so each tail bound
+    holds at U, and can only shrink there.
 
     Tanh-sinh converges fast only on an integrand analytic at the ends, and
     x^exponent is not analytic at x = 0.  With exponent = p/q in lowest
@@ -214,8 +212,8 @@ def laguerre_type_integral(members, denominator: Poly, exponent, pairs) -> dict:
     so the integrand is analytic at t = 0.  An integer exponent (q = 1)
     keeps the integrand in x.
 
-    One tanh-sinh pass serves every pair (see _tanh_sinh_gram), with
-    mp.quad's nodes, working precision and stopping rule for each pair,
+    One tanh-sinh pass serves every degree (see _tanh_sinh_norms), with
+    mp.quad's nodes, working precision and stopping rule for each degree,
     and each level's sums in fixed-point integers (see _level_sums).
     The quadrature error is estimated, not bounded.
     """
@@ -225,40 +223,33 @@ def laguerre_type_integral(members, denominator: Poly, exponent, pairs) -> dict:
     dd = denominator.degree
     den_bound = 2 * root_bound(denominator)
     tails = {}
-    for n, r in pairs:
-        prod = members[n] * members[r]
+    for n, member in members.items():
+        prod = member * member
         dp = prod.degree
-        if dp < 0:
-            continue
         x0 = max(rat(2), 2 * root_bound(prod), den_bound)
         s_exp = exponent + (dp - dd) + 1
         sandwich = rat_pow(rat(3, 2), dp) * rat_pow(rat(2), dd)
         lead_ratio = sandwich * abs(prod.leading / denominator.leading)
-        tails[n, r] = (max(x0, 60 + 4 * max(rat(0), s_exp)), s_exp, lead_ratio)
-    upper = to_mpf(max((u for u, _, _ in tails.values()), default=1))
-    gram = _tanh_sinh_gram(members, denominator, exponent, list(tails), upper)
-    zero = mp.mpf(0)
+        tails[n] = (max(x0, 60 + 4 * max(rat(0), s_exp)), s_exp, lead_ratio)
+    upper = to_mpf(max(u for u, _, _ in tails.values()))
+    norms = _tanh_sinh_norms(members, denominator, exponent, upper)
     out = {}
-    for pair in pairs:
-        if pair not in tails:  # a zero member
-            out[pair] = QuadResult(zero, zero, upper, zero, True)
-            continue
-        _, s_exp, lead_ratio = tails[pair]
+    for n, (_, s_exp, lead_ratio) in tails.items():
         tail = to_mpf(lead_ratio) * mp.gammainc(to_mpf(s_exp), upper, mp.inf)
-        value, error, converged = gram[pair]
-        out[pair] = QuadResult(value, abs(tail), upper, error, converged)
+        value, error, converged = norms[n]
+        out[n] = QuadResult(value, abs(tail), upper, error, converged)
     return out
 
 
-def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
-    """{(n, r): (value, error estimate, converged)} on [0, 1] and [1, upper].
+def _tanh_sinh_norms(members, denominator, exponent, upper) -> dict:
+    """{n: (value, error estimate, converged)} on [0, 1] and [1, upper].
 
     At node t with tanh-sinh weight w, the point is x = t^q on [0, 1] and
     x = t on [1, upper], and the weight function
     g = w dx/dt x^exponent exp(-x) / denominator(x) is evaluated once and
-    each member once; the level sum of pair (n, r) is the sum of
-    g m_n m_r over the level's nodes, in fixed point (see _level_sums).
-    Each pair follows mp.quad's rule on each subinterval: levels 1, 2, ...
+    each member once; the level sum of degree n is the sum of g m_n^2 over
+    the level's nodes, in fixed point (see _level_sums).
+    Each degree follows mp.quad's rule on each subinterval: levels 1, 2, ...
     up to guess_degree(prec), each level's sum reusing the previous one,
     stopping once estimate_error falls to eps/8, all at 20 guard bits.
     """
@@ -266,16 +257,16 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
     prec = mp.mp.prec
     epsilon = mp.mp.eps / 8
     max_degree = rule.guess_degree(prec) + EXTRA_LEVELS
-    value = dict.fromkeys(pairs, mp.mpf(0))
-    error = dict.fromkeys(pairs, mp.mpf(0))
-    converged = dict.fromkeys(pairs, True)
+    value = dict.fromkeys(members, mp.mpf(0))
+    error = dict.fromkeys(members, mp.mpf(0))
+    converged = dict.fromkeys(members, True)
     p, q = int(exponent.numerator), int(exponent.denominator)
     with mp.workprec(prec + 20):
         expo = to_mpf(exponent)
         for a, b in ((0, 1), (1, upper)):
-            levels = {pair: [] for pair in pairs}
-            err = dict.fromkeys(pairs, mp.mpf(0))
-            active = pairs
+            levels = {n: [] for n in members}
+            err = dict.fromkeys(members, mp.mpf(0))
+            active = list(members)
             for degree in range(1, max_degree + 1):
                 if not active:
                     break
@@ -284,29 +275,29 @@ def _tanh_sinh_gram(members, denominator, exponent, pairs, upper) -> dict:
                     points = [(t**q, q * w * t ** (p + q - 1)) for t, w in nodes]
                 else:
                     points = [(t, w * mp.power(t, expo)) for t, w in nodes]
-                sums = _level_sums(points, b, members, denominator, active)
+                sums = _level_sums(points, b, {n: members[n] for n in active}, denominator)
                 h = mp.ldexp(1, -degree)
                 still = []
-                for pair in active:
-                    results = levels[pair]
+                for n in active:
+                    results = levels[n]
                     prev = results[-1] / (2 * h) if results else 0
-                    results.append(h * (prev + sums[pair]))
+                    results.append(h * (prev + sums[n]))
                     if degree > 1:
-                        err[pair] = rule.estimate_error(results, prec, epsilon)
-                        if err[pair] <= epsilon:
+                        err[n] = rule.estimate_error(results, prec, epsilon)
+                        if err[n] <= epsilon:
                             continue
-                    still.append(pair)
+                    still.append(n)
                 active = still
-            for pair in pairs:
-                value[pair] += levels[pair][-1]
-                error[pair] += err[pair]
-                converged[pair] = converged[pair] and err[pair] <= epsilon
-    return {pair: (+value[pair], +error[pair], converged[pair]) for pair in pairs}
+            for n in members:
+                value[n] += levels[n][-1]
+                error[n] += err[n]
+                converged[n] = converged[n] and err[n] <= epsilon
+    return {n: (+value[n], +error[n], converged[n]) for n in members}
 
 
-def _level_sums(points, upper, members, denominator, pairs) -> dict:
-    """{(n, r): sum of g m_n m_r over the points (x, w dx/dt x^exponent)},
-    with g = w dx/dt x^exponent exp(-x) / denominator(x), in fixed point.
+def _level_sums(points, upper, members, denominator) -> dict:
+    """{n: sum of g m_n^2 over the points (x, w dx/dt x^exponent)}, with
+    g = w dx/dt x^exponent exp(-x) / denominator(x), in fixed point.
 
     Every x lies in [0, upper]; let M = max(1, upper).  Each polynomial A
     enters as its integer numerators A~ = den_A A, and a value v as the
@@ -322,31 +313,31 @@ def _level_sums(points, upper, members, denominator, pairs) -> dict:
       reduction by e < 2M multiples of ln 2 leaves it within 2^-(wp+3) of
       its size;
     - G = w dx/dt x^exponent exp(-x) / D~(x), with D~ the denominator's
-      numerators, is cut to F bits, and the column entry V_n = G M~_n is
-      cut to F bits too.
-    The level sum of (n, r) is the exact integer sum of V_n M~_r over the
-    nodes, times den_D / (den_n den_r) 2^-2F, rounded to an mpf once.
+      numerators, is cut to F bits, and so is G M~_n.
+    The level sum of n is one running integer total of (G M~_n cut to F
+    bits) times M~_n over the nodes, times den_D / den_n^2 2^-2F, rounded to
+    an mpf once.
 
     The guard bits F - wp come from bounds known before the pass.  A term
-    g m_n m_r is off by G times the members' errors, at most
-    4 deg B(M_n) B(M_r) units, plus B(M_r) times the cuts of G and V_n;
-    over N nodes that is N B^2 (4 deg + 2) units, B the largest member
-    bound, which 2 log2 B + log2 N + 4 guard bits bring near 2^-wp (wp
-    carries the pass's own 20 guard bits over mpmath's precision).
+    g m_n^2 is off by G times the member's errors, at most 4 deg B(M_n)^2
+    units, plus B(M_n) times the cuts of G and G M~_n; over N nodes that is
+    N B^2 (4 deg + 2) units, B the largest member bound, which
+    2 log2 B + log2 N + 4 guard bits bring near 2^-wp (wp carries the pass's
+    own 20 guard bits over mpmath's precision).
     D~(x) is off by 2 deg(D) B(D) units, which log2 B(D) more bits keep
     within 2^-(wp + 2 log2 B + log2 N) of D~(x) wherever D~(x) >= 1.  That
     holds at the tanh-sinh ends, where w dx/dt falls below 2^-F: near 0
     and 1 D~ is a positive integer, and near upper, past twice its root
-    bound, at least 1.  So each sum lands within about 2^-wp of its scale
-    sqrt(S_nn S_rr) (Cauchy-Schwarz), as mpf sums at wp bits do: those err
-    by 2^-wp times sum |a_j| x^j, not times |A(x)|, too.  A flat 40 guard
-    bits falls short of this at upper = 684 with a member of degree 9.
+    bound, at least 1.  So each sum lands within about 2^-wp of its own size
+    S_n, as mpf sums at wp bits do: those err by 2^-wp times
+    sum |a_j| x^j, not times |A(x)|, too.  A flat 40 guard bits falls short
+    of this at upper = 684 with a member of degree 9.
 
     Raises ValueError where the denominator is not positive at a node.
     """
     libmp = mp.libmp
     to_fixed, exp_fixed = libmp.to_fixed, libmp.libelefun.exp_fixed
-    nums = {n: members[n]._nums for pair in pairs for n in pair}
+    nums = {n: member._nums for n, member in members.items()}
     top = mp.mag(upper) if upper > 1 else 0  # max(1, upper) <= 2^top
 
     def bits(poly_nums):  # log2 B(poly)
@@ -359,8 +350,7 @@ def _level_sums(points, upper, members, denominator, pairs) -> dict:
     ln2 = libmp.ln2_fixed(ebits)
     one = 1 << frac
     size = max(map(len, [den_nums, *nums.values()]))
-    cols = {n: [] for n in nums}
-    vals = {n: [] for n in nums}
+    totals = dict.fromkeys(nums, 0)
     for x, wx in points:
         fx = to_fixed(x._mpf_, frac)
         powers = [one, fx]
@@ -374,11 +364,8 @@ def _level_sums(points, upper, members, denominator, pairs) -> dict:
         g = (to_fixed(wx._mpf_, frac) * exp_fixed(-t, ebits, ln2) << frac) // (den << (ebits + e))
         for n, c in nums.items():
             m = sum(map(operator.mul, c, powers))
-            vals[n].append(m)
-            cols[n].append(g * m >> frac)
-    out = {}
-    for n, r in pairs:
-        total = sum(map(operator.mul, cols[n], vals[r]))
-        scale = members[n]._den * members[r]._den
-        out[n, r] = mp.ldexp(mp.fdiv(total * denominator._den, scale), -2 * frac)
-    return out
+            totals[n] += (g * m >> frac) * m
+    return {
+        n: mp.ldexp(mp.fdiv(total * denominator._den, members[n]._den ** 2), -2 * frac)
+        for n, total in totals.items()
+    }

@@ -42,6 +42,8 @@ from xoppak.numerics import to_mpf
 from xoppak.operators import DifferentialOperator, quotient_terms
 from xoppak.pairs import PairSpec, enumerate_pairs, involute, is_admissible
 
+from test_numerics import standalone_quad
+
 
 SMALL_PAIRS = [
     ([1], []),
@@ -342,13 +344,18 @@ def test_norm_rejects_gap_degree():
 
 
 def test_orthogonality_normalized(capsys):
+    # mp.quad of each product m_n m_r on [0, U], U the squared norms' shared
+    # limit; past U, |m_n m_r| <= (m_n^2 + m_r^2)/2 bounds its tail by theirs
     fam = family([1], [], rat(-3, 2))
     degrees = [n for n in range(0, 6) if fam.pair.sigma_contains(n)][:4]
-    norms = {chk.r: chk.rhs for chk in norm_identity(degrees, fam)}
-    pairs = [(n, r) for i, n in enumerate(degrees) for r in degrees[i + 1 :]]
-    for (n, r), res in inner_product(fam, pairs).items():
-        bound = abs(res.value) + res.tail_bound
-        assert bound / mp.sqrt(norms[n] * norms[r]) < 1e-7
+    norms = inner_product(fam, degrees)
+    upper = norms[degrees[0]].upper
+    den, exponent = fam.omega * fam.omega, fam.params.alpha + fam.pair.k
+    for i, n in enumerate(degrees):
+        for r in degrees[i + 1 :]:
+            value = standalone_quad(fam.member(n) * fam.member(r), den, exponent, upper)
+            bound = abs(value) + (norms[n].tail_bound + norms[r].tail_bound) / 2
+            assert bound / mp.sqrt(norms[n].value * norms[r].value) < 1e-7, (n, r)
     # the exact check passes on the family the quadrature confirms
     assert cli.main(["verify", "--kind", "laguerre", "--F1", "1", "--alpha", "-3/2",
                      "--checks", "orthogonality"]) == 0
@@ -358,12 +365,12 @@ def test_orthogonality_normalized(capsys):
 def test_inner_product_refuses_vanishing_omega():
     fam = family([1], [], rat(1, 2))
     with pytest.raises(PoleError):
-        inner_product(fam, [(0, 0)])
+        inner_product(fam, [0])
 
 
 def test_default_verify_makes_one_quadrature_per_family(monkeypatch, capsys):
-    # the norms check integrates exactly the diagonal pairs it reports, in
-    # one pass; no other check integrates anything
+    # the norms check integrates exactly the degrees it reports, in one pass;
+    # no other check integrates anything
     calls = []
     quad = lag.laguerre_type_integral
 
@@ -385,8 +392,8 @@ def test_default_verify_makes_one_quadrature_per_family(monkeypatch, capsys):
         assert len(ns) == 2 and len(calls) == quadratures, flags
         if not quadratures:
             continue
-        members, _, _, pairs = calls[0]
-        assert pairs == [(n, n) for n in ns] and set(members) == set(ns), flags
+        members, _, _ = calls[0]
+        assert list(members) == ns, flags
 
 
 def test_quadrature_reports_its_error_estimate():
@@ -394,7 +401,7 @@ def test_quadrature_reports_its_error_estimate():
     # meets its target at alpha + k = -1/2 and -3/4 as well as at 3/2
     for f1, f2, alpha, n in (([1], [], rat(-3, 2), 0), ([1], [], rat(-7, 4), 0),
                              ([], [1], rat(1, 2), 1)):
-        res = inner_product(family(f1, f2, alpha), [(n, n)])[n, n]
+        res = inner_product(family(f1, f2, alpha), [n])[n]
         assert res.converged and res.error < mp.mp.eps, (alpha, n)
 
 

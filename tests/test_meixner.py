@@ -350,7 +350,7 @@ def test_omega_mass_pole_is_reported():
     # (Omega(x) Omega(x+1)) has poles at x = 2 and 3; the sum raises there
     fam = family([1], [], rat(1, 2), rat(3))
     with pytest.raises(PoleError, match="x=2"):
-        inner_product(fam, 0, 0, rel_tol=rat(1, 10**6))
+        inner_product(fam, 0)
 
 
 def test_positivity_signs_match_admissibility():
@@ -426,49 +426,85 @@ def test_norm_check_rule():
     assert not norm_check(3, one + 2 * rounding, one, 0, True).ok
 
 
-def test_inner_product_terms_match_the_direct_weight(monkeypatch):
-    # the summation carries the weight a^x (c+k)_x / x! forward by its ratio;
-    # every term and the sum equal those of the weight built afresh at each x
-    fam = family([1, 2], [1], rat(4, 5), rat(3))
+def direct_weight_term(fam, prod):
+    """x -> prod(x) a^x (c+k)_x / x! / (Omega(x) Omega(x+1)), the summand of a
+    weighted inner product, with the weight built afresh at each x."""
     a, c, k = fam.params.a, fam.params.c, fam.pair.k
-    calls = []
-
-    def spy(term, *args, **kwargs):
-        calls.append((term, args, kwargs))
-        return certified_sum(term, *args, **kwargs)
-
-    monkeypatch.setattr(meixner, "certified_sum", spy)
-    n = fam.pair.u
-    res, _ = inner_product(fam, n, n, rel_tol=rat(1, 10**12))
-    prod = fam.member(n) ** 2
     om = fam.omega
 
-    def direct(x):
+    def term(x):
         weight = rat_pow(a, x) * pochhammer(c + k, x) / math.factorial(x)
         return prod(x) * weight / (om(x) * om(x + 1))
 
-    (term, args, kwargs), = calls
+    return term
+
+
+def test_inner_product_terms_match_the_direct_weight(monkeypatch):
+    # the summation carries the weight a^x (c+k)_x / x! forward by its ratio,
+    # asked for x = 0, 1, 2, ... once each; every term and the sum equal those
+    # of the weight built afresh at each x
+    fam = family([1, 2], [1], rat(4, 5), rat(3))
+    calls, seen = [], []
+
+    def spy(term, *args, **kwargs):
+        calls.append((args, kwargs))
+
+        def recorded(x):
+            seen.append((x, term(x)))
+            return seen[-1][1]
+
+        return certified_sum(recorded, *args, **kwargs)
+
+    monkeypatch.setattr(meixner, "certified_sum", spy)
+    n = fam.pair.u
+    res, _ = inner_product(fam, n)
+    direct = direct_weight_term(fam, fam.member(n) ** 2)
+
+    (args, kwargs), = calls
+    assert [x for x, _ in seen] == list(range(res.terms))
     assert all(direct(x) > 0 for x in range(res.terms))
-    assert [term(x) for x in range(res.terms)] == [direct(x) for x in range(res.terms)]
-    assert term(5) == direct(5)
+    assert [t for _, t in seen] == [direct(x) for x in range(res.terms)]
     ref = certified_sum(direct, *args, **kwargs)
-    assert (res.value, res.tail_bound, res.terms, res.cutoff) == (
-        ref.value, ref.tail_bound, ref.terms, ref.cutoff,
-    )
+    assert (res.value, res.tail_bound, res.terms) == (ref.value, ref.tail_bound, ref.terms)
+
+
+def test_default_verify_makes_one_sum_per_reported_degree(monkeypatch, capsys):
+    # the classical family has no Darboux step, so its norms are summed: one
+    # certified sum per reported degree, of that degree, and no other
+    calls = []
+    summed = meixner.inner_product
+
+    def counted(fam, n):
+        calls.append(n)
+        return summed(fam, n)
+
+    monkeypatch.setattr(meixner, "inner_product", counted)
+    assert cli.main(["verify", "--kind", "meixner", "--a", "4/5", "--c", "3",
+                     "--checks", "norms"]) == 0
+    rows = json.loads(capsys.readouterr().out)["checks"][0]["detail"]["results"]
+    assert {row["method"] for row in rows} == {"numeric"}
+    assert calls == [row["n"] for row in rows] and len(calls) == 2
 
 
 def test_orthogonality_normalized(capsys):
+    # certified sums of m_n m_r against the weight, from terms built in the
+    # test; the common carrier Gamma(c + k) cancels in the normalized ratio
     fam = family([1], [], rat(1, 2), rat(-1, 2))
+    a, c, k = fam.params.a, fam.params.c, fam.pair.k
     sig = fam.pair.sigma_first(5)
-    norms = {}
-    for n in sig:
-        res, car = inner_product(fam, n, n, rel_tol=rat(1, 10**12))
-        norms[n] = abs(car) * to_mpf(res.value)
+    sums = {}
+    for i, n in enumerate(sig):
+        for r in sig[i:]:
+            prod = fam.member(n) * fam.member(r)
+            factors = [(Poly([1, 1]), c + k - 1), (prod, 1), (fam.omega, -2)]
+            term = direct_weight_term(fam, prod)
+            sums[n, r] = certified_sum(term, a, factors, rel_tol=rat(1, 10**12))
     for i, n in enumerate(sig):
         for r in sig[i + 1 :]:
-            res, car = inner_product(fam, n, r, rel_tol=rat(1, 10**12))
-            val = abs(car) * abs(to_mpf(res.value)) + abs(car) * to_mpf(res.tail_bound)
-            assert val / mp.sqrt(norms[n] * norms[r]) < mp.mpf(10) ** -9, (n, r)
+            res = sums[n, r]
+            val = abs(to_mpf(res.value)) + to_mpf(res.tail_bound)
+            norms = to_mpf(sums[n, n].value) * to_mpf(sums[r, r].value)
+            assert val / mp.sqrt(norms) < mp.mpf(10) ** -9, (n, r)
     # the exact check passes on the family the sums confirm
     assert cli.main(["verify", "--kind", "meixner", "--F1", "1", "--a", "1/2", "--c", "-1/2",
                      "--checks", "orthogonality"]) == 0

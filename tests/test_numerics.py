@@ -173,21 +173,11 @@ def test_classical_laguerre_norms_by_quadrature():
     for alpha in (rat(1, 2), rat(-1, 2), rat(2), rat(-3, 4)):
         for n in range(5):
             ln = laguerre(n, alpha)
-            res = laguerre_type_integral({n: ln}, Poly.one(), alpha, [(n, n)])[n, n]
+            res = laguerre_type_integral({n: ln}, Poly.one(), alpha)[n]
             want = gamma_rational(alpha + n + 1) / math.factorial(n)
             assert res.converged, (alpha, n)
             err = abs(res.value - want)
             assert err <= res.tail_bound + mp.mpf(10) ** -40 * want, (alpha, n)
-
-
-def test_classical_laguerre_orthogonality_by_quadrature():
-    alpha = rat(1, 2)
-    members = {1: laguerre(1, alpha), 4: laguerre(4, alpha)}
-    res = laguerre_type_integral(members, Poly.one(), alpha, [(1, 4)])[1, 4]
-    norms = mp.sqrt(
-        gamma_rational(alpha + 2) * gamma_rational(alpha + 5) / math.factorial(4)
-    )
-    assert (abs(res.value) + res.tail_bound) / norms < mp.mpf(10) ** -10
 
 
 def test_tanh_sinh_rule_keeps_what_the_shared_pass_uses():
@@ -207,33 +197,29 @@ def test_tanh_sinh_rule_keeps_what_the_shared_pass_uses():
     assert abs(got - int(mp.floor(mp.exp(-1.5) * 2**bits))) <= 4
 
 
-def mpf_level_sums(points, coeffs, den_c, pairs) -> dict:
+def mpf_level_sums(points, coeffs, den_c) -> dict:
     """The level sums of the shared pass in mpf arithmetic, the reference for
     the fixed-point _level_sums: g = w dx/dt x^exponent exp(-x) / den(x) once
-    per node, the column v_n = sqrt(g) m_n(x) per member, and the dot product
-    of v_n and v_r per pair, from coefficient lists highest degree first."""
-    scale = []
+    per node, and the sum of g m_n(x)^2 over the nodes per degree n, from
+    coefficient lists highest degree first."""
+    weights = []
     for x, wx in points:
         g = wx * mp.exp(-x) / mp.polyval(den_c, x)
         if g <= 0:
             raise ValueError(f"the denominator is not positive at x={x}")
-        scale.append(mp.sqrt(g))
-    cols = {}
-    for pair in pairs:
-        for n in pair:
-            if n not in cols:
-                cols[n] = [s * mp.polyval(coeffs[n], x) for s, (x, _) in zip(scale, points)]
-    return {(n, r): mp.fdot(cols[n], cols[r]) for n, r in pairs}
+        weights.append(g)
+    return {
+        n: mp.fsum(g * mp.polyval(c, x) ** 2 for g, (x, _) in zip(weights, points))
+        for n, c in coeffs.items()
+    }
 
 
 def assert_level_sums_match(members, den, exponent, interval, degree):
     """Both level sums of one tanh-sinh level on interval, at the pass's
     working precision and with its points, agree within 2^-prec of each
-    entry's Cauchy-Schwarz scale sqrt(S_nn S_rr)."""
+    degree's own sum S_n."""
     a, b = interval
     p, q = int(exponent.numerator), int(exponent.denominator)
-    ns = sorted(members)
-    pairs = [(n, r) for n in ns for r in ns if n <= r]
     prec = mp.mp.prec
     with mp.workprec(prec + 20):
         nodes = mp.mp._tanh_sinh.get_nodes(a, b, degree, prec)
@@ -241,12 +227,12 @@ def assert_level_sums_match(members, den, exponent, interval, degree):
             points = [(t**q, q * w * t ** (p + q - 1)) for t, w in nodes]
         else:
             points = [(t, w * mp.power(t, to_mpf(exponent))) for t, w in nodes]
-        got = _level_sums(points, b, members, den, pairs)
-        coeffs = {n: [to_mpf(c) for c in reversed(members[n].coeffs)] for n in ns}
-        want = mpf_level_sums(points, coeffs, [to_mpf(c) for c in reversed(den.coeffs)], pairs)
-    for n, r in pairs:
-        scale = mp.sqrt(want[n, n] * want[r, r])
-        assert abs(got[n, r] - want[n, r]) <= mp.ldexp(scale, -prec), (interval, degree, n, r)
+        got = _level_sums(points, b, members, den)
+        coeffs = {n: [to_mpf(c) for c in reversed(m.coeffs)] for n, m in members.items()}
+        want = mpf_level_sums(points, coeffs, [to_mpf(c) for c in reversed(den.coeffs)])
+    assert got.keys() == want.keys()
+    for n, value in want.items():
+        assert abs(got[n] - value) <= mp.ldexp(value, -prec), (interval, degree, n)
 
 
 def _subsets(elems):
@@ -284,7 +270,7 @@ def test_fixed_point_level_sums_match_at_the_largest_upper_limit():
     # 9! |L_9|_1 U^9 at U = 684, where a flat 40 guard bits are not enough
     alpha = rat(1, 2)
     members = {0: laguerre(0, alpha), 9: laguerre(9, alpha)}
-    upper = laguerre_type_integral(members, Poly.one(), alpha, [(9, 9)])[9, 9].upper
+    upper = laguerre_type_integral(members, Poly.one(), alpha)[9].upper
     assert upper == 684
     top = mp.mp._tanh_sinh.guess_degree(mp.mp.prec) + EXTRA_LEVELS
     for interval in ((0, 1), (1, upper)):
@@ -298,7 +284,7 @@ def test_level_sums_refuse_a_denominator_not_positive_at_a_node():
     members = {1: laguerre(1, alpha)}
     for den in (Poly([3, -1]), Poly([-1]), Poly([rat(1, 2), 1, -1])):
         with pytest.raises(ValueError, match="the denominator is not positive at x="):
-            laguerre_type_integral(members, den, alpha, [(1, 1)])
+            laguerre_type_integral(members, den, alpha)
 
 
 def standalone_quad(prod: Poly, den: Poly, exponent, upper):
@@ -342,22 +328,18 @@ def test_shared_pass_matches_standalone_quad(spec):
     members = {n: fam.member(n), r: fam.member(r)}
     den = fam.omega * fam.omega
     exponent = alpha + fam.pair.k
-    got = laguerre_type_integral(members, den, exponent, [(n, n), (n, r), (r, r)])
-    upper = got[n, n].upper
-    want = {
-        pair: standalone_quad(members[pair[0]] * members[pair[1]], den, exponent, upper)
-        for pair in got
-    }
-    # relative to the Cauchy-Schwarz scale, as <m_n, m_r> itself is near 0
-    scale = mp.sqrt(want[n, n] * want[r, r])
-    for pair, res in got.items():
+    got = laguerre_type_integral(members, den, exponent)
+    assert got.keys() == {n, r}
+    upper = got[n].upper
+    for d, res in got.items():
+        want = standalone_quad(members[d] * members[d], den, exponent, upper)
         assert res.upper == upper
-        assert abs(res.value - want[pair]) <= mp.mpf(10) ** -40 * scale, (spec, pair)
+        assert abs(res.value - want) <= mp.mpf(10) ** -40 * want, (spec, d)
 
 
 @settings(max_examples=4, deadline=None)
 @given(st.sampled_from(LAGUERRE_FAMILIES))
-def test_diagonal_entries_meet_the_closed_form(spec):
+def test_squared_norms_meet_the_closed_form(spec):
     # every weight exponent alpha + k from -3/4 to 9/2: the rule converges on
     # each norm of the first two degrees, and only the tail separates it from
     # the closed form
@@ -366,35 +348,32 @@ def test_diagonal_entries_meet_the_closed_form(spec):
     ns = fam.pair.sigma_first(2)
     members = {n: fam.member(n) for n in ns}
     den = fam.omega * fam.omega
-    got = laguerre_type_integral(members, den, alpha + fam.pair.k, [(n, n) for n in ns])
+    got = laguerre_type_integral(members, den, alpha + fam.pair.k)
     for n in ns:
-        res, want = got[n, n], norm_closed_form(n, fam)
+        res, want = got[n], norm_closed_form(n, fam)
         assert res.converged, (spec, n)
         assert abs(res.value - want) <= res.tail_bound + mp.mpf(10) ** -40 * res.value, (spec, n)
 
 
 # every family runs as an explicit example, whatever hypothesis draws
 for _spec in LAGUERRE_FAMILIES:
-    test_diagonal_entries_meet_the_closed_form = example(_spec)(
-        test_diagonal_entries_meet_the_closed_form
+    test_squared_norms_meet_the_closed_form = example(_spec)(
+        test_squared_norms_meet_the_closed_form
     )
 
 
 def test_shared_pass_takes_the_largest_upper_limit():
-    # the members' products have different degrees, so different limits of
+    # the members' squares have different degrees, so different limits of
     # their own; every tail bound is taken at the shared, largest one
     alpha = rat(1, 2)
-    members = {0: laguerre(0, alpha), 9: laguerre(9, alpha), 5: Poly.zero()}
-    got = laguerre_type_integral(members, Poly.one(), alpha, [(0, 0), (9, 9), (0, 5)])
-    assert got[0, 0].upper == got[9, 9].upper == got[0, 5].upper > 60
-    assert got[0, 0].tail_bound < mp.mpf(10) ** -30
-    zero = got[0, 5]
-    assert isinstance(zero, QuadResult)
-    assert zero.value == zero.tail_bound == zero.error == 0 and zero.converged
+    members = {0: laguerre(0, alpha), 9: laguerre(9, alpha)}
+    got = laguerre_type_integral(members, Poly.one(), alpha)
+    assert got[0].upper == got[9].upper > 60
+    assert got[0].tail_bound < mp.mpf(10) ** -30
     for n in (0, 9):
         want = gamma_rational(alpha + n + 1) / math.factorial(n)
-        assert got[n, n].converged
-        assert abs(got[n, n].value - want) <= got[n, n].tail_bound + mp.mpf(10) ** -40 * want
+        assert isinstance(got[n], QuadResult) and got[n].converged
+        assert abs(got[n].value - want) <= got[n].tail_bound + mp.mpf(10) ** -40 * want
 
 
 def test_tail_bound_shrinks_with_tolerance():
