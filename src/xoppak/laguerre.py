@@ -391,9 +391,11 @@ def boundary_refusal(A_star: DifferentialOperator, fam: LaguerreExcFamily, low: 
 def alt_representation(n: int, fam: LaguerreExcFamily) -> AltRepReport:
     """Member n rebuilt from the involuted pair, with a fitted constant.
 
-    The involuted determinant has order max(F1) + max(F2) + 2 - k, often far
-    below the defining one.  The constant is recovered by matching leading
-    coefficients; the report records whether the match is then exact.
+    The involuted determinant has order max(F1) + max(F2) + 3 - k, with -1
+    the max of the empty set: the top row and one row per element of G1 and
+    G2.  That is often far below the defining one.  The constant is
+    recovered by matching leading coefficients; the report records whether
+    the match is then exact.
     """
     pair = fam.pair
     alpha = fam.params.alpha

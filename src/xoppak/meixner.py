@@ -33,7 +33,6 @@ from .exact import (
     poly_det,
     ratfunc_of_quotients,
     ratfunc_of_sums,
-    rational_det,
     scale_terms,
     sum_of_products,
 )
@@ -101,40 +100,26 @@ class MeixnerExcFamily(chain.Family):
 
     # -- dual family ---------------------------------------------------------
 
-    def _dual_minors(self, n: int):
-        """Scalar minors N_j of the dual block at top degree n."""
-        a, c = self.params.a, self.params.c
-        k = self.pair.k
-        inv_a = 1 / a
-        rows = []
-        for f in self.pair.F1:
-            rows.append([meixner_raw(n + j, a, c)(f) for j in range(k + 1)])
-        for f in self.pair.F2:
-            rows.append(
-                [
-                    meixner_raw(n + j, inv_a, c)(f) * (-1 if j % 2 else 1)
-                    for j in range(k + 1)
-                ]
-            )
-        minors = []
-        for j in range(k + 1):
-            sub = [r[:j] + r[j + 1 :] for r in rows]
-            minors.append(rational_det(sub))
-        return minors
-
     def q(self, n: int) -> Poly:
         """Dual family member: the dual determinant divided by its fixed roots.
 
-        The division has to be exact; a nonzero remainder is an internal
-        inconsistency, not a property of the parameters.
+        The dual block has k + 1 columns j = 0..k.  Its top row is
+        m_(n+j)^(a,c)(x - u); below it come the scalar rows m_(n+j)^(a,c)(f)
+        for f in F1, then (-1)^j m_(n+j)^(1/a,c)(f) for f in F2.  Its
+        determinant, times (-1)^(n k2), is divisible by the product of
+        (x - f - u) over F1 and (x + c + f - u) over F2.  The division has
+        to be exact; a nonzero remainder is an internal inconsistency, not a
+        property of the parameters.
         """
         if n < 0:
             raise DomainError(f"dual members need a nonnegative degree, got {n}")
         a, c = self.params.a, self.params.c
-        u = self.pair.u
-        terms = [(-minor if j % 2 else minor, (meixner_raw(n + j, a, c).shift(-u),))
-                 for j, minor in enumerate(self._dual_minors(n))]
-        total = sum_of_products(terms)
+        u, cols = self.pair.u, range(self.pair.k + 1)
+        inv_a = 1 / a
+        rows = [[meixner_raw(n + j, a, c).shift(-u) for j in cols]]
+        rows += [[meixner_raw(n + j, a, c)(f) for j in cols] for f in self.pair.F1]
+        rows += [[meixner_raw(n + j, inv_a, c)(f) * (-1) ** j for j in cols] for f in self.pair.F2]
+        total = poly_det(rows)
         if (n * self.pair.k2) % 2:
             total = -total
         divisor = sum_of_products([(1, [Poly([-f - u, 1]) for f in self.pair.F1]
@@ -195,8 +180,6 @@ class DualityConstants:
 def duality_check(n: int, v: int, fam: MeixnerExcFamily) -> bool:
     """Exact check of q_n(v) against the scaled primal value m_v(n); the
     constants, q_n with kappa xi(n), and zeta(v) are built once per family."""
-    if n < 0:
-        raise DomainError(f"dual degree must be nonnegative, got {n}")
     consts, duals, zetas = fam._duality = fam._duality or (DualityConstants(fam), {}, {})
     if n not in duals:
         duals[n] = fam.q(n), consts.kappa * consts.xi(n)
@@ -591,9 +574,11 @@ class AltRepReport:
 def alt_representation(n: int, fam: MeixnerExcFamily) -> AltRepReport:
     """Member n rebuilt from the involuted pair, with a fitted constant.
 
-    The involuted determinant has order max(F1) + max(F2) + 2 - k, often far
-    below the defining one.  The constant is recovered by matching leading
-    coefficients; the report records whether the match is then exact.
+    The involuted determinant has order max(F1) + max(F2) + 3 - k, with -1
+    the max of the empty set: the top row and one row per element of G1 and
+    G2.  That is often far below the defining one.  The constant is
+    recovered by matching leading coefficients; the report records whether
+    the match is then exact.
     """
     pair = fam.pair
     a, c = fam.params.a, fam.params.c

@@ -137,7 +137,7 @@ def ratio_cutoff(scale, factors):
     return hi, r
 
 
-def certified_sum(term, scale, factors, rel_tol=None) -> SumResult:
+def certified_sum(term, scale, factors, rel_tol) -> SumResult:
     """Sum term(x) for x = 0, 1, 2, ... with a certified tail bound.
 
     The caller guarantees the exact recurrence
@@ -149,7 +149,7 @@ def certified_sum(term, scale, factors, rel_tol=None) -> SumResult:
     times the sum.  Refuses with a DomainError once MAX_SUM_TERMS terms have not
     reached that bound.
     """
-    if rel_tol is None or rel_tol <= 0:
+    if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     cutoff, r = ratio_cutoff(scale, factors)
     gfac = r / (1 - r)

@@ -24,6 +24,7 @@ from xoppak.exact import (
     rat,
     rat_ceil,
     rat_pow,
+    rational_det,
     root_bound,
 )
 from xoppak.meixner import (
@@ -218,9 +219,13 @@ def test_eigen_residual_is_the_cleared_operator_on_a_perturbed_member(a, c):
 
 
 def phi(fam, n):
-    """Connection determinant Phi_n (columns 0..k-1 of the dual block)."""
+    """Connection determinant Phi_n: the dual block's scalar rows over
+    columns 0..k-1, with q's sign (-1)^(n k2)."""
+    a, c, k = fam.params.a, fam.params.c, fam.pair.k
+    rows = [[meixner_raw(n + j, a, c)(f) for j in range(k)] for f in fam.pair.F1]
+    rows += [[meixner_raw(n + j, 1 / a, c)(f) * (-1) ** j for j in range(k)] for f in fam.pair.F2]
     sign = -1 if (n * fam.pair.k2) % 2 else 1
-    return sign * fam._dual_minors(n)[-1]
+    return sign * rational_det(rows)
 
 
 def test_phi_nonzero_for_admissible_samples():
@@ -246,6 +251,18 @@ def test_q_dual_degree_across_families():
         for n in range(4):
             if phi(fam, n) != 0:
                 assert fam.q(n).degree == n
+
+
+def test_dual_member_is_one_determinant(monkeypatch):
+    # q_n is one poly_det of its (k+1) x (k+1) block, with no scalar minors
+    fam = family([1, 3], [2], rat(1, 3), rat(-1, 2))
+    assert fam.pair.k == 3
+    orders = []
+    monkeypatch.setattr(meixner, "poly_det", lambda rows: orders.append(len(rows)) or poly_det(rows))
+    for n in range(4):
+        del orders[:]
+        fam.q(n)
+        assert orders == [fam.pair.k + 1], n
 
 
 def test_duality_constants_reduce_to_rationals():
