@@ -923,15 +923,22 @@ def nonneg_root_cells(p: Poly) -> list:
 
 
 def _iroot(n, i):
-    """(floor of the i-th root of the integer n >= 0, whether it is exact)."""
-    lo, hi = 0, 1 << ((n.bit_length() + i - 1) // i)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**i <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo, lo**i == n
+    """(floor of the i-th root of the integer n >= 0, whether it is exact).
+
+    Integer Newton steps from above the root decrease until the floor; the
+    start is a float root of n's leading bits, rounded up, so a root of a few
+    hundred bits takes a few steps.
+    """
+    if i == 1 or n < 2:
+        root = n
+    elif i == 2:
+        root = math.isqrt(n)
+    else:
+        shift = max(0, n.bit_length() - 100) // i * i
+        root = (int(float(n >> shift) ** (1 / i)) + 2) << (shift // i)
+        while (step := ((i - 1) * root + n // root ** (i - 1)) // i) < root:
+            root = step
+    return root, root**i == n
 
 
 def root_bound(p: Poly):

@@ -402,8 +402,8 @@ def test_iroot_matches_brute_force(i):
         while (root + 1) ** i <= n:
             root += 1
         assert _iroot(n, i) == (root, root**i == n), (n, i)
-    # and around large perfect powers
-    for base in (10**6, 2**40 + 3):
+    # and around large perfect powers, past the float start's 100 bits
+    for base in (10**6, 2**40 + 3, 3**250):
         for n in (base**i - 1, base**i, base**i + 1):
             want = base if n >= base**i else base - 1
             assert _iroot(n, i) == (want, n == base**i), (n, i)

@@ -405,6 +405,27 @@ def test_quadrature_reports_its_error_estimate():
         assert res.converged and res.error < mp.mp.eps, (alpha, n)
 
 
+@pytest.mark.parametrize("alpha", ["40", "100"])
+def test_norms_far_above_one_converge_relative_to_their_size(alpha, monkeypatch, capsys):
+    # Gamma(alpha + n + 1)/n! is far above 1, where no level differs from the
+    # last by an absolute eps/8: the rule reads each level relative to its size
+    argv = ["verify", "--kind", "laguerre", "--alpha", alpha, "--checks", "norms"]
+    assert cli.main(argv) == 0
+    [row] = json.loads(capsys.readouterr().out)["checks"]
+    assert row["status"] == "pass" and row["detail"]["results"]
+    for res in row["detail"]["results"]:
+        assert res["method"] == "numeric" and res["converged"] and res["ok"], res
+    # and still tells a closed form 1e-30 off, relative
+    closed = lag.norm_closed_form
+    monkeypatch.setattr(lag, "norm_closed_form",
+                        lambda n, fam: closed(n, fam) * (1 + mp.mpf(10) ** -30))
+    assert cli.main(argv) == 4
+    [row] = json.loads(capsys.readouterr().out)["checks"]
+    assert row["status"] == "fail" and row["detail"]["results"]
+    for res in row["detail"]["results"]:
+        assert res["method"] == "numeric" and res["converged"] and not res["ok"], res
+
+
 # -- Darboux -------------------------------------------------------------------
 
 def test_darboux_identities_and_intertwining():

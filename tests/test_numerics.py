@@ -1,5 +1,6 @@
 """Tests for numeric evaluation and certified summation/integration."""
 
+import functools
 import itertools
 import json
 import math
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import xoppak
 from xoppak.exact import Poly, PoleError, pochhammer, rat
@@ -20,7 +21,11 @@ from xoppak.numerics import (
     DPS,
     EXTRA_LEVELS,
     QuadResult,
+    _fraction_bits,
+    _head_points,
     _level_sums,
+    _tail_points,
+    _unit_nodes,
     certified_sum,
     gamma_rational,
     laguerre_type_integral,
@@ -180,21 +185,34 @@ def test_classical_laguerre_norms_by_quadrature():
             assert err <= res.tail_bound + mp.mpf(10) ** -40 * want, (alpha, n)
 
 
-def test_tanh_sinh_rule_keeps_what_the_shared_pass_uses():
-    # laguerre_type_integral drives mpmath's tanh-sinh rule level by level,
-    # and sums each level in libmp's fixed point
+def test_tanh_sinh_rule_keeps_what_the_shared_pass_uses(monkeypatch):
+    # laguerre_type_integral makes each level's nodes and sums in libmp's
+    # fixed point, takes only its degree cap and error estimate from
+    # mpmath's tanh-sinh rule, and its tails from gammainc
     rule = mp.mp._tanh_sinh
-    for name in ("get_nodes", "estimate_error", "guess_degree"):
+    for name in ("estimate_error", "guess_degree"):
         assert callable(getattr(rule, name, None)), name
-    for name in ("to_fixed", "ln2_fixed"):
+    for name in ("to_fixed", "ln2_fixed", "pi_fixed"):
         assert callable(getattr(mp.libmp, name, None)), name
     assert callable(getattr(mp.libmp.libelefun, "exp_fixed", None))
+    assert callable(mp.gammainc)
     # x = 3/2 at 60 fraction bits: to_fixed truncates, exp_fixed takes F-bit ln 2
     bits = 60
     fx = mp.libmp.to_fixed(mp.mpf(1.5)._mpf_, bits)
     assert fx == 3 << (bits - 1)
     got = mp.libmp.libelefun.exp_fixed(-fx, bits, mp.libmp.ln2_fixed(bits))
     assert abs(got - int(mp.floor(mp.exp(-1.5) * 2**bits))) <= 4
+    # mpmath makes no node of the pass
+
+    def refuse(*args):
+        raise AssertionError("the pass asked mpmath for nodes")
+
+    for name in ("get_nodes", "calc_nodes", "transform_nodes"):
+        monkeypatch.setattr(rule, name, refuse)
+    alpha = rat(-1, 2)
+    res = laguerre_type_integral({1: laguerre(1, alpha)}, Poly.one(), alpha)[1]
+    assert res.converged
+    assert abs(res.value - gamma_rational(alpha + 2)) <= res.tail_bound + res.error
 
 
 def mpf_level_sums(points, coeffs, den_c) -> dict:
@@ -204,10 +222,10 @@ def mpf_level_sums(points, coeffs, den_c) -> dict:
     coefficient lists highest degree first."""
     weights = []
     for x, wx in points:
-        g = wx * mp.exp(-x) / mp.polyval(den_c, x)
-        if g <= 0:
+        den = mp.polyval(den_c, x)
+        if den <= 0:
             raise ValueError(f"the denominator is not positive at x={x}")
-        weights.append(g)
+        weights.append(wx * mp.exp(-x) / den)
     return {
         n: mp.fsum(g * mp.polyval(c, x) ** 2 for g, (x, _) in zip(weights, points))
         for n, c in coeffs.items()
@@ -216,20 +234,23 @@ def mpf_level_sums(points, coeffs, den_c) -> dict:
 
 def assert_level_sums_match(members, den, exponent, interval, degree):
     """Both level sums of one tanh-sinh level on interval, at the pass's
-    working precision and with its points, agree within 2^-prec of each
-    degree's own sum S_n."""
+    working precision and with its fixed-point points, read exactly as mpfs
+    for the reference, agree within 2^-prec of each degree's own sum S_n."""
     a, b = interval
     p, q = int(exponent.numerator), int(exponent.denominator)
     prec = mp.mp.prec
     with mp.workprec(prec + 20):
-        nodes = mp.mp._tanh_sinh.get_nodes(a, b, degree, prec)
+        frac = _fraction_bits(members, den, b, degree, p, q)
+        nodes = _unit_nodes(degree, prec, frac)
         if a == 0:
-            points = [(t**q, q * w * t ** (p + q - 1)) for t, w in nodes]
+            points = _head_points(nodes, frac, p, q)
         else:
-            points = [(t, w * mp.power(t, to_mpf(exponent))) for t, w in nodes]
-        got = _level_sums(points, b, members, den)
+            points = _tail_points(nodes, frac, p, q, b)
+        got = _level_sums(points, frac, b, members, den)
+        with mp.workprec(4 * frac):
+            exact = [(mp.ldexp(x, -frac), mp.ldexp(w, -frac)) for x, w in points]
         coeffs = {n: [to_mpf(c) for c in reversed(m.coeffs)] for n, m in members.items()}
-        want = mpf_level_sums(points, coeffs, [to_mpf(c) for c in reversed(den.coeffs)])
+        want = mpf_level_sums(exact, coeffs, [to_mpf(c) for c in reversed(den.coeffs)])
     assert got.keys() == want.keys()
     for n, value in want.items():
         assert abs(got[n] - value) <= mp.ldexp(value, -prec), (interval, degree, n)
@@ -243,22 +264,83 @@ def _subsets(elems):
 WEIGHT_EXPONENTS = [rat(-3, 4), rat(-1, 3), rat(1, 2), rat(5, 3), rat(7, 2)]
 
 
+def test_unit_nodes_match_calc_nodes():
+    # mpmath's nodes on [-1, 1], made far past the fixed point's precision and
+    # mapped to [0, 1] as u = (1 + x)/2 with v = w/2: at every level of the
+    # pass the same count, and each u and v within a unit (_unit_nodes)
+    rule = mp.mp._tanh_sinh
+    prec = mp.mp.prec
+    frac = prec + 60
+    for degree in range(1, rule.guess_degree(prec) + EXTRA_LEVELS + 1):
+        got = sorted(_unit_nodes(degree, prec, frac))
+        with mp.workprec(frac + 40):
+            want = sorted(((1 + x) / 2, w / 2) for x, w in rule.calc_nodes(degree, prec))
+            assert len(got) == len(want), degree
+            for (u, v), (u_ref, v_ref) in zip(got, want):
+                for fixed, ref in ((u, u_ref), (v, v_ref)):
+                    assert abs(mp.ldexp(fixed, -frac) - ref) <= mp.ldexp(1.01, -frac), degree
+
+
+# the x-exponent p/q of [0, 1] for q = 1, 2, 3 and 4
+HEAD_EXPONENTS = [rat(3), rat(-1, 2), rat(5, 3), rat(-3, 4)]
+
+
+@pytest.mark.parametrize("exponent, upper", [(e, 1) for e in HEAD_EXPONENTS]
+                         + [(e, 684) for e in WEIGHT_EXPONENTS])
+def test_points_match_the_mpf_points_of_mpmaths_nodes(exponent, upper):
+    # on [0, 1] the point t^q with weight q w t^(p+q-1), on [1, upper] t with
+    # w t^(p/q), from get_nodes at the pass's working precision wp: the same
+    # count, and each point within the mpf points' own rounding, (|p| + q + 4)
+    # max(1, upper) units of 2^-wp of max(1, its size)
+    rule = mp.mp._tanh_sinh
+    prec = mp.mp.prec
+    wp = prec + 20
+    frac = prec + 60
+    p, q = int(exponent.numerator), int(exponent.denominator)
+    a, b = (0, 1) if upper == 1 else (1, to_mpf(upper))
+    with mp.workprec(wp):
+        for degree in range(1, rule.guess_degree(prec) + EXTRA_LEVELS + 1):
+            nodes = rule.get_nodes(a, b, degree, prec)
+            if a == 0:
+                want = sorted((t**q, q * w * t ** (p + q - 1)) for t, w in nodes)
+                got = sorted(_head_points(_unit_nodes(degree, prec, frac), frac, p, q))
+            else:
+                want = sorted((t, w * mp.power(t, to_mpf(exponent))) for t, w in nodes)
+                got = sorted(_tail_points(_unit_nodes(degree, prec, frac), frac, p, q, b))
+            assert len(got) == len(want), degree
+            with mp.workprec(4 * frac):
+                for point, ref in zip(got, want):
+                    for fixed, value in zip(point, ref):
+                        bound = (abs(p) + q + 4) * upper * max(1, abs(value))
+                        assert abs(mp.ldexp(fixed, -frac) - value) <= mp.ldexp(bound, -wp), degree
+
+
+@functools.cache
+def level_sum_families():
+    """(F1, F2, exponent) of every nonempty pair of subsets of {1..4} and
+    {1..3} whose Omega keeps off [0, inf) at alpha = exponent - k."""
+    specs = []
+    for f1, f2, exponent in itertools.product(_subsets((1, 2, 3, 4)), _subsets((1, 2, 3)),
+                                              WEIGHT_EXPONENTS):
+        pair = PairSpec(f1, f2)
+        if (f1 or f2) and nonvanishing(LaguerreExcFamily(LaguerreParams(exponent - pair.k), pair)):
+            specs.append((f1, f2, exponent))
+    return specs
+
+
 @settings(max_examples=20, deadline=None)
 @given(
-    st.sampled_from(_subsets((1, 2, 3, 4))),
-    st.sampled_from(_subsets((1, 2, 3))),
-    st.sampled_from(WEIGHT_EXPONENTS),
+    st.deferred(lambda: st.sampled_from(level_sum_families())),
     st.integers(1, 6),
     st.one_of(st.just(1), st.integers(2, 700)),
 )
-def test_fixed_point_level_sums_match_the_mpf_sums(f1, f2, exponent, degree, upper):
+def test_fixed_point_level_sums_match_the_mpf_sums(spec, degree, upper):
     # small families with members of degree at least 4, on [0, 1] or on [1, U]
     # for any U up to past the shared pass's largest, where exp(-x) underflows
     # F bits while the members reach U^deg
-    assume(f1 or f2)
+    f1, f2, exponent = spec
     pair = PairSpec(f1, f2)
     fam = LaguerreExcFamily(LaguerreParams(exponent - pair.k), pair)
-    assume(nonvanishing(fam))
     ns = [n for n in pair.sigma_first(6) if n >= 4][:2]
     members = {n: fam.member(n) for n in ns}
     interval = (0, 1) if upper == 1 else (1, to_mpf(upper))
